@@ -4,7 +4,7 @@
 
 from commsym import DalembertParams, run_dalembert
 from commsym.scenarios import (
-    boosted_wave_params,
+    boosted_params,
     dalembert_engaging_operator,
     dalembert_weight,
     galilei_map,
@@ -28,7 +28,7 @@ print("engaging residual:", A.apply(w * phi).max_coeff())
 
 # the weight can be recovered the other way: transform the boosted-frame
 # plane wave back through the coordinate map and divide by the original
-primed = plane_wave(boosted_wave_params(p))
+primed = plane_wave(boosted_params(p, 0.0))
 recovered = infer_weight(primed, galilei_map(p), phi)
 print("weight recovery gap:", (recovered - w).max_coeff())
 

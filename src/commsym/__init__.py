@@ -19,7 +19,6 @@ from .opalg import (
     SymmetryCandidate,
     ad_power,
     commutator,
-    matrix_apply,
     residual_vs_multiple,
 )
 from .detsolve import (
@@ -77,7 +76,6 @@ __all__ = [
     "SymmetryCandidate",
     "ad_power",
     "commutator",
-    "matrix_apply",
     "residual_vs_multiple",
     "AffineMap",
     "AnsatzSpec",

@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -50,67 +51,140 @@ def _vector3(text: str) -> tuple[float, float, float]:
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """One verification suite as the command line sees it.
+
+    ``build`` turns the parsed flags into the suite's arguments, ``draw``
+    draws seeded random arguments for ``--sweeps``, and ``run`` turns either
+    into a report.  ``run`` looks its suite up in ``scenarios`` at call time,
+    so a function replaced on that module (a tracer, a test double) is the
+    one called.
+    """
+
+    name: str
+    help: str
+    flags: tuple[tuple[str, dict], ...]
+    build: Callable[[RunConfig], Any]
+    run: Callable[[Any, float | None], sc.ScenarioReport]
+    residual_tol: bool = True  # whether --residual-tol is offered
+    draw: Callable[[np.random.Generator], Any] | None = None
+    sweep_checks: tuple[str, ...] = ()
+
+
+def _wave_flags(beta: float) -> tuple[tuple[str, dict], ...]:
+    return (
+        ("--beta", dict(type=float, default=beta)),
+        ("--n", dict(type=_vector3, default=(0.0, 1.0, 0.0))),
+        ("--omega", dict(type=float, default=1.0)),
+        ("--c", dict(type=float, default=1.0)),
+    )
+
+
+def _wave(ov: dict) -> sc.DalembertParams:
+    return sc.DalembertParams(beta=ov["beta"], n=ov["n"], omega=ov["omega"], c=ov["c"])
+
+
+def _composition_pair(ov: dict) -> tuple[sc.DalembertParams, sc.DalembertParams]:
+    p1 = _wave(ov)
+    return p1, sc.boosted_params(p1, ov["beta2"])
+
+
+SCENARIOS = {s.name: s for s in (
+    Scenario(
+        "dalembert-galilei", "wave equation under a Galilei boost",
+        _wave_flags(0.3),
+        build=lambda cfg: _wave(cfg.overrides),
+        run=lambda p, tol: sc.run_dalembert(p, tol),
+        draw=sc.random_dalembert_params,
+        sweep_checks=("eq17_engaging_weighted_wave",),
+    ),
+    Scenario(
+        "schrodinger-lorentz", "Schrodinger operator under a Lorentz boost",
+        (
+            ("--V", dict(type=float, default=0.2)),
+            ("--v", dict(type=_vector3, default=(0.4, 0.0, 0.0))),
+            ("--c", dict(type=float, default=1.0)),
+            ("--hbar", dict(type=float, default=1.0)),
+            ("--m0", dict(type=float, default=1.0)),
+        ),
+        build=lambda cfg: sc.SchrodingerParams(**cfg.overrides),
+        run=lambda p, tol: sc.run_schrodinger(p, tol),
+        draw=sc.random_schrodinger_params,
+        sweep_checks=("eq23_engaging_psi11", "eq23_engaging_psi22_as_printed",
+                      "eq23_engaging_psi22_via_transform"),
+    ),
+    Scenario(
+        "maxwell-galilei", "free Maxwell system under a Galilei boost",
+        _wave_flags(0.3) + (
+            ("--angle", dict(type=float, default=0.0, help="polarization angle about n")),
+        ),
+        build=lambda cfg: (_wave(cfg.overrides), cfg.overrides["angle"]),
+        run=lambda pa, tol: sc.run_maxwell(pa[0], tol, angle=pa[1]),
+        draw=lambda rng: (
+            sc.random_dalembert_params(rng, max_nx=0.95),
+            float(rng.uniform(0.0, 2.0 * np.pi)),
+        ),
+        sweep_checks=tuple(f"eq26_engaging_{n}" for n in sc.MAXWELL_ROW_NAMES),
+    ),
+    Scenario(
+        "igl-sweep", "all 40 linear-group commutator identities",
+        (),
+        build=lambda cfg: None,
+        run=lambda _, tol: sc.run_igl_sweep(),
+        residual_tol=False,
+    ),
+    Scenario(
+        "composition", "composition laws for two successive boosts",
+        _wave_flags(0.2) + (
+            ("--beta2", dict(type=float, default=0.3, help="second boost, in boosted-frame units")),
+        ),
+        build=lambda cfg: _composition_pair(cfg.overrides),
+        run=lambda pair, tol: sc.check_composition(*pair, tol),
+        draw=sc.random_composition_pair,
+        sweep_checks=("eq30_weight_composition", "eq30_d_composition",
+                      "eq30_kappa_composition"),
+    ),
+    Scenario(
+        "detsolve", "rediscover generators from the determining system",
+        (
+            ("--operator", dict(choices=("box", "schrod"), default="box")),
+            ("--degree", dict(type=int, default=1)),
+            ("--p", dict(type=int, default=2)),
+            ("--zeta-degree", dict(type=int, default=0)),
+            ("--seed", dict(type=int, default=0, help="seed of the apply-probe oracle")),
+        ),
+        build=lambda cfg: dict(cfg.overrides, seed=cfg.seed),
+        run=lambda kwargs, tol: sc.run_generator_search(**kwargs),
+        residual_tol=False,
+    ),
+)}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="commsym", description=__doc__)
     sub = parser.add_subparsers(dest="scenario", required=True, metavar="SCENARIO")
-
-    def common(sp, sweepable: bool = True):
+    for s in SCENARIOS.values():
+        sp = sub.add_parser(s.name, help=s.help)
+        for flag, kwargs in s.flags:
+            sp.add_argument(flag, **kwargs)
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--output", default=None, help="write the report to this path")
-        sp.add_argument("--residual-tol", type=float, default=None,
-                        help="override the engaging-check pass threshold")
-        if sweepable:
+        if s.residual_tol:
+            sp.add_argument("--residual-tol", type=float, default=None,
+                            help="override the engaging-check pass threshold")
+        if s.draw is not None:
             sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--sweeps", type=int, default=0,
                             help="extra seeded random parameter draws")
-
-    sp = sub.add_parser("dalembert-galilei", help="wave equation under a Galilei boost")
-    sp.add_argument("--beta", type=float, default=0.3)
-    sp.add_argument("--n", type=_vector3, default=(0.0, 1.0, 0.0))
-    sp.add_argument("--omega", type=float, default=1.0)
-    sp.add_argument("--c", type=float, default=1.0)
-    common(sp)
-
-    sp = sub.add_parser("schrodinger-lorentz", help="Schrodinger operator under a Lorentz boost")
-    sp.add_argument("--V", type=float, default=0.2)
-    sp.add_argument("--v", type=_vector3, default=(0.4, 0.0, 0.0))
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--hbar", type=float, default=1.0)
-    sp.add_argument("--m0", type=float, default=1.0)
-    common(sp)
-
-    sp = sub.add_parser("maxwell-galilei", help="free Maxwell system under a Galilei boost")
-    sp.add_argument("--beta", type=float, default=0.3)
-    sp.add_argument("--n", type=_vector3, default=(0.0, 1.0, 0.0))
-    sp.add_argument("--omega", type=float, default=1.0)
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--angle", type=float, default=0.0, help="polarization angle about n")
-    common(sp)
-
-    sp = sub.add_parser("igl-sweep", help="all 40 linear-group commutator identities")
-    common(sp, sweepable=False)
-
-    sp = sub.add_parser("composition", help="composition laws for two successive boosts")
-    sp.add_argument("--beta", type=float, default=0.2)
-    sp.add_argument("--n", type=_vector3, default=(0.0, 1.0, 0.0))
-    sp.add_argument("--omega", type=float, default=1.0)
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--beta2", type=float, default=0.3, help="second boost, in boosted-frame units")
-    common(sp)
-
-    sp = sub.add_parser("detsolve", help="rediscover generators from the determining system")
-    sp.add_argument("--operator", choices=("box", "schrod"), default="box")
-    sp.add_argument("--degree", type=int, default=1)
-    sp.add_argument("--p", type=int, default=2)
-    sp.add_argument("--zeta-degree", type=int, default=0)
-    common(sp, sweepable=False)
-    sp.add_argument("--seed", type=int, default=0)
-
     return parser
 
 
+_PARSER = build_parser()
+
+
 def parse_config(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
+    ns = _PARSER.parse_args(argv)
     data = vars(ns)
     cfg = RunConfig(
         scenario=data.pop("scenario"),
@@ -128,52 +202,17 @@ def parse_config(argv) -> RunConfig:
     return cfg
 
 
-def _sweep_summary(cfg: RunConfig) -> list[sc.CheckResult]:
+def _sweep_summary(s: Scenario, cfg: RunConfig) -> list[sc.CheckResult]:
     """Max residuals of the engaging checks over seeded random draws."""
     rng = np.random.default_rng(cfg.seed)
     rows: dict[str, sc.CheckResult] = {}
-
-    def fold(report: sc.ScenarioReport, names: list[str]):
-        for name in names:
+    for _ in range(cfg.sweeps):
+        report = s.run(s.draw(rng), cfg.residual_tol)
+        for name in s.sweep_checks:
             c = report.check(name)
             prev = rows.get(name)
             if prev is None or c.residual > prev.residual:
                 rows[name] = c
-
-    for _ in range(cfg.sweeps):
-        if cfg.scenario == "dalembert-galilei":
-            report = sc.run_dalembert(sc.random_dalembert_params(rng), cfg.residual_tol)
-            fold(report, ["eq17_engaging_weighted_wave"])
-        elif cfg.scenario == "schrodinger-lorentz":
-            report = sc.run_schrodinger(sc.random_schrodinger_params(rng), cfg.residual_tol)
-            fold(
-                report,
-                [
-                    "eq23_engaging_psi11",
-                    "eq23_engaging_psi22_as_printed",
-                    "eq23_engaging_psi22_via_transform",
-                ],
-            )
-        elif cfg.scenario == "maxwell-galilei":
-            report = sc.run_maxwell(
-                sc.random_dalembert_params(rng, max_nx=0.95),
-                cfg.residual_tol,
-                angle=float(rng.uniform(0.0, 2.0 * np.pi)),
-            )
-            fold(report, [f"eq26_engaging_{n}" for n in sc.MAXWELL_ROW_NAMES])
-        elif cfg.scenario == "composition":
-            p1, p2 = sc.random_composition_pair(rng)
-            report = sc.check_composition(p1, p2, cfg.residual_tol)
-            fold(
-                report,
-                [
-                    "eq30_weight_composition",
-                    "eq30_d_composition",
-                    "eq30_kappa_composition",
-                ],
-            )
-        else:
-            raise ConfigError(f"--sweeps is not supported for {cfg.scenario}")
     return [
         sc.CheckResult(f"sweep_max_{c.name}", c.paper_ref, c.residual, c.tol)
         for c in rows.values()
@@ -182,52 +221,16 @@ def _sweep_summary(cfg: RunConfig) -> list[sc.CheckResult]:
 
 def run(cfg: RunConfig) -> tuple[int, bytes]:
     """Execute the configured scenario; return (exit status, report bytes)."""
-    ov = cfg.overrides
+    s = SCENARIOS.get(cfg.scenario)
+    if s is None:
+        raise ConfigError(f"unknown scenario {cfg.scenario!r}")
     try:
-        if cfg.scenario == "dalembert-galilei":
-            params = sc.DalembertParams(
-                beta=ov["beta"], n=ov["n"], omega=ov["omega"], c=ov["c"]
-            )
-            report = sc.run_dalembert(params, cfg.residual_tol)
-        elif cfg.scenario == "schrodinger-lorentz":
-            params = sc.SchrodingerParams(
-                V=ov["V"], v=ov["v"], c=ov["c"], hbar=ov["hbar"], m0=ov["m0"]
-            )
-            report = sc.run_schrodinger(params, cfg.residual_tol)
-        elif cfg.scenario == "maxwell-galilei":
-            params = sc.DalembertParams(
-                beta=ov["beta"], n=ov["n"], omega=ov["omega"], c=ov["c"]
-            )
-            report = sc.run_maxwell(params, cfg.residual_tol, angle=ov["angle"])
-        elif cfg.scenario == "igl-sweep":
-            report = sc.run_igl_sweep()
-        elif cfg.scenario == "composition":
-            p1 = sc.DalembertParams(
-                beta=ov["beta"], n=ov["n"], omega=ov["omega"], c=ov["c"]
-            )
-            report = sc.check_composition(
-                p1, sc.boosted_params(p1, ov["beta2"]), cfg.residual_tol
-            )
-        elif cfg.scenario == "detsolve":
-            report = sc.run_generator_search(
-                operator=ov["operator"],
-                degree=ov["degree"],
-                p=ov["p"],
-                zeta_degree=ov["zeta_degree"],
-                seed=cfg.seed,
-            )
-        else:  # pragma: no cover - argparse restricts choices
-            raise ConfigError(f"unknown scenario {cfg.scenario!r}")
-
+        report = s.run(s.build(cfg), cfg.residual_tol)
         if cfg.sweeps:
-            extra = _sweep_summary(cfg)
-            params_with_seed = dict(report.params)
-            params_with_seed.update({"seed": cfg.seed, "sweeps": cfg.sweeps})
-            report = sc.ScenarioReport(
-                report.scenario,
-                params_with_seed,
-                report.checks + tuple(extra),
-                report.info,
+            report = replace(
+                report,
+                params=dict(report.params, seed=cfg.seed, sweeps=cfg.sweeps),
+                checks=report.checks + tuple(_sweep_summary(s, cfg)),
             )
     except (ValueError, RankDeficiencyAmbiguous) as exc:
         # InvalidParams, DegenerateDirection, bad ansatz degrees, or an

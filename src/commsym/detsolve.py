@@ -121,6 +121,7 @@ class GeneratorBasis:
     closure_residual: float | None = None
     singular_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
     vectors: np.ndarray | None = None  # orthonormal null vectors, one per row
+    reverify_residual: float | None = None  # worst re-verification residual
 
     @property
     def dimension(self) -> int:
@@ -201,37 +202,44 @@ def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSyste
     return DeterminingSystem(matrix, tuple(unknowns), tuple(row_keys), L, spec)
 
 
+def null_rank(sigma: np.ndarray, tol: float) -> int:
+    """Rank of a spectrum: the singular values above tol * sigma_max.
+
+    If the spectrum clusters across that cutoff (gap ratio below 10) the
+    rank is ambiguous and RankDeficiencyAmbiguous is raised instead of
+    silently picking a dimension.
+    """
+    cutoff = tol * (sigma[0] if sigma.size else 0.0)
+    rank = int(np.sum(sigma > cutoff))
+    if 0 < rank < sigma.size and sigma[rank] > 0:
+        gap = sigma[rank - 1] / sigma[rank]
+        if gap < _GAP_GUARD:
+            raise RankDeficiencyAmbiguous(
+                f"singular values {sigma[rank - 1]:.3e} and {sigma[rank]:.3e} "
+                f"straddle the cutoff {cutoff:.3e} with gap ratio {gap:.2f} < {_GAP_GUARD}"
+            )
+    return rank
+
+
 def solve_null_space(system: DeterminingSystem, tol: float = 1e-8) -> GeneratorBasis:
     """Orthonormal null-space basis of the determining system, decoded.
 
-    Singular values <= tol * sigma_max count as null.  If the spectrum
-    clusters across that cutoff (gap ratio below 10) the rank is ambiguous
-    and RankDeficiencyAmbiguous is raised instead of silently picking a
-    dimension.  Every returned candidate is re-verified through the operator
-    algebra.
+    The rank comes from :func:`null_rank` at tol.  Every returned candidate
+    is re-verified through the operator algebra; the worst residual is kept
+    on the basis.
     """
     m = system.matrix
     if not np.all(np.isfinite(m)):
         raise ValueError("determining system contains non-finite entries")
     n_unknowns = m.shape[1]
     if m.shape[0] == 0:
-        sigma = np.zeros(0)
-        null_vecs = [np.eye(n_unknowns, dtype=complex)[:, j] for j in range(n_unknowns)]
+        sigma, vh = np.zeros(0), np.eye(n_unknowns, dtype=complex)
     else:
         _, sigma, vh = np.linalg.svd(m, full_matrices=True)
-        sigma_max = sigma[0] if sigma.size else 0.0
-        cutoff = tol * sigma_max
-        rank = int(np.sum(sigma > cutoff))
-        if 0 < rank < sigma.size and sigma[rank] > 0:
-            gap = sigma[rank - 1] / sigma[rank]
-            if gap < _GAP_GUARD:
-                raise RankDeficiencyAmbiguous(
-                    f"singular values {sigma[rank - 1]:.3e} and {sigma[rank]:.3e} "
-                    f"straddle the cutoff {cutoff:.3e} with gap ratio {gap:.2f} < {_GAP_GUARD}"
-                )
-        null_vecs = [np.conj(vh[i]) for i in range(rank, n_unknowns)]
+    null_vecs = [np.conj(vh[i]) for i in range(null_rank(sigma, tol), n_unknowns)]
 
     generators = []
+    worst = 0.0
     for vec in null_vecs:
         cand = system.decode(vec)
         check = ad_power(system.L, cand.Q, system.spec.p)
@@ -240,11 +248,14 @@ def solve_null_space(system: DeterminingSystem, tol: float = 1e-8) -> GeneratorB
             raise RuntimeError(
                 f"null-space candidate fails re-verification: residual {res:.3e}"
             )
+        worst = max(worst, res)
         generators.append(cand)
     vectors = (
         np.vstack(null_vecs) if null_vecs else np.zeros((0, n_unknowns), dtype=complex)
     )
-    return GeneratorBasis(tuple(generators), singular_values=sigma, vectors=vectors)
+    return GeneratorBasis(
+        tuple(generators), singular_values=sigma, vectors=vectors, reverify_residual=worst
+    )
 
 
 def _first_order_keys(ops: Sequence[LinDiffOp]) -> list[tuple[Index4, Index4]]:

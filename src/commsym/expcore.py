@@ -50,15 +50,13 @@ class Tolerances:
                   zero_tol * (largest coefficient in the same polynomial)
     merge_tol     absolute per-component distance below which two kappa
                   covectors are treated as the same exponential
-    residual_tol  default pass threshold for scenario checks
     """
 
     zero_tol: float = 1e-10
     merge_tol: float = 1e-12
-    residual_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (self.zero_tol > 0 and self.merge_tol > 0 and self.residual_tol > 0):
+        if not (self.zero_tol > 0 and self.merge_tol > 0):
             raise ValueError("tolerances must be strictly positive")
         if self.merge_tol > self.zero_tol:
             raise ValueError("merge_tol must not exceed zero_tol")

@@ -16,14 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .expcore import DEFAULT_TOL, ExpPoly, Index4, Tolerances, ZERO_ALPHA
-
-_UNIT: tuple[Index4, ...] = (
-    (1, 0, 0, 0),
-    (0, 1, 0, 0),
-    (0, 0, 1, 0),
-    (0, 0, 0, 1),
-)
+from .expcore import DEFAULT_TOL, ExpPoly, Index4, Tolerances, ZERO_ALPHA, _UNIT
 
 
 class ShapeMismatch(ValueError):
@@ -290,8 +283,3 @@ class MatrixDiffOp:
                 acc = acc + entry.apply(f)
             out.append(acc)
         return out
-
-
-def matrix_apply(M: MatrixDiffOp, fields: Sequence[ExpPoly]) -> list[ExpPoly]:
-    """Row-wise application of a matrix operator to a component list."""
-    return M.apply(fields)

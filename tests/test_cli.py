@@ -5,7 +5,7 @@ import json
 import pytest
 
 from commsym import __version__, cli
-from commsym.scenarios import CheckResult, ScenarioReport
+from commsym.scenarios import MAXWELL_ROW_NAMES, CheckResult, ScenarioReport
 
 
 def run_cli(args):
@@ -44,6 +44,12 @@ def test_unknown_flag_is_config_error():
 
 def test_unknown_scenario_is_config_error():
     assert cli.main(["heat-equation"]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("scenario", ["igl-sweep", "detsolve"])
+def test_residual_tol_is_config_error_where_unused(scenario):
+    # these suites take no engaging threshold, so the flag would be ignored
+    assert cli.main([scenario, "--residual-tol", "1e-30"]) == cli.EXIT_CONFIG
 
 
 def test_schrodinger_default_fails_with_documented_check(capsys):
@@ -113,8 +119,30 @@ def test_json_bytes_deterministic():
     assert first == second
 
 
-def test_sweep_deterministic_and_seeded():
-    args = ["dalembert-galilei", "--sweeps", "20", "--seed", "7", "--format", "json"]
+SWEEP_CHECKS = {
+    "dalembert-galilei": ["eq17_engaging_weighted_wave"],
+    "schrodinger-lorentz": [
+        "eq23_engaging_psi11",
+        "eq23_engaging_psi22_as_printed",
+        "eq23_engaging_psi22_via_transform",
+    ],
+    "maxwell-galilei": [f"eq26_engaging_{n}" for n in MAXWELL_ROW_NAMES],
+    "composition": [
+        "eq30_weight_composition",
+        "eq30_d_composition",
+        "eq30_kappa_composition",
+    ],
+}
+# the transcribed psi2 weight fails by measurement, in every draw
+DOCUMENTED_FAILURES = {
+    "eq23_engaging_psi22_as_printed",
+    "sweep_max_eq23_engaging_psi22_as_printed",
+}
+
+
+@pytest.mark.parametrize("scenario", list(SWEEP_CHECKS))
+def test_sweep_deterministic_and_seeded(scenario):
+    args = [scenario, "--sweeps", "20", "--seed", "7", "--format", "json"]
     _, first = run_cli(args)
     _, second = run_cli(args)
     assert first == second
@@ -122,10 +150,13 @@ def test_sweep_deterministic_and_seeded():
     assert doc["params"]["seed"] == 7
     assert doc["params"]["sweeps"] == 20
     names = [c["name"] for c in doc["checks"]]
-    assert "sweep_max_eq17_engaging_weighted_wave" in names
+    assert [n for n in names if n.startswith("sweep_max_")] == [
+        f"sweep_max_{n}" for n in SWEEP_CHECKS[scenario]
+    ]
     # a different seed changes the drawn parameters, not the verdict
-    _, third = run_cli(["dalembert-galilei", "--sweeps", "20", "--seed", "8", "--format", "json"])
-    assert json.loads(third)["pass"] is True
+    _, third = run_cli([scenario, "--sweeps", "20", "--seed", "8", "--format", "json"])
+    failing = {c["name"] for c in json.loads(third)["checks"] if not c["pass"]}
+    assert failing <= DOCUMENTED_FAILURES
 
 
 # -- report_emit -----------------------------------------------------------------

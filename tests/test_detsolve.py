@@ -18,6 +18,7 @@ from commsym.detsolve import (
     apply_probe_null_dimension,
     build_determining_system,
     flow,
+    null_rank,
     pullback,
     solve_null_space,
     structure_constants,
@@ -139,15 +140,21 @@ def test_null_dimension_stable_under_tolerance():
         system = build_determining_system(wave_operator(), spec)
         dims = {solve_null_space(system, tol=t).dimension for t in (1e-9, 1e-8, 1e-7)}
         assert len(dims) == 1
+        # the same dimensions read from one spectrum, as the generator search does
+        sigma = solve_null_space(system).singular_values
+        assert {len(system.unknowns) - null_rank(sigma, t) for t in (1e-9, 1e-8, 1e-7)} == dims
 
 
 def test_candidates_reverify_through_opalg():
     system = build_determining_system(wave_operator(), AnsatzSpec(degree=1, p=2))
     basis = solve_null_space(system)
+    worst = 0.0
     for cand in basis.generators:
         bracket = ad_power(wave_operator(), cand.Q, 2)
         _, res = residual_vs_multiple(bracket, wave_operator(), cand.zeta)
         assert res <= 1e-8
+        worst = max(worst, res)
+    assert basis.reverify_residual == worst
 
 
 # -- structure constants ----------------------------------------------------------

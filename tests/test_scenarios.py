@@ -79,7 +79,7 @@ def test_infer_weight_identity():
 
 def test_infer_weight_recovers_boost_weight():
     p = sc.DalembertParams(beta=0.41, n=(0.3, 0.4, np.sqrt(1 - 0.09 - 0.16)), omega=2.2)
-    primed = sc.plane_wave(sc.boosted_wave_params(p))
+    primed = sc.plane_wave(sc.boosted_params(p, 0.0))
     got = sc.infer_weight(primed, sc.galilei_map(p), sc.plane_wave(p))
     expected = sc.dalembert_weight(p)
     gap = max(
@@ -95,7 +95,7 @@ def test_infer_weight_roundtrip_property():
     for _ in range(20):
         p = sc.random_dalembert_params(rng)
         amap = sc.galilei_map(p)
-        primed = sc.plane_wave(sc.boosted_wave_params(p))
+        primed = sc.plane_wave(sc.boosted_params(p, 0.0))
         w = sc.infer_weight(primed, amap, sc.plane_wave(p))
         lhs = w * sc.plane_wave(p)
         rhs = primed.substitute_affine(amap.A, amap.b)
