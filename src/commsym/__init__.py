@@ -11,7 +11,7 @@ generators from determining systems.
 
 __version__ = "0.1.0"
 
-from .expcore import DEFAULT_TOL, ExpPoly, ExpTerm, NonFinite, Tolerances, normalize
+from .expcore import ExpPoly, ExpTerm, NonFinite
 from .opalg import (
     LinDiffOp,
     MatrixDiffOp,
@@ -64,12 +64,9 @@ from .gridcheck import (
 
 __all__ = [
     "__version__",
-    "DEFAULT_TOL",
     "ExpPoly",
     "ExpTerm",
     "NonFinite",
-    "Tolerances",
-    "normalize",
     "LinDiffOp",
     "MatrixDiffOp",
     "ShapeMismatch",

@@ -13,6 +13,7 @@ through affine coordinate maps.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -95,20 +96,13 @@ class DeterminingSystem:
 
     def decode(self, vec: Sequence[complex]) -> SymmetryCandidate:
         """Turn a coefficient vector back into a symmetry candidate."""
-        xi = [ExpPoly.zero() for _ in range(4)]
-        eta = ExpPoly.zero()
-        zeta = ExpPoly.zero()
+        # one term list per function, keyed by (kind, component)
+        parts: dict[tuple[str, int], list[ExpTerm]] = defaultdict(list)
         for u, c in zip(self.unknowns, vec):
-            c = complex(c)
-            if c == 0:
-                continue
-            mono = ExpPoly([ExpTerm(c, u.alpha)])
-            if u.kind == "xi":
-                xi[u.component] = xi[u.component] + mono
-            elif u.kind == "eta":
-                eta = eta + mono
-            else:
-                zeta = zeta + mono
+            if complex(c) != 0:
+                parts[(u.kind, u.component)].append(ExpTerm(complex(c), u.alpha))
+        xi = [ExpPoly(parts[("xi", a)]) for a in range(4)]
+        eta, zeta = ExpPoly(parts[("eta", -1)]), ExpPoly(parts[("zeta", -1)])
         return SymmetryCandidate(LinDiffOp.first_order(xi, eta), zeta, self.spec.p)
 
 
@@ -182,24 +176,11 @@ def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSyste
             "determining systems require polynomial operator coefficients"
         )
     unknowns = _ansatz_unknowns(spec)
-
-    # residual operator for each unit unknown; everything stays polynomial
-    columns: list[dict[tuple[Index4, Index4], complex]] = []
-    for u in unknowns:
-        residual = _unit_residual(L, spec, u)
-        entries: dict[tuple[Index4, Index4], complex] = {}
-        for delta, coeff in residual.terms:
-            for t in coeff.terms:
-                entries[(delta, t.alpha)] = entries.get((delta, t.alpha), 0j) + t.coeff
-        columns.append(entries)
-
-    row_keys = sorted({key for col in columns for key in col})
-    matrix = np.zeros((len(row_keys), len(unknowns)), dtype=complex)
-    index = {key: i for i, key in enumerate(row_keys)}
-    for j, col in enumerate(columns):
-        for key, val in col.items():
-            matrix[index[key], j] = val
-    return DeterminingSystem(matrix, tuple(unknowns), tuple(row_keys), L, spec)
+    # one column per unit unknown: its residual operator's coefficient vector
+    residuals = [_unit_residual(L, spec, u) for u in unknowns]
+    row_keys = _coefficient_keys(residuals)
+    matrix = _vectorize(residuals, row_keys).T
+    return DeterminingSystem(matrix, unknowns, tuple(row_keys), L, spec)
 
 
 def null_rank(sigma: np.ndarray, tol: float) -> int:
@@ -258,18 +239,20 @@ def solve_null_space(system: DeterminingSystem, tol: float = 1e-8) -> GeneratorB
     )
 
 
-def _first_order_keys(ops: Sequence[LinDiffOp]) -> list[tuple[Index4, Index4]]:
+def _coefficient_keys(ops: Sequence[LinDiffOp]) -> list[tuple[Index4, Index4]]:
+    """Sorted (derivative delta, monomial alpha) pairs present in the operators."""
     keys = set()
     for op in ops:
         for delta, coeff in op.terms:
             for t in coeff.terms:
                 if any(k != 0 for k in t.kappa):
-                    raise ValueError("structure constants require polynomial coefficients")
+                    raise ValueError("coefficient vectors require polynomial coefficients")
                 keys.add((delta, t.alpha))
     return sorted(keys)
 
 
 def _vectorize(ops: Sequence[LinDiffOp], keys: list[tuple[Index4, Index4]]) -> np.ndarray:
+    """One row per operator: its coefficient on each key."""
     index = {k: i for i, k in enumerate(keys)}
     out = np.zeros((len(ops), len(keys)), dtype=complex)
     for i, op in enumerate(ops):
@@ -298,7 +281,7 @@ def structure_constants(
     if n == 0:
         return GeneratorBasis((), C, 0.0)
 
-    keys = _first_order_keys(ops)
+    keys = _coefficient_keys(ops)
     basis_mat = _vectorize(ops, keys)  # n x K
     if np.linalg.matrix_rank(basis_mat, tol=tol * max(1.0, float(np.abs(basis_mat).max()))) < n:
         raise ValueError("generators are not linearly independent")
@@ -435,14 +418,15 @@ def pullback(Lp: LinDiffOp, amap: AffineMap) -> LinDiffOp:
             terms.append((tuple(delta), ExpPoly.constant(inv[bidx, a])))
         primed_partials.append(LinDiffOp(terms))
 
-    out = LinDiffOp.zero()
+    collected = []
     for delta, coeff in Lp.terms:
         piece = LinDiffOp.identity()
         for a in range(4):
             for _ in range(delta[a]):
                 piece = primed_partials[a].compose(piece)
-        out = out + piece.premultiply(coeff.substitute_affine(amap.A, amap.b))
-    return out
+        moved = coeff.substitute_affine(amap.A, amap.b)
+        collected.extend((d, moved * c) for d, c in piece.terms)
+    return LinDiffOp(collected)
 
 
 def apply_probe_null_dimension(

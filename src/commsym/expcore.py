@@ -42,27 +42,11 @@ class NonFinite(ArithmeticError):
     """A coefficient or exponent overflowed or turned into NaN."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric thresholds shared by normalization and zero tests.
-
-    zero_tol      drop a term whose coefficient magnitude is below
-                  zero_tol * (largest coefficient in the same polynomial)
-    merge_tol     absolute per-component distance below which two kappa
-                  covectors are treated as the same exponential
-    """
-
-    zero_tol: float = 1e-10
-    merge_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (self.zero_tol > 0 and self.merge_tol > 0):
-            raise ValueError("tolerances must be strictly positive")
-        if self.merge_tol > self.zero_tol:
-            raise ValueError("merge_tol must not exceed zero_tol")
-
-
-DEFAULT_TOL = Tolerances()
+# drop a term whose coefficient is below ZERO_TOL * (largest coefficient)
+ZERO_TOL = 1e-10
+# two covectors are one exponential when every component differs by at most
+# MERGE_TOL * max(1, largest component magnitude of the later covector)
+MERGE_TOL = 1e-12
 
 
 def _is_finite_complex(z: complex) -> bool:
@@ -99,12 +83,12 @@ def _term_sort_key(term: ExpTerm):
     )
 
 
-def _kappa_close(a: CVec4, b: CVec4, merge_tol: float) -> bool:
+def _kappa_close(a: CVec4, b: CVec4, reach: float) -> bool:
     return (
-        abs(a[0] - b[0]) <= merge_tol
-        and abs(a[1] - b[1]) <= merge_tol
-        and abs(a[2] - b[2]) <= merge_tol
-        and abs(a[3] - b[3]) <= merge_tol
+        abs(a[0] - b[0]) <= reach
+        and abs(a[1] - b[1]) <= reach
+        and abs(a[2] - b[2]) <= reach
+        and abs(a[3] - b[3]) <= reach
     )
 
 
@@ -113,13 +97,14 @@ class ExpPoly:
 
     Invariants: no zero-coefficient terms, no two terms sharing the same
     alpha and a kappa within merge tolerance, terms in canonical sort order.
-    Use :func:`normalize` or the factory classmethods to build instances.
+    ``ExpPoly(terms)`` puts any sum of terms into that form; an instance is
+    never normalized again.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[ExpTerm] = (), tol: Tolerances = DEFAULT_TOL):
-        object.__setattr__(self, "terms", _normalize_terms(terms, tol))
+    def __init__(self, terms: Iterable[ExpTerm] = ()):
+        object.__setattr__(self, "terms", _normalize_terms(terms))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ExpPoly is immutable")
@@ -176,7 +161,7 @@ class ExpPoly:
             return None
         return max(self.terms, key=lambda t: abs(t.coeff))
 
-    def is_zero(self, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> bool:
+    def is_zero(self, scale: float | None = None) -> bool:
         """Tolerance-based zero test.
 
         With no external ``scale`` the reference is the polynomial's own
@@ -187,7 +172,7 @@ class ExpPoly:
         if not self.terms:
             return True
         ref = self.max_coeff() if scale is None else scale
-        return self.max_coeff() <= tol.zero_tol * ref
+        return self.max_coeff() <= ZERO_TOL * ref
 
     def degree(self) -> int:
         return max((sum(t.alpha) for t in self.terms), default=0)
@@ -272,7 +257,7 @@ class ExpPoly:
         """
         rows = [[float(A[i][j]) for j in range(4)] for i in range(4)]
         shift = [float(b[i]) for i in range(4)]
-        out = ExpPoly.zero()
+        out: list[ExpTerm] = []
         for t in self.terms:
             new_kappa = tuple(
                 sum(t.kappa[i] * rows[i][j] for i in range(4)) for j in range(4)
@@ -284,8 +269,8 @@ class ExpPoly:
                     affine = ExpPoly.linear_form(rows[a], shift[a])
                     for _ in range(t.alpha[a]):
                         piece = piece * affine
-            out = out + piece
-        return out
+            out.extend(piece.terms)
+        return ExpPoly(out)
 
     # -- comparison / repr ---------------------------------------------------
 
@@ -329,21 +314,36 @@ def _as_kappa(kappa: Sequence[complex]) -> CVec4:
     return k  # type: ignore[return-value]
 
 
-def _normalize_terms(terms: Iterable[ExpTerm], tol: Tolerances) -> tuple[ExpTerm, ...]:
-    items = sorted(terms, key=_term_sort_key)
+def _normalize_terms(terms: Iterable[ExpTerm]) -> tuple[ExpTerm, ...]:
+    """Canonical form of a sum: sorted, merged, zero terms dropped.
 
+    A term merges into an earlier term with the same alpha whose covector is
+    within MERGE_TOL * max(1, max_j |kappa_j|) of its own in every component.
+    Terms arrive sorted by (alpha, Re kappa0, ...), so the candidates are the
+    trailing run of merged terms with that alpha and Re kappa0 within that
+    distance, even when other covectors sort between them.  A merged term
+    keeps the earliest covector, so the representative does not depend on
+    the input order.
+    """
     merged: list[ExpTerm] = []
-    for t in items:
-        if (
-            merged
-            and merged[-1].alpha == t.alpha
-            and _kappa_close(merged[-1].kappa, t.kappa, tol.merge_tol)
-        ):
-            prev = merged[-1]
-            # keep the first kappa so the representative is order-deterministic
-            merged[-1] = ExpTerm(prev.coeff + t.coeff, prev.alpha, prev.kappa)
-        else:
+    for t in sorted(terms, key=_term_sort_key):
+        alpha, k = t.alpha, t.kappa
+        i = len(merged) - 1
+        if i < 0 or merged[i].alpha != alpha:
             merged.append(t)
+            continue
+        if merged[i].kappa != k:
+            reach = MERGE_TOL * max(1.0, abs(k[0]), abs(k[1]), abs(k[2]), abs(k[3]))
+            lowest = k[0].real - reach
+            while i >= 0 and merged[i].alpha == alpha and merged[i].kappa[0].real >= lowest:
+                if _kappa_close(merged[i].kappa, k, reach):
+                    break
+                i -= 1
+            else:  # no close covector in the window
+                merged.append(t)
+                continue
+        m = merged[i]
+        merged[i] = ExpTerm(m.coeff + t.coeff, alpha, m.kappa)
 
     # one aggregate guard instead of per-term checks: NaN/inf anywhere in the
     # coefficients poisons the scale, non-finite kappas are checked on the
@@ -356,16 +356,8 @@ def _normalize_terms(terms: Iterable[ExpTerm], tol: Tolerances) -> tuple[ExpTerm
     scale = max((abs(t.coeff) for t in merged), default=0.0)
     if scale == 0.0:
         return ()
-    kept = tuple(t for t in merged if abs(t.coeff) > tol.zero_tol * scale)
+    kept = tuple(t for t in merged if abs(t.coeff) > ZERO_TOL * scale)
     for t in kept:
         if not t.is_finite():
             raise NonFinite(f"non-finite term {t!r}")
     return kept
-
-
-def normalize(terms: Iterable[ExpTerm], tol: Tolerances = DEFAULT_TOL) -> ExpPoly:
-    """Canonical form: sorted, merged within tolerance, zero terms dropped.
-
-    The output represents the same function as the input sum.
-    """
-    return ExpPoly(terms, tol)

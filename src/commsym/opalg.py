@@ -13,10 +13,13 @@ test oracle.
 
 from __future__ import annotations
 
+import itertools
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .expcore import DEFAULT_TOL, ExpPoly, Index4, Tolerances, ZERO_ALPHA, _UNIT
+from .expcore import ZERO_TOL, ExpPoly, ExpTerm, Index4, ZERO_ALPHA, _UNIT
 
 
 class ShapeMismatch(ValueError):
@@ -27,21 +30,22 @@ class LinDiffOp:
     """A normalized linear differential operator (immutable).
 
     ``terms`` maps each derivative multi-index to a nonzero ExpPoly
-    coefficient, stored sorted by multi-index.
+    coefficient, stored sorted by multi-index.  Coefficients given for the
+    same multi-index are summed; a lone coefficient is kept as it is.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Iterable[tuple[Sequence[int], ExpPoly]] = ()):
-        raw: dict[Index4, list] = {}
+        raw: dict[Index4, list[ExpPoly]] = defaultdict(list)
         for delta, coeff in terms:
             d = tuple(int(v) for v in delta)
             if len(d) != 4 or any(v < 0 for v in d):
                 raise ValueError("derivative multi-index must be four non-negative ints")
-            raw.setdefault(d, []).extend(coeff.terms)
+            raw[d].append(coeff)
         cleaned = []
-        for d, term_list in sorted(raw.items()):
-            c = ExpPoly(term_list)
+        for d, coeffs in sorted(raw.items()):
+            c = _sum(coeffs)
             if not c.is_structurally_zero():
                 cleaned.append((d, c))
         object.__setattr__(self, "terms", tuple(cleaned))
@@ -102,11 +106,11 @@ class LinDiffOp:
     def max_coeff(self) -> float:
         return max((c.max_coeff() for _, c in self.terms), default=0.0)
 
-    def is_zero(self, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> bool:
+    def is_zero(self, scale: float | None = None) -> bool:
         if not self.terms:
             return True
         ref = self.max_coeff() if scale is None else scale
-        return self.max_coeff() <= tol.zero_tol * ref
+        return self.max_coeff() <= ZERO_TOL * ref
 
     def has_constant_coefficients(self) -> bool:
         return all(
@@ -144,29 +148,42 @@ class LinDiffOp:
 
     def apply(self, f: ExpPoly) -> ExpPoly:
         """Apply the operator to a function."""
-        out = ExpPoly.zero()
+        out: list[ExpTerm] = []
         for delta, coeff in self.terms:
             g = f
             for a in range(4):
                 for _ in range(delta[a]):
                     g = g.derive(a)
-            out = out + coeff * g
-        return out
+            out.extend((coeff * g).terms)
+        return ExpPoly(out)
 
     def compose(self, other: "LinDiffOp") -> "LinDiffOp":
         """Operator product self . other, expanded by the Leibniz rule.
 
-        Derivatives are peeled one at a time (d_a (c d^delta) =
-        (d_a c) d^delta + c d^(delta+e_a)) rather than via closed-form
-        multinomials; orders in this artifact never exceed 4.
+        d^delta (c d^gamma) is the sum over beta <= delta of
+        binom(delta, beta) (d^beta c) d^(delta - beta + gamma), binom being
+        the product of the four binomial coefficients.  For each term of self
+        the derivatives that land on one multi-index are summed into one
+        polynomial before its coefficient multiplies them.  Each d^beta c is
+        derived once per call, from d^(beta - e_a) c.
         """
+        derived = {(j, ZERO_ALPHA): c for j, (_, c) in enumerate(other.terms)}
         collected: list[tuple[Index4, ExpPoly]] = []
         for delta, coeff in self.terms:
-            cur = other
-            for a in range(4):
-                for _ in range(delta[a]):
-                    cur = _derive_operator_once(cur, a)
-            collected.extend((d, coeff * c) for d, c in cur.terms)
+            peeled: dict[Index4, list[ExpPoly]] = defaultdict(list)  # d^delta . other
+            # product order lists beta - e_a, a the first nonzero index of beta, before beta
+            for beta in itertools.product(*(range(n + 1) for n in delta)):
+                weight = math.prod(math.comb(n, b) for n, b in zip(delta, beta))
+                for j, (gamma, c) in enumerate(other.terms):
+                    if (j, beta) not in derived:
+                        a = next(i for i, n in enumerate(beta) if n)
+                        lower = beta[:a] + (beta[a] - 1,) + beta[a + 1:]
+                        derived[(j, beta)] = derived[(j, lower)].derive(a)
+                    dc = derived[(j, beta)]
+                    if dc.terms:
+                        target = tuple(n - b + g for n, b, g in zip(delta, beta, gamma))
+                        peeled[target].append(dc if weight == 1 else weight * dc)
+            collected.extend((d, coeff * _sum(parts)) for d, parts in peeled.items())
         return LinDiffOp(collected)
 
     def __matmul__(self, other: "LinDiffOp") -> "LinDiffOp":
@@ -195,17 +212,9 @@ class LinDiffOp:
         return "LinDiffOp(" + " + ".join(bits) + more + ")"
 
 
-def _derive_operator_once(op: LinDiffOp, a: int) -> LinDiffOp:
-    """d_a composed with op: one Leibniz peeling step."""
-    terms: list[tuple[Index4, ExpPoly]] = []
-    for delta, coeff in op.terms:
-        dc = coeff.derive(a)
-        if not dc.is_structurally_zero():
-            terms.append((delta, dc))
-        raised = list(delta)
-        raised[a] += 1
-        terms.append((tuple(raised), coeff))
-    return LinDiffOp(terms)
+def _sum(polys: list[ExpPoly]) -> ExpPoly:
+    """The sum of polynomials; a lone one is returned as it is (canonical)."""
+    return polys[0] if len(polys) == 1 else ExpPoly([t for p in polys for t in p.terms])
 
 
 def commutator(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
@@ -276,10 +285,7 @@ class MatrixDiffOp:
             raise ShapeMismatch(
                 f"operator has {n_cols} columns but got {len(fields)} fields"
             )
-        out = []
-        for row in self.rows:
-            acc = ExpPoly.zero()
-            for entry, f in zip(row, fields):
-                acc = acc + entry.apply(f)
-            out.append(acc)
-        return out
+        return [
+            ExpPoly([t for entry, f in zip(row, fields) for t in entry.apply(f).terms])
+            for row in self.rows
+        ]

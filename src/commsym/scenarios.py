@@ -314,8 +314,12 @@ def dalembert_engaging_operator(p: DalembertParams) -> LinDiffOp:
     return (1.0 / p.lam**2) * d.compose(d) - laplacian()
 
 
+def _is_single_exponential(f: ExpPoly) -> bool:
+    return len(f.terms) == 1 and sum(f.terms[0].alpha) == 0
+
+
 def _require_single_exponential(f: ExpPoly, label: str) -> None:
-    if len(f.terms) != 1 or sum(f.terms[0].alpha) != 0:
+    if not _is_single_exponential(f):
         raise NotSingleExponential(f"{label} is not a single pure exponential")
 
 
@@ -400,9 +404,7 @@ def run_dalembert(
     )
 
     # the weighted wave must itself be one pure exponential
-    single_defect = 0.0
-    if len(weighted.terms) != 1 or sum(weighted.terms[0].alpha) != 0:
-        single_defect = weighted.max_coeff() or 1.0
+    single_defect = 0.0 if _is_single_exponential(weighted) else (weighted.max_coeff() or 1.0)
     checks.append(
         _check("eq19_weighted_wave_single_exponential", "eq19", single_defect, IDENTITY_TOL)
     )
@@ -729,10 +731,7 @@ def transform_fields(fields: Sequence[ExpPoly], t: MaxwellTransform) -> list[Exp
 
 
 def _dot(fields_a: Sequence[ExpPoly], fields_b: Sequence[ExpPoly]) -> ExpPoly:
-    acc = ExpPoly.zero()
-    for a, b in zip(fields_a, fields_b):
-        acc = acc + a * b
-    return acc
+    return ExpPoly([t for a, b in zip(fields_a, fields_b) for t in (a * b).terms])
 
 
 def run_maxwell(

@@ -5,15 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from commsym.expcore import (
-    DEFAULT_TOL,
-    ExpPoly,
-    ExpTerm,
-    NonFinite,
-    Tolerances,
-    normalize,
-)
+from commsym.expcore import MERGE_TOL, ExpPoly, ExpTerm, NonFinite
 
 
 def rand_poly(rng, n_terms=3, kappa_scale=0.5):
@@ -43,14 +38,14 @@ def eval_terms(terms, x):
 
 
 def test_normalize_cancellation_gives_zero():
-    out = normalize([ExpTerm(1 + 0j), ExpTerm(-1 + 0j)])
+    out = ExpPoly([ExpTerm(1 + 0j), ExpTerm(-1 + 0j)])
     assert out.is_zero()
     assert out.terms == ()
 
 
 def test_normalize_merges_equal_monomials():
     a = (1, 0, 0, 0)
-    out = normalize([ExpTerm(1 + 0j, a), ExpTerm(2 + 0j, a)])
+    out = ExpPoly([ExpTerm(1 + 0j, a), ExpTerm(2 + 0j, a)])
     assert len(out.terms) == 1
     assert out.terms[0].coeff == 3 + 0j
 
@@ -59,7 +54,7 @@ def test_normalize_merges_kappa_within_tolerance():
     k1 = (1j, 0j, 0j, 0j)
     k2 = (1j + 1e-15, 0j, 0j, 0j)
     raw = [ExpTerm(1 + 0j, kappa=k1), ExpTerm(1 + 0j, kappa=k2)]
-    out = normalize(raw, Tolerances(merge_tol=1e-12))
+    out = ExpPoly(raw)
     assert len(out.terms) == 1
     assert out.terms[0].coeff == 2 + 0j
     # oracle: merged form equals the raw sum at random points
@@ -69,11 +64,51 @@ def test_normalize_merges_kappa_within_tolerance():
         assert abs(out.evaluate(x) - eval_terms(raw, x)) < 1e-12
 
 
+def test_normalize_merges_across_interleaved_covector():
+    # (0,5i) and (1e-13,5i) cancel although (5e-14,3i) sorts between them
+    raw = [
+        ExpTerm(1 + 0j, kappa=(0j, 5j, 0j, 0j)),
+        ExpTerm(2 + 0j, kappa=(5e-14 + 0j, 3j, 0j, 0j)),
+        ExpTerm(-1 + 0j, kappa=(1e-13 + 0j, 5j, 0j, 0j)),
+    ]
+    out = ExpPoly(raw)
+    assert out.terms == (raw[1],)
+
+
+_COMPONENT = st.complex_numbers(max_magnitude=1e7, allow_nan=False, allow_infinity=False)
+_SHIFT = st.floats(-0.07, 0.07)  # |re + i im| <= 0.1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kappa=st.tuples(_COMPONENT, _COMPONENT, _COMPONENT, _COMPONENT),
+    shift=st.lists(_SHIFT, min_size=8, max_size=8),
+    fillers=st.lists(st.floats(0.0, 1.0), max_size=4),
+    data=st.data(),
+)
+def test_perturbed_covectors_merge_whatever_sorts_between(kappa, shift, fillers, data):
+    """Covectors within 0.1 * MERGE_TOL * max(1, |kappa|) per component are
+    one exponential, also with other covectors sorting between the two."""
+    step = MERGE_TOL * max(1.0, *(abs(k) for k in kappa))
+    moved = tuple(k + complex(shift[2 * j], shift[2 * j + 1]) * step for j, k in enumerate(kappa))
+    lo, hi = sorted((kappa[0].real, moved[0].real))
+    # same alpha, Re kappa0 between the pair, kappa1 at least 1 away from both
+    between = [
+        ExpTerm(
+            complex(i + 1, 0),
+            kappa=(complex(lo + f * (hi - lo), kappa[0].imag), kappa[1] + (i + 1), kappa[2], kappa[3]),
+        )
+        for i, f in enumerate(fillers)
+    ]
+    raw = data.draw(st.permutations([ExpTerm(1 + 0j, kappa=kappa), ExpTerm(-1 + 0j, kappa=moved)] + between))
+    assert ExpPoly(raw) == ExpPoly(between)
+
+
 def test_normalize_rejects_non_finite():
     with pytest.raises(NonFinite):
-        normalize([ExpTerm(complex(math.inf, 0))])
+        ExpPoly([ExpTerm(complex(math.inf, 0))])
     with pytest.raises(NonFinite):
-        normalize([ExpTerm(1 + 0j, kappa=(complex(math.nan, 0), 0j, 0j, 0j))])
+        ExpPoly([ExpTerm(1 + 0j, kappa=(complex(math.nan, 0), 0j, 0j, 0j))])
 
 
 def test_normalize_idempotent():
@@ -81,13 +116,6 @@ def test_normalize_idempotent():
     for _ in range(25):
         f = rand_poly(rng)
         assert ExpPoly(f.terms) == f
-
-
-def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        Tolerances(zero_tol=-1.0)
-    with pytest.raises(ValueError):
-        Tolerances(zero_tol=1e-12, merge_tol=1e-10)
 
 
 # -- arithmetic --------------------------------------------------------------
@@ -225,7 +253,7 @@ def test_is_zero_with_witness():
 def test_is_zero_with_external_scale():
     tiny = ExpPoly.constant(1e-14)
     assert not tiny.is_zero()  # relative to itself it is a real term
-    assert tiny.is_zero(DEFAULT_TOL, scale=1.0)  # noise relative to O(1) inputs
+    assert tiny.is_zero(scale=1.0)  # noise relative to O(1) inputs
 
 
 # -- affine substitution -------------------------------------------------------
