@@ -28,8 +28,9 @@ print("unknowns:", len(system.unknowns), " equations:", system.matrix.shape[0])
 basis = solve_null_space(system)
 print("null-space dimension:", basis.dimension)
 
-# independent cross-check: probe the same linear map through applications
-oracle = apply_probe_null_dimension(box, spec, np.random.default_rng(0))
+# independent cross-check: apply the same residual operators to random
+# probes at random points and count the rank
+oracle = apply_probe_null_dimension(system, np.random.default_rng(0))
 print("apply-route oracle dimension:", oracle)
 
 # each candidate re-verifies through the operator algebra (done internally);

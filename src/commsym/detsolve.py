@@ -12,6 +12,7 @@ through affine coordinate maps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expcore import ZERO_ALPHA, ExpPoly, ExpTerm, Index4
+from .expcore import ExpPoly, ExpTerm, Index4
 from .opalg import (
     LinDiffOp,
     SymmetryCandidate,
@@ -93,6 +94,8 @@ class DeterminingSystem:
     row_keys: tuple[tuple[Index4, Index4], ...]  # (derivative delta, monomial alpha)
     L: LinDiffOp
     spec: AnsatzSpec
+    # residual operator of each unit unknown, in unknowns order
+    residuals: tuple[LinDiffOp, ...] = ()
 
     def decode(self, vec: Sequence[complex]) -> SymmetryCandidate:
         """Turn a coefficient vector back into a symmetry candidate."""
@@ -180,7 +183,7 @@ def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSyste
     residuals = [_unit_residual(L, spec, u) for u in unknowns]
     row_keys = _coefficient_keys(residuals)
     matrix = _vectorize(residuals, row_keys).T
-    return DeterminingSystem(matrix, unknowns, tuple(row_keys), L, spec)
+    return DeterminingSystem(matrix, unknowns, tuple(row_keys), L, spec, tuple(residuals))
 
 
 def null_rank(sigma: np.ndarray, tol: float) -> int:
@@ -429,42 +432,38 @@ def pullback(Lp: LinDiffOp, amap: AffineMap) -> LinDiffOp:
     return LinDiffOp(collected)
 
 
-def apply_probe_null_dimension(
-    L: LinDiffOp,
-    spec: AnsatzSpec,
-    rng: np.random.Generator,
-    n_probes: int = 8,
-    n_points: int = 6,
-    tol: float = 1e-8,
-) -> int:
-    """Null-space dimension estimated through the apply route.
+def apply_probe_null_dimension(system: DeterminingSystem, rng: np.random.Generator) -> int:
+    """Null-space dimension of the residual map, counted by applying it.
 
-    Cross-check for :func:`build_determining_system`: instead of extracting
-    operator coefficients, each unit unknown's residual operator is applied to
-    random exponential probe functions and sampled at random points.  Both
-    routes see the same linear map, so the ranks agree for generic probes.
+    Independent of the coefficient matrix: each unit residual R_j =
+    sum_delta c_delta d^delta on the system is applied pointwise,
+    (R_j f)(x) = sum_delta c_delta(x) (d^delta f)(x), to random exponential
+    probes f at random points x.  There is one probe per derivative index
+    delta and one point per monomial alpha in the residuals.  At one point,
+    that many generic probes give an invertible matrix (d^delta f_i)(x), so a
+    combination that kills every probe has c_delta(x) = 0 for every delta;
+    and a polynomial on that many monomials that vanishes at as many generic
+    points is zero.  The sampled matrix therefore has the rank of the map;
+    its singular values are counted above 1e-8 times its largest entry.
     """
-    unknowns = _ansatz_unknowns(spec)
-    probes = []
-    for _ in range(n_probes):
-        kappa = tuple(
-            complex(a, b) for a, b in zip(rng.normal(0, 1, 4), rng.normal(0, 1, 4))
-        )
-        alpha = tuple(int(v) for v in rng.integers(0, 2, 4))
-        probes.append(
-            ExpPoly([ExpTerm(1 + 0j, alpha, kappa), ExpTerm(0.5 + 0j, ZERO_ALPHA, kappa)])
-        )
-    points = rng.uniform(-1.0, 1.0, size=(n_points, 4))
+    residuals = system.residuals
+    deltas = sorted({delta for op in residuals for delta, _ in op.terms})
+    column = {delta: d for d, delta in enumerate(deltas)}
+    alphas = {t.alpha for op in residuals for _, c in op.terms for t in c.terms}
+    points = [tuple(x) for x in rng.uniform(-1.0, 1.0, size=(len(alphas), 4))]
 
-    matrix = np.zeros((n_probes * n_points, len(unknowns)), dtype=complex)
-    for j, u in enumerate(unknowns):
-        op = _unit_residual(L, spec, u)
-        row = 0
-        for f in probes:
-            g = op.apply(f)
-            for x in points:
-                matrix[row, j] = g.evaluate(tuple(x))
-                row += 1
-    scale = float(np.abs(matrix).max()) or 1.0
-    rank = int(np.linalg.matrix_rank(matrix, tol=tol * scale))
-    return len(unknowns) - rank
+    # probes[i, k, d] = (d^delta f_i)(x_k); coeffs[j, k, d] = c_delta(x_k) of R_j
+    probes = np.zeros((len(deltas), len(points), len(deltas)), dtype=complex)
+    for i in range(len(deltas)):
+        f = ExpPoly.exponential(1.0, rng.normal(0, 1, 4) + 1j * rng.normal(0, 1, 4))
+        for delta, d in column.items():
+            g = functools.reduce(ExpPoly.derive, [a for a in range(4) for _ in range(delta[a])], f)
+            probes[i, :, d] = [g.evaluate(x) for x in points]
+    coeffs = np.zeros((len(residuals), len(points), len(deltas)), dtype=complex)
+    for j, op in enumerate(residuals):
+        for delta, c in op.terms:
+            coeffs[j, :, column[delta]] = [c.evaluate(x) for x in points]
+
+    matrix = np.einsum("ikd,jkd->ikj", probes, coeffs).reshape(-1, len(residuals))
+    scale = float(np.abs(matrix).max(initial=0.0)) or 1.0
+    return len(residuals) - int(np.linalg.matrix_rank(matrix, tol=1e-8 * scale))

@@ -11,7 +11,8 @@ One test per criterion; each prints a single pass/fail line (run with
     transcribed-psi2-weight discrepancy surfaced as a named failing check
  6  boosted Maxwell system annihilates transformed fields, invariants exact
  7  two-boost composition laws, 100 seeded draws plus the d'' spot value
- 8  determining solver rediscovers the 20 linear-group generators
+ 8  determining solver rediscovers the 20 linear-group generators at ansatz
+    degrees 1 and 2
  9  small-velocity limits scale linearly (halving checks), psi2 limit solves
     the non-boosted equation
 10  finite-difference oracle agrees with every symbolic zero above
@@ -146,22 +147,27 @@ def test_criterion_07_composition_laws():
 
 
 def test_criterion_08_generator_rediscovery():
-    system = build_determining_system(sc.wave_operator(), AnsatzSpec(degree=1, p=2))
-    basis = solve_null_space(system)
-    worst_proj = max(
-        basis.projection_residual(v) for v in sc.igl_generator_vectors(system).values()
-    )
-    oracle = apply_probe_null_dimension(
-        sc.wave_operator(), AnsatzSpec(degree=1, p=2), np.random.default_rng(SEED)
-    )
-    dims = {solve_null_space(system, tol=t).dimension for t in (1e-9, 1e-8, 1e-7)}
-    ok = worst_proj < 1e-8 and basis.dimension == oracle and dims == {basis.dimension}
-    assert emit(
-        8,
-        ok,
-        f"20 generator projections worst {worst_proj:.2e} < 1e-8; "
-        f"dimension {basis.dimension} = oracle {oracle}, stable under tol x10 and /10",
-    )
+    # null dimension of the p = 2 system at ansatz degrees 1 and 2
+    for degree, expected in ((1, 25), (2, 46)):
+        system = build_determining_system(sc.wave_operator(), AnsatzSpec(degree=degree, p=2))
+        basis = solve_null_space(system)
+        worst_proj = max(
+            basis.projection_residual(v) for v in sc.igl_generator_vectors(system).values()
+        )
+        oracle = apply_probe_null_dimension(system, np.random.default_rng(SEED))
+        dims = {solve_null_space(system, tol=t).dimension for t in (1e-9, 1e-8, 1e-7)}
+        ok = (
+            worst_proj < 1e-8
+            and basis.dimension == oracle == expected
+            and dims == {basis.dimension}
+        )
+        assert emit(
+            8,
+            ok,
+            f"degree {degree}: 20 generator projections worst {worst_proj:.2e} < 1e-8; "
+            f"dimension {basis.dimension} = oracle {oracle} = {expected}, "
+            "stable under tol x10 and /10",
+        )
 
 
 def _halving_ok(devs):

@@ -104,6 +104,18 @@ def test_detsolve_scenario_passes():
     assert doc["params"]["null_dimension"] == 25
 
 
+@pytest.mark.parametrize("argv", [
+    ["--degree", "2"],
+    ["--operator", "schrod", "--degree", "2"],
+    ["--degree", "3"],
+])
+def test_detsolve_higher_degree_oracle_agrees(argv):
+    status, payload = run_cli(["detsolve", *argv, "--format", "json"])
+    assert status == cli.EXIT_PASS
+    params = json.loads(payload)["params"]
+    assert params["null_dimension"] == params["oracle_dimension"] == 46
+
+
 # -- JSON schema / determinism -----------------------------------------------------
 
 

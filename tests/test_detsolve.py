@@ -1,5 +1,6 @@
 """Determining systems, null spaces, structure constants, flows, pullbacks."""
 
+import functools
 import math
 
 import numpy as np
@@ -71,10 +72,39 @@ def test_box_second_order_affine_ansatz_contains_linear_group():
     for name, vec in encodings.items():
         assert basis.projection_residual(vec) < 1e-8, name
     # dimension agrees with the independent apply-route oracle
-    oracle = apply_probe_null_dimension(
-        wave_operator(), AnsatzSpec(degree=1, p=2), np.random.default_rng(0)
-    )
+    oracle = apply_probe_null_dimension(system, np.random.default_rng(0))
     assert basis.dimension == oracle
+
+
+@functools.lru_cache(maxsize=None)
+def system_and_dimension(operator, degree, p, zeta_degree):
+    L = wave_operator() if operator == "box" else schrodinger_operator(SchrodingerParams())
+    system = build_determining_system(L, AnsatzSpec(degree, p, zeta_degree))
+    return system, solve_null_space(system).dimension
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("degree, p, zeta_degree", [(2, 2, 0), (1, 2, 2), (1, 1, 0), (2, 3, 0)])
+@pytest.mark.parametrize("operator", ["box", "schrod"])
+def test_apply_probe_oracle_matches_svd(operator, degree, p, zeta_degree, seed):
+    # a fixed 8 x 6 sample missed rank at degree 2 and with 15 zeta monomials
+    system, dimension = system_and_dimension(operator, degree, p, zeta_degree)
+    assert apply_probe_null_dimension(system, np.random.default_rng(seed)) == dimension
+
+
+def test_apply_probe_oracle_reads_only_residual_operators():
+    system, dimension = system_and_dimension("box", 2, 2, 0)
+    assert len(system.residuals) == len(system.unknowns)
+    # the oracle counts from the residual operators alone, never the matrix
+    blind = DeterminingSystem(
+        matrix=np.zeros((0, 0)),
+        unknowns=(),
+        row_keys=(),
+        L=LinDiffOp.zero(),
+        spec=system.spec,
+        residuals=system.residuals,
+    )
+    assert apply_probe_null_dimension(blind, np.random.default_rng(0)) == dimension == 46
 
 
 def test_schrodinger_null_space_contains_boost():
