@@ -33,8 +33,10 @@ print("null-space dimension:", basis.dimension)
 oracle = apply_probe_null_dimension(system, np.random.default_rng(0))
 print("apply-route oracle dimension:", oracle)
 
-# each candidate re-verifies through the operator algebra (done internally);
-# show one decoded generator
+# solve_null_space re-verified every null vector through the operator
+# algebra: its residual ad_L^p(Q) - zeta L is the same combination of the
+# stored unit residual operators; show the worst residual and one generator
+print("worst re-verification residual:", basis.reverify_residual)
 cand = basis.generators[0]
 print("sample generator:", cand.Q, " zeta:", cand.zeta)
 

@@ -21,13 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .expcore import ExpPoly, ExpTerm, Index4
-from .opalg import (
-    LinDiffOp,
-    SymmetryCandidate,
-    ad_power,
-    commutator,
-    residual_vs_multiple,
-)
+from .opalg import LinDiffOp, SymmetryCandidate, ad_power, commutator
 
 
 class UnsupportedCoefficient(ValueError):
@@ -94,7 +88,8 @@ class DeterminingSystem:
     row_keys: tuple[tuple[Index4, Index4], ...]  # (derivative delta, monomial alpha)
     L: LinDiffOp
     spec: AnsatzSpec
-    # residual operator of each unit unknown, in unknowns order
+    # residual operator of each unit unknown, in unknowns order; the probe
+    # oracle applies them, residual_operator combines them per null vector
     residuals: tuple[LinDiffOp, ...] = ()
 
     def decode(self, vec: Sequence[complex]) -> SymmetryCandidate:
@@ -107,6 +102,29 @@ class DeterminingSystem:
         xi = [ExpPoly(parts[("xi", a)]) for a in range(4)]
         eta, zeta = ExpPoly(parts[("eta", -1)]), ExpPoly(parts[("zeta", -1)])
         return SymmetryCandidate(LinDiffOp.first_order(xi, eta), zeta, self.spec.p)
+
+    def residual_operator(self, vec: Sequence[complex]) -> LinDiffOp:
+        """ad_L^p(Q) - zeta L of the candidate decode(vec), from the residuals.
+
+        The condition is linear in the unknowns, so the residual is
+        sum_j vec_j R_j over the unit residual operators R_j (the zeta ones
+        are -x^alpha L).  The scaled terms are collected per derivative index
+        delta and normalized once per delta.
+        """
+        if len(self.residuals) != len(self.unknowns):
+            raise ValueError(
+                f"{len(self.residuals)} residual operators for {len(self.unknowns)} unknowns"
+            )
+        collected: dict[Index4, list[ExpTerm]] = defaultdict(list)
+        for c, op in zip(vec, self.residuals):
+            c = complex(c)
+            if c == 0:
+                continue
+            for delta, coeff in op.terms:
+                collected[delta].extend(
+                    ExpTerm(c * t.coeff, t.alpha, t.kappa) for t in coeff.terms
+                )
+        return LinDiffOp((delta, ExpPoly(terms)) for delta, terms in collected.items())
 
 
 @dataclass(frozen=True)
@@ -208,9 +226,12 @@ def null_rank(sigma: np.ndarray, tol: float) -> int:
 def solve_null_space(system: DeterminingSystem, tol: float = 1e-8) -> GeneratorBasis:
     """Orthonormal null-space basis of the determining system, decoded.
 
-    The rank comes from :func:`null_rank` at tol.  Every returned candidate
-    is re-verified through the operator algebra; the worst residual is kept
-    on the basis.
+    The rank comes from :func:`null_rank` at tol.  Every null vector is
+    re-verified through the operator algebra, without the matrix: its
+    residual operator is the combination of the system's unit residuals
+    (:meth:`DeterminingSystem.residual_operator`), and a largest coefficient
+    above 1e-8 raises RuntimeError naming the witness term.  The worst
+    residual is kept on the basis.
     """
     m = system.matrix
     if not np.all(np.isfinite(m)):
@@ -222,23 +243,26 @@ def solve_null_space(system: DeterminingSystem, tol: float = 1e-8) -> GeneratorB
         _, sigma, vh = np.linalg.svd(m, full_matrices=True)
     null_vecs = [np.conj(vh[i]) for i in range(null_rank(sigma, tol), n_unknowns)]
 
-    generators = []
     worst = 0.0
-    for vec in null_vecs:
-        cand = system.decode(vec)
-        check = ad_power(system.L, cand.Q, system.spec.p)
-        _, res = residual_vs_multiple(check, system.L, cand.zeta)
+    for i, vec in enumerate(null_vecs):
+        residual = system.residual_operator(vec)
+        res = residual.max_coeff()
         if res > 1e-8:
+            delta, coeff = max(residual.terms, key=lambda dc: dc[1].max_coeff())
+            t = coeff.witness()
             raise RuntimeError(
-                f"null-space candidate fails re-verification: residual {res:.3e}"
+                f"null-space candidate {i} fails re-verification: residual {res:.3e} "
+                f"at delta={delta}, alpha={t.alpha}, kappa={t.kappa}, coeff={t.coeff:.3e}"
             )
         worst = max(worst, res)
-        generators.append(cand)
     vectors = (
         np.vstack(null_vecs) if null_vecs else np.zeros((0, n_unknowns), dtype=complex)
     )
     return GeneratorBasis(
-        tuple(generators), singular_values=sigma, vectors=vectors, reverify_residual=worst
+        tuple(system.decode(vec) for vec in null_vecs),
+        singular_values=sigma,
+        vectors=vectors,
+        reverify_residual=worst,
     )
 
 

@@ -1,5 +1,6 @@
 """Determining systems, null spaces, structure constants, flows, pullbacks."""
 
+import dataclasses
 import functools
 import math
 
@@ -77,10 +78,10 @@ def test_box_second_order_affine_ansatz_contains_linear_group():
 
 
 @functools.lru_cache(maxsize=None)
-def system_and_dimension(operator, degree, p, zeta_degree):
+def system_and_basis(operator, degree, p, zeta_degree):
     L = wave_operator() if operator == "box" else schrodinger_operator(SchrodingerParams())
     system = build_determining_system(L, AnsatzSpec(degree, p, zeta_degree))
-    return system, solve_null_space(system).dimension
+    return system, solve_null_space(system)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -88,12 +89,12 @@ def system_and_dimension(operator, degree, p, zeta_degree):
 @pytest.mark.parametrize("operator", ["box", "schrod"])
 def test_apply_probe_oracle_matches_svd(operator, degree, p, zeta_degree, seed):
     # a fixed 8 x 6 sample missed rank at degree 2 and with 15 zeta monomials
-    system, dimension = system_and_dimension(operator, degree, p, zeta_degree)
-    assert apply_probe_null_dimension(system, np.random.default_rng(seed)) == dimension
+    system, basis = system_and_basis(operator, degree, p, zeta_degree)
+    assert apply_probe_null_dimension(system, np.random.default_rng(seed)) == basis.dimension
 
 
 def test_apply_probe_oracle_reads_only_residual_operators():
-    system, dimension = system_and_dimension("box", 2, 2, 0)
+    system, basis = system_and_basis("box", 2, 2, 0)
     assert len(system.residuals) == len(system.unknowns)
     # the oracle counts from the residual operators alone, never the matrix
     blind = DeterminingSystem(
@@ -104,7 +105,7 @@ def test_apply_probe_oracle_reads_only_residual_operators():
         spec=system.spec,
         residuals=system.residuals,
     )
-    assert apply_probe_null_dimension(blind, np.random.default_rng(0)) == dimension == 46
+    assert apply_probe_null_dimension(blind, np.random.default_rng(0)) == basis.dimension == 46
 
 
 def test_schrodinger_null_space_contains_boost():
@@ -185,6 +186,49 @@ def test_candidates_reverify_through_opalg():
         assert res <= 1e-8
         worst = max(worst, res)
     assert basis.reverify_residual == worst
+
+
+@pytest.mark.parametrize(
+    "operator, degree, p, zeta_degree",
+    [(op, d, p, 0) for op in ("box", "schrod") for d, p in ((1, 2), (2, 2), (2, 3))]
+    + [("box", 1, 2, 2)],
+)
+def test_residual_operator_matches_ad_power_of_candidate(operator, degree, p, zeta_degree):
+    # a full ad_power of the decoded candidate is the oracle of the combined residuals
+    system, basis = system_and_basis(operator, degree, p, zeta_degree)
+    rng = np.random.default_rng(7)
+    n = len(system.unknowns)
+    generic = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    for vec in list(basis.vectors) + list(generic):
+        cand = system.decode(vec)
+        old, _ = residual_vs_multiple(ad_power(system.L, cand.Q, p), system.L, cand.zeta)
+        new = system.residual_operator(vec)
+        scale = max(1.0, old.max_coeff(), new.max_coeff())
+        assert (old - new).max_coeff() <= 1e-12 * scale
+
+
+def test_reverification_needs_one_residual_per_unknown():
+    # without stored residuals every candidate would pass with residual 0
+    dummy = DeterminingSystem(
+        matrix=np.diag([1.0, 0.0, 0.0]).astype(complex),
+        unknowns=tuple(Unknown("xi", a, (0, 0, 0, 0)) for a in range(3)),
+        row_keys=(),
+        L=wave_operator(),
+        spec=AnsatzSpec(degree=0, p=1),
+    )
+    with pytest.raises(ValueError, match="3 unknowns"):
+        solve_null_space(dummy)
+
+
+def test_reverification_names_witness_and_ignores_matrix():
+    system, _ = system_and_basis("box", 2, 2, 0)
+    delta, alpha = system.row_keys[-1]
+    # one equation fewer: the null vectors leave its coefficient in the residual
+    dropped = dataclasses.replace(system, matrix=system.matrix[:-1])
+    with pytest.raises(RuntimeError, match="fails re-verification") as err:
+        solve_null_space(dropped)
+    assert f"delta={delta}" in str(err.value)
+    assert f"alpha={alpha}" in str(err.value)
 
 
 # -- structure constants ----------------------------------------------------------
