@@ -28,15 +28,15 @@ print("unknowns:", len(system.unknowns), " equations:", system.matrix.shape[0])
 basis = solve_null_space(system)
 print("null-space dimension:", basis.dimension)
 
-# independent cross-check: apply the same residual operators to random
-# probes at random points and count the rank
+# second count: apply the residual operators (the matrix columns) to random
+# exponential probes at random points and count the rank
 oracle = apply_probe_null_dimension(system, np.random.default_rng(0))
 print("apply-route oracle dimension:", oracle)
 
-# solve_null_space re-verified every null vector through the operator
-# algebra: its residual ad_L^p(Q) - zeta L is the same combination of the
-# stored unit residual operators; show the worst residual and one generator
-print("worst re-verification residual:", basis.reverify_residual)
+# solve_null_space re-verified the null vectors through the operator
+# algebra, without the matrix: one ad_power of L on a random combination of
+# them; show that residual and one generator
+print("re-verification residual:", basis.reverify_residual)
 cand = basis.generators[0]
 print("sample generator:", cand.Q, " zeta:", cand.zeta)
 

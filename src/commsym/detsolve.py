@@ -12,16 +12,16 @@ through affine coordinate maps.
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .expcore import ExpPoly, ExpTerm, Index4
-from .opalg import LinDiffOp, SymmetryCandidate, ad_power, commutator
+from .expcore import ZERO_ALPHA, ExpPoly, ExpTerm, Index4, _UNIT
+from .opalg import LinDiffOp, SymmetryCandidate, ad_power, commutator, residual_vs_multiple
 
 
 class UnsupportedCoefficient(ValueError):
@@ -88,9 +88,6 @@ class DeterminingSystem:
     row_keys: tuple[tuple[Index4, Index4], ...]  # (derivative delta, monomial alpha)
     L: LinDiffOp
     spec: AnsatzSpec
-    # residual operator of each unit unknown, in unknowns order; the probe
-    # oracle applies them, residual_operator combines them per null vector
-    residuals: tuple[LinDiffOp, ...] = ()
 
     def decode(self, vec: Sequence[complex]) -> SymmetryCandidate:
         """Turn a coefficient vector back into a symmetry candidate."""
@@ -102,29 +99,6 @@ class DeterminingSystem:
         xi = [ExpPoly(parts[("xi", a)]) for a in range(4)]
         eta, zeta = ExpPoly(parts[("eta", -1)]), ExpPoly(parts[("zeta", -1)])
         return SymmetryCandidate(LinDiffOp.first_order(xi, eta), zeta, self.spec.p)
-
-    def residual_operator(self, vec: Sequence[complex]) -> LinDiffOp:
-        """ad_L^p(Q) - zeta L of the candidate decode(vec), from the residuals.
-
-        The condition is linear in the unknowns, so the residual is
-        sum_j vec_j R_j over the unit residual operators R_j (the zeta ones
-        are -x^alpha L).  The scaled terms are collected per derivative index
-        delta and normalized once per delta.
-        """
-        if len(self.residuals) != len(self.unknowns):
-            raise ValueError(
-                f"{len(self.residuals)} residual operators for {len(self.unknowns)} unknowns"
-            )
-        collected: dict[Index4, list[ExpTerm]] = defaultdict(list)
-        for c, op in zip(vec, self.residuals):
-            c = complex(c)
-            if c == 0:
-                continue
-            for delta, coeff in op.terms:
-                collected[delta].extend(
-                    ExpTerm(c * t.coeff, t.alpha, t.kappa) for t in coeff.terms
-                )
-        return LinDiffOp((delta, ExpPoly(terms)) for delta, terms in collected.items())
 
 
 @dataclass(frozen=True)
@@ -171,18 +145,68 @@ def _ansatz_unknowns(spec: AnsatzSpec) -> tuple[Unknown, ...]:
     return tuple(unknowns)
 
 
-def _unit_residual(L: LinDiffOp, spec: AnsatzSpec, u: Unknown) -> LinDiffOp:
-    """Residual operator contributed by one unit unknown (linearity)."""
-    mono = ExpPoly([ExpTerm(1 + 0j, u.alpha)])
-    if u.kind == "zeta":
-        return -L.premultiply(mono)
-    xi = [ExpPoly.zero()] * 4
-    eta = ExpPoly.zero()
-    if u.kind == "xi":
-        xi[u.component] = mono
-    else:
-        eta = mono
-    return ad_power(L, LinDiffOp.first_order(xi, eta), spec.p)
+Key = tuple[Index4, Index4]  # (derivative delta, monomial alpha) of x^alpha d^delta
+
+
+def _add(a: Index4, b: Index4) -> Index4:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+
+
+def _sub(a: Index4, b: Index4) -> Index4:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
+
+
+def _leibniz(order: Index4, alpha: Index4) -> list[tuple[Index4, int, Index4]]:
+    """(beta, binom(order, beta) * alpha! / (alpha - beta)!, alpha - beta) for
+    every nonzero beta <= order with d^beta x^alpha != 0."""
+    out = []
+    for beta in itertools.product(*(range(min(n, a) + 1) for n, a in zip(order, alpha))):
+        if any(beta):
+            weight = math.prod(math.comb(n, b) * math.perm(a, b) for n, a, b in zip(order, alpha, beta))
+            out.append((beta, weight, _sub(alpha, beta)))
+    return out
+
+
+class _AdMap:
+    """ad_L = [L, .] as a sparse linear map on the basis x^alpha d^delta.
+
+    A vector is a dict from (delta, alpha) keys to coefficients, as in
+    sympy's SDM.  For a term c x^a d^gamma of L the Leibniz rule gives
+
+        [c x^a d^gamma, x^alpha d^delta]
+            = sum_beta binom(gamma, beta) c x^a (d^beta x^alpha) d^(gamma - beta + delta)
+            - sum_beta binom(delta, beta) c x^alpha (d^beta x^a) d^(delta - beta + gamma),
+
+    where the beta = 0 terms of the two sums cancel.  The image of each key
+    is computed once per map.
+    """
+
+    def __init__(self, L: LinDiffOp):
+        # (gamma, a, c) for every term c x^a d^gamma of L (polynomial coefficients)
+        self.terms = [(gamma, t.alpha, t.coeff) for gamma, coeff in L.terms for t in coeff.terms]
+        self._images: dict[Key, dict[Key, complex]] = {}
+
+    def _image(self, key: Key) -> dict[Key, complex]:
+        delta, alpha = key
+        out: dict[Key, complex] = defaultdict(complex)
+        for gamma, a, c in self.terms:
+            top = _add(gamma, delta)
+            for beta, weight, lowered in _leibniz(gamma, alpha):
+                out[(_sub(top, beta), _add(a, lowered))] += c * weight
+            for beta, weight, lowered in _leibniz(delta, a):
+                out[(_sub(top, beta), _add(alpha, lowered))] -= c * weight
+        return {k: v for k, v in out.items() if v != 0}
+
+    def __call__(self, vec: dict[Key, complex]) -> dict[Key, complex]:
+        """ad_L of the operator sum_key vec[key] x^alpha d^delta; exact zeros dropped."""
+        out: dict[Key, complex] = defaultdict(complex)
+        for key, v in vec.items():
+            image = self._images.get(key)
+            if image is None:
+                image = self._images[key] = self._image(key)
+            for k, w in image.items():
+                out[k] += v * w
+        return {k: w for k, w in out.items() if w != 0}
 
 
 def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSystem:
@@ -190,18 +214,32 @@ def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSyste
 
     Unknowns are all monomial coefficients of xi^a, eta (degree <= spec.degree)
     and zeta (degree <= spec.zeta_degree); each row equates the coefficient of
-    one (monomial x derivative) pair in the residual operator to zero.
+    one (monomial x derivative) pair in the residual operator to zero.  The
+    column of a xi or eta unknown is its unit operator x^alpha d^delta pushed
+    p times through one sparse ad_L map; a zeta unknown's column is -x^alpha L.
     """
     if L.has_exponential_coefficients():
         raise UnsupportedCoefficient(
             "determining systems require polynomial operator coefficients"
         )
     unknowns = _ansatz_unknowns(spec)
-    # one column per unit unknown: its residual operator's coefficient vector
-    residuals = [_unit_residual(L, spec, u) for u in unknowns]
-    row_keys = _coefficient_keys(residuals)
-    matrix = _vectorize(residuals, row_keys).T
-    return DeterminingSystem(matrix, unknowns, tuple(row_keys), L, spec, tuple(residuals))
+    ad = _AdMap(L)
+    columns = []
+    for u in unknowns:
+        if u.kind == "zeta":
+            columns.append({(gamma, _add(a, u.alpha)): -c for gamma, a, c in ad.terms})
+            continue
+        col = {(_UNIT[u.component] if u.kind == "xi" else ZERO_ALPHA, u.alpha): 1 + 0j}
+        for _ in range(spec.p):
+            col = ad(col)
+        columns.append(col)
+    row_keys = sorted(set().union(*columns))
+    index = {k: i for i, k in enumerate(row_keys)}
+    matrix = np.zeros((len(row_keys), len(unknowns)), dtype=complex)
+    for j, col in enumerate(columns):
+        for k, v in col.items():
+            matrix[index[k], j] += v  # adding to +0.0 stores a signed zero part as +0.0
+    return DeterminingSystem(matrix, unknowns, tuple(row_keys), L, spec)
 
 
 def null_rank(sigma: np.ndarray, tol: float) -> int:
@@ -226,12 +264,15 @@ def null_rank(sigma: np.ndarray, tol: float) -> int:
 def solve_null_space(system: DeterminingSystem, tol: float = 1e-8) -> GeneratorBasis:
     """Orthonormal null-space basis of the determining system, decoded.
 
-    The rank comes from :func:`null_rank` at tol.  Every null vector is
-    re-verified through the operator algebra, without the matrix: its
-    residual operator is the combination of the system's unit residuals
-    (:meth:`DeterminingSystem.residual_operator`), and a largest coefficient
-    above 1e-8 raises RuntimeError naming the witness term.  The worst
-    residual is kept on the basis.
+    The rank comes from :func:`null_rank` at tol.  The null vectors are
+    re-verified through the operator algebra, which shares nothing with the
+    assembly of the matrix: one ``ad_power`` of system.L on the candidate of
+    a random combination sum_i r_i v_i with fixed-seed unit-modulus weights
+    (Freivalds' check: a wrong vector survives it only for weights in a
+    measure-zero set).  Its residual ad_L^p(Q) - zeta L is kept on the basis
+    when its largest coefficient is at most 1e-8.  Otherwise every candidate
+    gets its own ``ad_power``; the first one above 1e-8 raises RuntimeError
+    naming the witness term, and if none is, their worst residual is kept.
     """
     m = system.matrix
     if not np.all(np.isfinite(m)):
@@ -241,29 +282,46 @@ def solve_null_space(system: DeterminingSystem, tol: float = 1e-8) -> GeneratorB
         sigma, vh = np.zeros(0), np.eye(n_unknowns, dtype=complex)
     else:
         _, sigma, vh = np.linalg.svd(m, full_matrices=True)
-    null_vecs = [np.conj(vh[i]) for i in range(null_rank(sigma, tol), n_unknowns)]
+    vectors = np.conj(vh[null_rank(sigma, tol):])
+    return GeneratorBasis(
+        tuple(system.decode(vec) for vec in vectors),
+        singular_values=sigma,
+        vectors=vectors,
+        reverify_residual=_reverify(system, vectors),
+    )
 
+
+def _freivalds_combination(vectors: np.ndarray) -> np.ndarray:
+    """sum_i r_i vectors[i] with unit-modulus weights r_i drawn from a fixed seed."""
+    phases = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, len(vectors))
+    return np.exp(1j * phases) @ vectors
+
+
+def _reverify(system: DeterminingSystem, vectors: np.ndarray) -> float:
+    """Worst residual of the null vectors, by the check of solve_null_space."""
+    L, p = system.L, system.spec.p
+
+    def residual(vec: np.ndarray) -> tuple[LinDiffOp, float]:
+        cand = system.decode(vec)
+        return residual_vs_multiple(ad_power(L, cand.Q, p), L, cand.zeta)
+
+    if len(vectors) == 0:
+        return 0.0
+    _, res = residual(_freivalds_combination(vectors))
+    if res <= 1e-8:
+        return res
     worst = 0.0
-    for i, vec in enumerate(null_vecs):
-        residual = system.residual_operator(vec)
-        res = residual.max_coeff()
+    for i, vec in enumerate(vectors):
+        op, res = residual(vec)
         if res > 1e-8:
-            delta, coeff = max(residual.terms, key=lambda dc: dc[1].max_coeff())
+            delta, coeff = max(op.terms, key=lambda dc: dc[1].max_coeff())
             t = coeff.witness()
             raise RuntimeError(
                 f"null-space candidate {i} fails re-verification: residual {res:.3e} "
                 f"at delta={delta}, alpha={t.alpha}, kappa={t.kappa}, coeff={t.coeff:.3e}"
             )
         worst = max(worst, res)
-    vectors = (
-        np.vstack(null_vecs) if null_vecs else np.zeros((0, n_unknowns), dtype=complex)
-    )
-    return GeneratorBasis(
-        tuple(system.decode(vec) for vec in null_vecs),
-        singular_values=sigma,
-        vectors=vectors,
-        reverify_residual=worst,
-    )
+    return worst
 
 
 def _coefficient_keys(ops: Sequence[LinDiffOp]) -> list[tuple[Index4, Index4]]:
@@ -456,38 +514,48 @@ def pullback(Lp: LinDiffOp, amap: AffineMap) -> LinDiffOp:
     return LinDiffOp(collected)
 
 
+def probe_sample(
+    system: DeterminingSystem, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random exponential probes f_i = exp(kappa_i . x), random points x_k,
+    and the sample matrix S[(i, k), j] = (R_j f_i)(x_k).
+
+    R_j is the residual operator of unknown j, the column j of the system's
+    matrix M on its (delta, alpha) row keys, so S = P @ M with
+    P[(i, k), (delta, alpha)] = x_k^alpha kappa_i^delta exp(kappa_i . x_k).
+    There is one probe per derivative index and one point per monomial in the
+    row keys; rows run over i, then k.
+    """
+    n_probes = len({delta for delta, _ in system.row_keys})
+    points = rng.uniform(-1.0, 1.0, size=(len({alpha for _, alpha in system.row_keys}), 4))
+    kappas = np.array(
+        [rng.normal(0, 1, 4) + 1j * rng.normal(0, 1, 4) for _ in range(n_probes)]
+    ).reshape(-1, 4)
+    deltas = np.array([delta for delta, _ in system.row_keys], dtype=int).reshape(-1, 4)
+    alphas = np.array([alpha for _, alpha in system.row_keys], dtype=int).reshape(-1, 4)
+    derivs = np.prod(kappas[:, None, :] ** deltas, axis=2)  # kappa_i^delta
+    monos = np.prod(points[:, None, :] ** alphas, axis=2)  # x_k^alpha
+    waves = np.exp(kappas @ points.T)  # f_i(x_k)
+    P = (waves[:, :, None] * derivs[:, None, :] * monos[None, :, :]).reshape(-1, len(deltas))
+    return kappas, points, P @ system.matrix
+
+
 def apply_probe_null_dimension(system: DeterminingSystem, rng: np.random.Generator) -> int:
     """Null-space dimension of the residual map, counted by applying it.
 
-    Independent of the coefficient matrix: each unit residual R_j =
-    sum_delta c_delta d^delta on the system is applied pointwise,
-    (R_j f)(x) = sum_delta c_delta(x) (d^delta f)(x), to random exponential
-    probes f at random points x.  There is one probe per derivative index
-    delta and one point per monomial alpha in the residuals.  At one point,
-    that many generic probes give an invertible matrix (d^delta f_i)(x), so a
-    combination that kills every probe has c_delta(x) = 0 for every delta;
-    and a polynomial on that many monomials that vanishes at as many generic
-    points is zero.  The sampled matrix therefore has the rank of the map;
-    its singular values are counted above 1e-8 times its largest entry.
+    The residual operators R_j = sum_delta c_delta d^delta are applied
+    pointwise, (R_j f)(x) = sum_delta c_delta(x) (d^delta f)(x), to random
+    exponential probes f at random points x (:func:`probe_sample`).  There is
+    one probe per derivative index delta and one point per monomial alpha.
+    At one point, that many generic probes give an invertible matrix
+    (d^delta f_i)(x), so a combination that kills every probe has
+    c_delta(x) = 0 for every delta; and a polynomial on that many monomials
+    that vanishes at as many generic points is zero.  The sampled matrix
+    therefore has the rank of the map; its singular values are counted above
+    1e-8 times its largest entry.  It counts the rank of a sampled map, so it
+    catches a wrong SVD cutoff, not a wrong assembly; re-verification in
+    :func:`solve_null_space` checks the assembly.
     """
-    residuals = system.residuals
-    deltas = sorted({delta for op in residuals for delta, _ in op.terms})
-    column = {delta: d for d, delta in enumerate(deltas)}
-    alphas = {t.alpha for op in residuals for _, c in op.terms for t in c.terms}
-    points = [tuple(x) for x in rng.uniform(-1.0, 1.0, size=(len(alphas), 4))]
-
-    # probes[i, k, d] = (d^delta f_i)(x_k); coeffs[j, k, d] = c_delta(x_k) of R_j
-    probes = np.zeros((len(deltas), len(points), len(deltas)), dtype=complex)
-    for i in range(len(deltas)):
-        f = ExpPoly.exponential(1.0, rng.normal(0, 1, 4) + 1j * rng.normal(0, 1, 4))
-        for delta, d in column.items():
-            g = functools.reduce(ExpPoly.derive, [a for a in range(4) for _ in range(delta[a])], f)
-            probes[i, :, d] = [g.evaluate(x) for x in points]
-    coeffs = np.zeros((len(residuals), len(points), len(deltas)), dtype=complex)
-    for j, op in enumerate(residuals):
-        for delta, c in op.terms:
-            coeffs[j, :, column[delta]] = [c.evaluate(x) for x in points]
-
-    matrix = np.einsum("ikd,jkd->ikj", probes, coeffs).reshape(-1, len(residuals))
+    _, _, matrix = probe_sample(system, rng)
     scale = float(np.abs(matrix).max(initial=0.0)) or 1.0
-    return len(residuals) - int(np.linalg.matrix_rank(matrix, tol=1e-8 * scale))
+    return matrix.shape[1] - int(np.linalg.matrix_rank(matrix, tol=1e-8 * scale))

@@ -1,9 +1,14 @@
 """CLI contract: exit codes, JSON schema, determinism, formats."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import commsym
 from commsym import __version__, cli
 from commsym.scenarios import MAXWELL_ROW_NAMES, CheckResult, ScenarioReport
 
@@ -114,6 +119,16 @@ def test_detsolve_higher_degree_oracle_agrees(argv):
     assert status == cli.EXIT_PASS
     params = json.loads(payload)["params"]
     assert params["null_dimension"] == params["oracle_dimension"] == 46
+
+
+def test_python_m_commsym_runs_the_cli(capsys):
+    # a source checkout has no installed script: `PYTHONPATH=src python -m commsym`
+    argv = ["detsolve", "--degree", "1"]
+    src = str(pathlib.Path(commsym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "commsym", *argv], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == cli.main(argv) == cli.EXIT_PASS
+    assert proc.stdout == capsys.readouterr().out.encode()
 
 
 # -- JSON schema / determinism -----------------------------------------------------

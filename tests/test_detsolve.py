@@ -17,10 +17,12 @@ from commsym.detsolve import (
     Unknown,
     UnsupportedCoefficient,
     UnsupportedDegree,
+    _freivalds_combination,
     apply_probe_null_dimension,
     build_determining_system,
     flow,
     null_rank,
+    probe_sample,
     pullback,
     solve_null_space,
     structure_constants,
@@ -77,9 +79,23 @@ def test_box_second_order_affine_ansatz_contains_linear_group():
     assert basis.dimension == oracle
 
 
+def polynomial_operator():
+    """1.5 x1 d0^2 - d1 + (0.5 x0 + 0.25 x3 + 2) x2 d2 + i x0 x3: coefficients of degree <= 2."""
+    return LinDiffOp([
+        ((2, 0, 0, 0), ExpPoly.monomial(1.5, (0, 1, 0, 0))),
+        ((0, 1, 0, 0), ExpPoly.constant(-1)),
+        ((0, 0, 1, 0), ExpPoly.linear_form([0.5, 0, 0, 0.25], 2.0) * ExpPoly.coordinate(2)),
+        ((0, 0, 0, 0), ExpPoly.monomial(1j, (1, 0, 0, 1))),
+    ])
+
+
 @functools.lru_cache(maxsize=None)
 def system_and_basis(operator, degree, p, zeta_degree):
-    L = wave_operator() if operator == "box" else schrodinger_operator(SchrodingerParams())
+    L = {
+        "box": wave_operator,
+        "schrod": lambda: schrodinger_operator(SchrodingerParams()),
+        "poly": polynomial_operator,
+    }[operator]()
     system = build_determining_system(L, AnsatzSpec(degree, p, zeta_degree))
     return system, solve_null_space(system)
 
@@ -93,19 +109,56 @@ def test_apply_probe_oracle_matches_svd(operator, degree, p, zeta_degree, seed):
     assert apply_probe_null_dimension(system, np.random.default_rng(seed)) == basis.dimension
 
 
-def test_apply_probe_oracle_reads_only_residual_operators():
-    system, basis = system_and_basis("box", 2, 2, 0)
-    assert len(system.residuals) == len(system.unknowns)
-    # the oracle counts from the residual operators alone, never the matrix
-    blind = DeterminingSystem(
-        matrix=np.zeros((0, 0)),
-        unknowns=(),
-        row_keys=(),
-        L=LinDiffOp.zero(),
-        spec=system.spec,
-        residuals=system.residuals,
-    )
-    assert apply_probe_null_dimension(blind, np.random.default_rng(0)) == basis.dimension == 46
+def unit_residuals(system):
+    """ad_L^p(Q_j) - zeta_j L of each unit unknown j, through the operator algebra."""
+    residuals = []
+    for j in range(len(system.unknowns)):
+        cand = system.decode(np.eye(len(system.unknowns))[j])
+        op, _ = residual_vs_multiple(ad_power(system.L, cand.Q, system.spec.p), system.L, cand.zeta)
+        residuals.append(op)
+    return residuals
+
+
+def test_probe_sample_applies_residual_operators():
+    # the oracle's P @ M is (R_j f_i)(x_k), with R_j built by ad_power, not by the sparse map
+    for p in (1, 2):
+        system, basis = system_and_basis("box", 1, p, 0)
+        kappas, points, sample = probe_sample(system, np.random.default_rng(0))
+        assert sample.shape == (len(kappas) * len(points), len(system.unknowns))
+        for j, op in enumerate(unit_residuals(system)):
+            for i, kappa in enumerate(kappas):
+                applied = op.apply(ExpPoly.exponential(1.0, kappa))
+                for k, x in enumerate(points):
+                    expected = applied.evaluate(tuple(x))
+                    assert abs(sample[i * len(points) + k, j] - expected) <= 1e-12 * max(1.0, abs(expected))
+        assert apply_probe_null_dimension(system, np.random.default_rng(0)) == basis.dimension
+
+
+@pytest.mark.parametrize("operator, degree, p, zeta_degree, expected", [
+    ("box", 1, 1, 0, 12),
+    ("box", 2, 1, 1, 16),
+    ("box", 3, 1, 2, 16),
+    ("schrod", 1, 1, 0, 12),
+    ("schrod", 2, 1, 1, 13),
+    ("schrod", 3, 1, 2, 13),
+    ("box", 3, 2, 2, 46),
+])
+def test_null_dimensions_pinned(operator, degree, p, zeta_degree, expected):
+    system, basis = system_and_basis(operator, degree, p, zeta_degree)
+    assert basis.dimension == expected
+    assert apply_probe_null_dimension(system, np.random.default_rng(0)) == expected
+
+
+@pytest.mark.parametrize("degree, p, zeta_degree, expected", [(2, 2, 0, 46), (3, 2, 0, 46), (3, 1, 2, 16)])
+def test_box_null_dimension_is_exact_over_rationals(degree, p, zeta_degree, expected):
+    matrices = pytest.importorskip("sympy.polys.matrices")
+    from sympy import QQ
+
+    system, basis = system_and_basis("box", degree, p, zeta_degree)
+    m = system.matrix
+    assert not m.imag.any() and np.array_equal(m.real, np.round(m.real))  # integral
+    exact = matrices.DomainMatrix([[QQ(int(v)) for v in row] for row in m.real], m.shape, QQ)
+    assert m.shape[1] - exact.rank() == basis.dimension == expected
 
 
 def test_schrodinger_null_space_contains_boost():
@@ -179,22 +232,24 @@ def test_null_dimension_stable_under_tolerance():
 def test_candidates_reverify_through_opalg():
     system = build_determining_system(wave_operator(), AnsatzSpec(degree=1, p=2))
     basis = solve_null_space(system)
-    worst = 0.0
     for cand in basis.generators:
         bracket = ad_power(wave_operator(), cand.Q, 2)
         _, res = residual_vs_multiple(bracket, wave_operator(), cand.zeta)
         assert res <= 1e-8
-        worst = max(worst, res)
-    assert basis.reverify_residual == worst
+    # the kept residual is that of the one random combination of the null vectors
+    combined = system.decode(_freivalds_combination(basis.vectors))
+    _, res = residual_vs_multiple(ad_power(wave_operator(), combined.Q, 2), wave_operator(), combined.zeta)
+    assert basis.reverify_residual == res <= 1e-8
 
 
 @pytest.mark.parametrize(
     "operator, degree, p, zeta_degree",
     [(op, d, p, 0) for op in ("box", "schrod") for d, p in ((1, 2), (2, 2), (2, 3))]
-    + [("box", 1, 2, 2)],
+    + [("box", 1, 2, 2), ("poly", 1, 1, 1), ("poly", 2, 2, 0), ("poly", 1, 3, 0)],
 )
 def test_residual_operator_matches_ad_power_of_candidate(operator, degree, p, zeta_degree):
-    # a full ad_power of the decoded candidate is the oracle of the combined residuals
+    # M v from the sparse ad_L map against a full ad_power of the decoded candidate;
+    # the polynomial operator also exercises the derivatives that land on L's coefficients
     system, basis = system_and_basis(operator, degree, p, zeta_degree)
     rng = np.random.default_rng(7)
     n = len(system.unknowns)
@@ -202,22 +257,24 @@ def test_residual_operator_matches_ad_power_of_candidate(operator, degree, p, ze
     for vec in list(basis.vectors) + list(generic):
         cand = system.decode(vec)
         old, _ = residual_vs_multiple(ad_power(system.L, cand.Q, p), system.L, cand.zeta)
-        new = system.residual_operator(vec)
-        scale = max(1.0, old.max_coeff(), new.max_coeff())
-        assert (old - new).max_coeff() <= 1e-12 * scale
+        old = {(delta, t.alpha): t.coeff for delta, c in old.terms for t in c.terms}
+        new = dict(zip(system.row_keys, system.matrix @ vec))
+        scale = max(1.0, max(map(abs, old.values()), default=0.0), max(map(abs, new.values())))
+        assert max(abs(old.get(k, 0) - new.get(k, 0)) for k in old.keys() | new.keys()) <= 1e-12 * scale
 
 
-def test_reverification_needs_one_residual_per_unknown():
-    # without stored residuals every candidate would pass with residual 0
-    dummy = DeterminingSystem(
-        matrix=np.diag([1.0, 0.0, 0.0]).astype(complex),
-        unknowns=tuple(Unknown("xi", a, (0, 0, 0, 0)) for a in range(3)),
-        row_keys=(),
+def test_reverification_rejects_a_wrong_matrix():
+    # the matrix admits x0 d0 for box at p = 1, but [box, x0 d0] = 2 d0^2
+    wrong = DeterminingSystem(
+        matrix=np.zeros((1, 1), dtype=complex),
+        unknowns=(Unknown("xi", 0, (1, 0, 0, 0)),),
+        row_keys=(((2, 0, 0, 0), (0, 0, 0, 0)),),
         L=wave_operator(),
-        spec=AnsatzSpec(degree=0, p=1),
+        spec=AnsatzSpec(degree=1, p=1),
     )
-    with pytest.raises(ValueError, match="3 unknowns"):
-        solve_null_space(dummy)
+    with pytest.raises(RuntimeError, match="fails re-verification") as err:
+        solve_null_space(wrong)
+    assert "delta=(2, 0, 0, 0)" in str(err.value)
 
 
 def test_reverification_names_witness_and_ignores_matrix():
