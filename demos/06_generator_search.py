@@ -35,19 +35,14 @@ print("apply-route oracle dimension:", oracle)
 
 # solve_null_space re-verified the null vectors through the operator
 # algebra, without the matrix: one ad_power of L on a random combination of
-# them; show that residual and one generator
+# them; show that residual and one null vector decoded into a generator
 print("re-verification residual:", basis.reverify_residual)
-cand = basis.generators[0]
+cand = system.decode(basis.vectors[0])
 print("sample generator:", cand.Q, " zeta:", cand.zeta)
 
 # structure constants of a hand-picked closed subalgebra {d0, d1, x0 d1}
-sub = [
-    SymmetryCandidate(LinDiffOp.partial(0), ExpPoly.zero(), 1),
-    SymmetryCandidate(LinDiffOp.partial(1), ExpPoly.zero(), 1),
-    SymmetryCandidate(h1_generator(), ExpPoly.zero(), 1),
-]
-gb = structure_constants(sub)
-print("C[x0 d1, d0] =", gb.structure[2, 0], " closure residual:", gb.closure_residual)
+C, closure = structure_constants([LinDiffOp.partial(0), LinDiffOp.partial(1), h1_generator()])
+print("C[x0 d1, d0] =", C[2, 0], " closure residual:", closure)
 
 # flows: the shear integrates to a Galilei boost, the hyperbolic generator
 # to a Lorentz boost

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -103,24 +103,21 @@ class DeterminingSystem:
 
 @dataclass(frozen=True)
 class GeneratorBasis:
-    """Generators plus (optionally) their Lie-algebra structure constants."""
+    """Null space of a determining system: its orthonormal vectors, one per
+    row, the spectrum their count was read from, and the worst residual of
+    their re-verification.  ``system.decode(vec)`` turns a vector into a
+    symmetry candidate."""
 
-    generators: tuple[SymmetryCandidate, ...]
-    structure: np.ndarray | None = None
-    closure_residual: float | None = None
-    singular_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    vectors: np.ndarray | None = None  # orthonormal null vectors, one per row
-    reverify_residual: float | None = None  # worst re-verification residual
+    vectors: np.ndarray
+    singular_values: np.ndarray
+    reverify_residual: float
 
     @property
     def dimension(self) -> int:
-        return len(self.generators)
+        return len(self.vectors)
 
     def projection_residual(self, vec: Sequence[complex]) -> float:
         """2-norm distance of a coefficient vector from the null span."""
-        if self.vectors is None or self.vectors.size == 0:
-            v = np.asarray(vec, dtype=complex)
-            return float(np.linalg.norm(v))
         v = np.asarray(vec, dtype=complex)
         coeffs = self.vectors.conj() @ v
         return float(np.linalg.norm(v - self.vectors.T @ coeffs))
@@ -233,13 +230,19 @@ def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSyste
         for _ in range(spec.p):
             col = ad(col)
         columns.append(col)
-    row_keys = sorted(set().union(*columns))
-    index = {k: i for i, k in enumerate(row_keys)}
-    matrix = np.zeros((len(row_keys), len(unknowns)), dtype=complex)
+    row_keys, matrix = _fill(columns)
+    return DeterminingSystem(matrix, unknowns, row_keys, L, spec)
+
+
+def _fill(columns: Sequence[dict[Key, complex]]) -> tuple[tuple[Key, ...], np.ndarray]:
+    """Sorted keys of all columns, and the matrix with one column per dict."""
+    keys = tuple(sorted(set().union(*columns)))
+    index = {k: i for i, k in enumerate(keys)}
+    matrix = np.zeros((len(keys), len(columns)), dtype=complex)
     for j, col in enumerate(columns):
         for k, v in col.items():
             matrix[index[k], j] += v  # adding to +0.0 stores a signed zero part as +0.0
-    return DeterminingSystem(matrix, unknowns, tuple(row_keys), L, spec)
+    return keys, matrix
 
 
 def null_rank(sigma: np.ndarray, tol: float) -> int:
@@ -262,7 +265,7 @@ def null_rank(sigma: np.ndarray, tol: float) -> int:
 
 
 def solve_null_space(system: DeterminingSystem, tol: float = 1e-8) -> GeneratorBasis:
-    """Orthonormal null-space basis of the determining system, decoded.
+    """Orthonormal null-space basis of the determining system.
 
     The rank comes from :func:`null_rank` at tol.  The null vectors are
     re-verified through the operator algebra, which shares nothing with the
@@ -283,12 +286,7 @@ def solve_null_space(system: DeterminingSystem, tol: float = 1e-8) -> GeneratorB
     else:
         _, sigma, vh = np.linalg.svd(m, full_matrices=True)
     vectors = np.conj(vh[null_rank(sigma, tol):])
-    return GeneratorBasis(
-        tuple(system.decode(vec) for vec in vectors),
-        singular_values=sigma,
-        vectors=vectors,
-        reverify_residual=_reverify(system, vectors),
-    )
+    return GeneratorBasis(vectors, sigma, _reverify(system, vectors))
 
 
 def _freivalds_combination(vectors: np.ndarray) -> np.ndarray:
@@ -324,71 +322,47 @@ def _reverify(system: DeterminingSystem, vectors: np.ndarray) -> float:
     return worst
 
 
-def _coefficient_keys(ops: Sequence[LinDiffOp]) -> list[tuple[Index4, Index4]]:
-    """Sorted (derivative delta, monomial alpha) pairs present in the operators."""
-    keys = set()
-    for op in ops:
-        for delta, coeff in op.terms:
-            for t in coeff.terms:
-                if any(k != 0 for k in t.kappa):
-                    raise ValueError("coefficient vectors require polynomial coefficients")
-                keys.add((delta, t.alpha))
-    return sorted(keys)
+def structure_constants(ops: Sequence[LinDiffOp], tol: float = 1e-8) -> tuple[np.ndarray, float]:
+    """Fit C_abg in [Q_a, Q_b] = C_abg Q_g over the given operators.
 
-
-def _vectorize(ops: Sequence[LinDiffOp], keys: list[tuple[Index4, Index4]]) -> np.ndarray:
-    """One row per operator: its coefficient on each key."""
-    index = {k: i for i, k in enumerate(keys)}
-    out = np.zeros((len(ops), len(keys)), dtype=complex)
-    for i, op in enumerate(ops):
-        for delta, coeff in op.terms:
-            for t in coeff.terms:
-                out[i, index[(delta, t.alpha)]] += t.coeff
-    return out
-
-
-def structure_constants(
-    generators: Sequence[SymmetryCandidate], tol: float = 1e-8
-) -> GeneratorBasis:
-    """Fit C_abg in [Q_a, Q_b] = C_abg Q_g over the given basis.
-
-    Commutators are expanded exactly and regressed onto the stacked
-    coefficient vectors of the basis.  The constants are real and
-    antisymmetric in (a, b) by construction; a fit residual above tol means
-    the set does not close into a Lie algebra and raises NotClosed.
+    The n operators and their n(n-1)/2 commutators, expanded exactly, are
+    vectorized on one key set and the brackets regressed onto the operators
+    by one least-squares solve.  Returns C and the closure residual: the
+    largest fit error or imaginary part of a constant.  C is real and
+    antisymmetric in (a, b) by construction; a closure residual above tol
+    means the set does not close into a Lie algebra and raises NotClosed.
     """
-    ops = [g.Q for g in generators]
     for op in ops:
         if op.order > 1:
             raise ValueError("structure constants require first-order generators")
+        if op.has_exponential_coefficients():
+            raise ValueError("structure constants require polynomial coefficients")
     n = len(ops)
     C = np.zeros((n, n, n))
     if n == 0:
-        return GeneratorBasis((), C, 0.0)
+        return C, 0.0
 
-    keys = _coefficient_keys(ops)
-    basis_mat = _vectorize(ops, keys)  # n x K
-    if np.linalg.matrix_rank(basis_mat, tol=tol * max(1.0, float(np.abs(basis_mat).max()))) < n:
+    pairs = list(itertools.combinations(range(n), 2))
+    brackets = [commutator(ops[a], ops[b]) for a, b in pairs]
+    _, matrix = _fill([
+        {(delta, t.alpha): t.coeff for delta, coeff in op.terms for t in coeff.terms}
+        for op in [*ops, *brackets]
+    ])
+    basis, targets = matrix[:, :n], matrix[:, n:]
+    scale = max(1.0, float(np.abs(basis).max(initial=0.0)))
+    if np.linalg.matrix_rank(basis, tol=tol * scale) < n:
         raise ValueError("generators are not linearly independent")
-    worst = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            bracket = commutator(ops[a], ops[b])
-            all_keys = sorted(set(keys) | {
-                (d, t.alpha) for d, c in bracket.terms for t in c.terms
-            })
-            bmat = _vectorize(ops, all_keys)
-            target = _vectorize([bracket], all_keys)[0]
-            coeffs, *_ = np.linalg.lstsq(bmat.T, target, rcond=None)
-            fit = bmat.T @ coeffs
-            resid = float(np.max(np.abs(fit - target))) if target.size else 0.0
-            resid = max(resid, float(np.max(np.abs(coeffs.imag))) if coeffs.size else 0.0)
-            worst = max(worst, resid)
-            C[a, b, :] = coeffs.real
-            C[b, a, :] = -coeffs.real
+    coeffs, *_ = np.linalg.lstsq(basis, targets, rcond=None)  # n x pairs
+    worst = max(
+        float(np.abs(basis @ coeffs - targets).max(initial=0.0)),
+        float(np.abs(coeffs.imag).max(initial=0.0)),
+    )
+    for (a, b), c in zip(pairs, coeffs.real.T):
+        C[a, b, :] = c
+        C[b, a, :] = -c
     if worst > tol:
         raise NotClosed(f"closure residual {worst:.3e} exceeds {tol:.1e}")
-    return GeneratorBasis(tuple(generators), C, worst)
+    return C, worst
 
 
 @dataclass(frozen=True, eq=False)

@@ -186,9 +186,6 @@ class LinDiffOp:
             collected.extend((d, coeff * _sum(parts)) for d, parts in peeled.items())
         return LinDiffOp(collected)
 
-    def __matmul__(self, other: "LinDiffOp") -> "LinDiffOp":
-        return self.compose(other)
-
     # -- comparison / repr ---------------------------------------------------
 
     def approx_eq(self, other: "LinDiffOp", tol: float = 1e-10) -> bool:

@@ -14,6 +14,7 @@ written in upper-index coordinates.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -422,7 +423,7 @@ def run_dalembert(
     )
 
     def weight_deviation(beta: float) -> float:
-        q = DalembertParams(beta=beta, n=p.n, omega=p.omega, c=p.c)
+        q = dataclasses.replace(p, beta=beta)
         return _sup_on_ball(dalembert_weight(q) - ExpPoly.constant(1))
 
     checks.append(
@@ -783,7 +784,7 @@ def run_maxwell(
     )
 
     def field_deviation(beta: float) -> float:
-        q = DalembertParams(beta=beta, n=p.n, omega=p.omega, c=p.c)
+        q = dataclasses.replace(p, beta=beta)
         tq = MaxwellTransform.from_params(q)
         f = plane_fields(q, l, m)
         fp = transform_fields(f, tq)
@@ -869,9 +870,7 @@ def check_composition(
             f"(max mismatch {mismatch:.3e}); build them with boosted_params()"
         )
 
-    combined = DalembertParams(
-        beta=p1.beta + p1.lam * p2.beta, n=p1.n, omega=p1.omega, c=p1.c
-    )
+    combined = dataclasses.replace(p1, beta=p1.beta + p1.lam * p2.beta)
     t1 = MaxwellTransform.from_params(p1)
     t2 = MaxwellTransform.from_params(p2)
     t12 = MaxwellTransform.from_params(combined)
@@ -1060,9 +1059,7 @@ def random_composition_pair(
         try:
             p2 = boosted_params(p1, beta2)
             MaxwellTransform.from_params(p2)
-            MaxwellTransform.from_params(
-                DalembertParams(beta=p1.beta + p1.lam * beta2, n=p1.n, omega=p1.omega, c=p1.c)
-            )
+            MaxwellTransform.from_params(dataclasses.replace(p1, beta=p1.beta + p1.lam * beta2))
         except InvalidParams:
             continue
         return p1, p2
