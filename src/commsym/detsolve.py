@@ -463,10 +463,7 @@ def pullback(Lp: LinDiffOp, amap: AffineMap) -> LinDiffOp:
     Derivatives transform with the inverse Jacobian, d'_a = (A^-1)_{ba} d_b;
     coefficients are composed with the map.
     """
-    det = float(np.linalg.det(amap.A))
-    if abs(det) <= 1e-12:
-        raise SingularMap(f"|det A| = {abs(det):.3e} <= 1e-12")
-    inv = np.linalg.inv(amap.A)
+    inv = amap.inverse().A
     # constant-coefficient images sum_b (A^-1)_{ba} d_b of the primed partials
     primed_partials = []
     for a in range(4):

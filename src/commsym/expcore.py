@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Index4 = tuple[int, int, int, int]
 CVec4 = tuple[complex, complex, complex, complex]
@@ -49,27 +48,19 @@ ZERO_TOL = 1e-10
 MERGE_TOL = 1e-12
 
 
-def _is_finite_complex(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
-
-
-@dataclass(frozen=True)
-class ExpTerm:
+class ExpTerm(NamedTuple):
     """One summand  coeff * x^alpha * exp(kappa . x)."""
 
     coeff: complex
     alpha: Index4 = ZERO_ALPHA
     kappa: CVec4 = ZERO_KAPPA
 
-    def is_finite(self) -> bool:
-        k = self.kappa
-        return (
-            cmath.isfinite(self.coeff)
-            and cmath.isfinite(k[0])
-            and cmath.isfinite(k[1])
-            and cmath.isfinite(k[2])
-            and cmath.isfinite(k[3])
-        )
+
+def _unit_index(a: int) -> Index4:
+    """The multi-index of coordinate ``a``; ``a`` must be 0, 1, 2 or 3."""
+    if a not in (0, 1, 2, 3):
+        raise ValueError(f"coordinate index must be 0, 1, 2 or 3, not {a!r}")
+    return _UNIT[a]
 
 
 def _term_sort_key(term: ExpTerm):
@@ -95,9 +86,10 @@ def _kappa_close(a: CVec4, b: CVec4, reach: float) -> bool:
 class ExpPoly:
     """A normalized exponential polynomial (immutable).
 
-    Invariants: no zero-coefficient terms, no two terms sharing the same
-    alpha and a kappa within merge tolerance, terms in canonical sort order.
-    ``ExpPoly(terms)`` puts any sum of terms into that form; an instance is
+    Invariants: no zero-coefficient terms, no non-finite coefficient or
+    covector component, no two terms sharing the same alpha and a kappa
+    within merge tolerance, terms in canonical sort order.  ``ExpPoly(terms)``
+    is the one gate that puts any sum of terms into that form; an instance is
     never normalized again.
     """
 
@@ -113,6 +105,7 @@ class ExpPoly:
 
     @classmethod
     def _raw(cls, terms: tuple[ExpTerm, ...]) -> "ExpPoly":
+        """Wrap terms already in canonical form, bypassing the gate."""
         out = cls.__new__(cls)
         object.__setattr__(out, "terms", terms)
         return out
@@ -123,14 +116,11 @@ class ExpPoly:
 
     @classmethod
     def constant(cls, c: complex) -> "ExpPoly":
-        c = complex(c)
-        if c == 0:
-            return cls.zero()
-        return cls._raw((ExpTerm(c),))
+        return cls([ExpTerm(complex(c))])
 
     @classmethod
     def coordinate(cls, a: int) -> "ExpPoly":
-        return cls._raw((ExpTerm(1 + 0j, _UNIT[a]),))
+        return cls._raw((ExpTerm(1 + 0j, _unit_index(a)),))
 
     @classmethod
     def monomial(cls, coeff: complex, alpha: Sequence[int]) -> "ExpPoly":
@@ -148,9 +138,6 @@ class ExpPoly:
         return cls(terms)
 
     # -- queries -----------------------------------------------------------
-
-    def is_structurally_zero(self) -> bool:
-        return not self.terms
 
     def max_coeff(self) -> float:
         return max((abs(t.coeff) for t in self.terms), default=0.0)
@@ -173,9 +160,6 @@ class ExpPoly:
             return True
         ref = self.max_coeff() if scale is None else scale
         return self.max_coeff() <= ZERO_TOL * ref
-
-    def degree(self) -> int:
-        return max((sum(t.alpha) for t in self.terms), default=0)
 
     def has_exponential(self) -> bool:
         return any(k != 0 for t in self.terms for k in t.kappa)
@@ -243,7 +227,7 @@ class ExpPoly:
                 total += t.coeff * mono * cmath.exp(phase)
             except OverflowError as exc:
                 raise NonFinite("exp overflow during evaluation") from exc
-        if not _is_finite_complex(total):
+        if not cmath.isfinite(total):
             raise NonFinite("non-finite evaluation result")
         return total
 
@@ -262,7 +246,10 @@ class ExpPoly:
             new_kappa = tuple(
                 sum(t.kappa[i] * rows[i][j] for i in range(4)) for j in range(4)
             )
-            factor = t.coeff * cmath.exp(sum(k * s for k, s in zip(t.kappa, shift)))
+            try:
+                factor = t.coeff * cmath.exp(sum(k * s for k, s in zip(t.kappa, shift)))
+            except OverflowError as exc:
+                raise NonFinite("exp overflow during affine substitution") from exc
             piece = ExpPoly.exponential(factor, new_kappa)
             for a in range(4):
                 if t.alpha[a]:
@@ -315,7 +302,8 @@ def _as_kappa(kappa: Sequence[complex]) -> CVec4:
 
 
 def _normalize_terms(terms: Iterable[ExpTerm]) -> tuple[ExpTerm, ...]:
-    """Canonical form of a sum: sorted, merged, zero terms dropped.
+    """Canonical form of a sum: sorted, merged, checked finite, zero terms
+    dropped.
 
     A term merges into an earlier term with the same alpha whose covector is
     within MERGE_TOL * max(1, max_j |kappa_j|) of its own in every component.
@@ -323,8 +311,12 @@ def _normalize_terms(terms: Iterable[ExpTerm]) -> tuple[ExpTerm, ...]:
     trailing run of merged terms with that alpha and Re kappa0 within that
     distance, even when other covectors sort between them.  A merged term
     keeps the earliest covector, so the representative does not depend on
-    the input order.
+    the input order.  An infinite covector component is close to nothing, so
+    such a term is never absorbed by a finite covector.  Every merged term,
+    kept or dropped, then passes one finiteness check of its coefficient and
+    covector before the drop threshold is taken from the coefficients.
     """
+    isfinite = cmath.isfinite
     merged: list[ExpTerm] = []
     for t in sorted(terms, key=_term_sort_key):
         alpha, k = t.alpha, t.kappa
@@ -335,7 +327,8 @@ def _normalize_terms(terms: Iterable[ExpTerm]) -> tuple[ExpTerm, ...]:
         if merged[i].kappa != k:
             reach = MERGE_TOL * max(1.0, abs(k[0]), abs(k[1]), abs(k[2]), abs(k[3]))
             lowest = k[0].real - reach
-            while i >= 0 and merged[i].alpha == alpha and merged[i].kappa[0].real >= lowest:
+            while (reach < math.inf and i >= 0 and merged[i].alpha == alpha
+                   and merged[i].kappa[0].real >= lowest):
                 if _kappa_close(merged[i].kappa, k, reach):
                     break
                 i -= 1
@@ -345,19 +338,11 @@ def _normalize_terms(terms: Iterable[ExpTerm]) -> tuple[ExpTerm, ...]:
         m = merged[i]
         merged[i] = ExpTerm(m.coeff + t.coeff, alpha, m.kappa)
 
-    # one aggregate guard instead of per-term checks: NaN/inf anywhere in the
-    # coefficients poisons the scale, non-finite kappas are checked on the
-    # surviving terms below
-    scale = 0.0
-    for t in merged:
-        scale += abs(t.coeff)
-    if not math.isfinite(scale):
-        raise NonFinite("non-finite coefficient in term list")
+    for c, _, k in merged:
+        if not (isfinite(c) and isfinite(k[0]) and isfinite(k[1]) and isfinite(k[2])
+                and isfinite(k[3])):
+            raise NonFinite(f"non-finite coefficient {c!r} or covector {k!r}")
     scale = max((abs(t.coeff) for t in merged), default=0.0)
     if scale == 0.0:
         return ()
-    kept = tuple(t for t in merged if abs(t.coeff) > ZERO_TOL * scale)
-    for t in kept:
-        if not t.is_finite():
-            raise NonFinite(f"non-finite term {t!r}")
-    return kept
+    return tuple(t for t in merged if abs(t.coeff) > ZERO_TOL * scale)

@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .expcore import ZERO_TOL, ExpPoly, ExpTerm, Index4, ZERO_ALPHA, _UNIT
+from .expcore import ZERO_TOL, ExpPoly, ExpTerm, Index4, ZERO_ALPHA, _UNIT, _unit_index
 
 
 class ShapeMismatch(ValueError):
@@ -46,7 +46,7 @@ class LinDiffOp:
         cleaned = []
         for d, coeffs in sorted(raw.items()):
             c = _sum(coeffs)
-            if not c.is_structurally_zero():
+            if c.terms:
                 cleaned.append((d, c))
         object.__setattr__(self, "terms", tuple(cleaned))
 
@@ -72,9 +72,7 @@ class LinDiffOp:
     @classmethod
     def partial(cls, a: int, power: int = 1) -> "LinDiffOp":
         """The operator d^power / d(x^a)^power."""
-        delta = [0, 0, 0, 0]
-        delta[a] = int(power)
-        return cls._raw(((tuple(delta), ExpPoly.constant(1)),))
+        return cls([(tuple(int(power) * v for v in _unit_index(a)), ExpPoly.constant(1))])
 
     @classmethod
     def multiplication(cls, f: ExpPoly) -> "LinDiffOp":

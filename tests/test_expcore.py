@@ -111,6 +111,84 @@ def test_normalize_rejects_non_finite():
         ExpPoly([ExpTerm(1 + 0j, kappa=(complex(math.nan, 0), 0j, 0j, 0j))])
 
 
+_HUGE = st.complex_numbers(max_magnitude=1e308, allow_nan=False, allow_infinity=False)
+_ALPHA = st.tuples(*[st.integers(0, 3)] * 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=st.lists(st.tuples(_ALPHA, _HUGE, st.tuples(*[_HUGE] * 4)), max_size=6,
+                      unique_by=lambda t: t[0]))
+def test_gate_accepts_finite_terms_up_to_1e308(terms):
+    """Finite coefficients up to 1e308 on distinct alphas never raise, and
+    the gate keeps only input terms."""
+    raw = [ExpTerm(c, alpha, kappa) for alpha, c, kappa in terms]
+    assert set(ExpPoly(raw).terms) <= set(raw)
+
+
+_POOL_ALPHA = [(0, 0, 0, 0), (1, 0, 0, 0)]
+_POOL_KAPPA = [(0j, 0j, 0j, 0j), (0.5j, -1 + 0j, 0j, 2 + 0j)]
+# 1 and -1 cancel when merged; 1e-20 beside 1 is dropped
+_POOL_COEFF = [1 + 0j, -1 + 0j, 1e-20 + 0j, 2.5 - 1j]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.sampled_from(_POOL_ALPHA), st.sampled_from(_POOL_COEFF),
+                  st.sampled_from(_POOL_KAPPA)),
+        min_size=1, max_size=6,
+    ),
+    data=st.data(),
+    slot=st.integers(0, 4),
+    imag=st.booleans(),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_gate_rejects_one_non_finite_component(terms, data, slot, imag, bad):
+    """One NaN or inf in the coefficient or any covector component of any
+    term raises, whether that term would be kept, merged or dropped."""
+    raw = [ExpTerm(c, alpha, kappa) for alpha, c, kappa in terms]
+    ExpPoly(raw)  # the unpoisoned list passes the gate
+    i = data.draw(st.integers(0, len(raw) - 1))
+    values = [raw[i].coeff, *raw[i].kappa]
+    z = values[slot]
+    values[slot] = complex(z.real, bad) if imag else complex(bad, z.imag)
+    raw[i] = ExpTerm(values[0], raw[i].alpha, tuple(values[1:]))
+    with pytest.raises(NonFinite):
+        ExpPoly(raw)
+
+
+def test_infinite_covector_is_not_merged_away():
+    raw = [ExpTerm(1 + 0j), ExpTerm(1 + 0j, kappa=(0j, complex(math.inf, 0), 0j, 0j))]
+    with pytest.raises(NonFinite):
+        ExpPoly(raw)
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, complex(0, -math.inf)])
+def test_constant_rejects_non_finite(c):
+    with pytest.raises(NonFinite):
+        ExpPoly.constant(c)
+
+
+def test_constant_zero_is_zero_poly():
+    assert ExpPoly.constant(0) == ExpPoly.zero()
+
+
+@pytest.mark.parametrize("a", [-1, 4])
+def test_coordinate_rejects_index_outside_0_to_3(a):
+    with pytest.raises(ValueError):
+        ExpPoly.coordinate(a)
+
+
+def test_exp_term_is_a_named_tuple():
+    k = (0.5j, 0j, 0j, 0j)
+    t = ExpTerm(2 + 0j, kappa=k)
+    assert t == ExpTerm(coeff=2 + 0j, alpha=(0, 0, 0, 0), kappa=k)
+    assert hash(t) == hash((2 + 0j, (0, 0, 0, 0), k))
+    assert repr(ExpTerm(1 + 0j)) == (
+        "ExpTerm(coeff=(1+0j), alpha=(0, 0, 0, 0), kappa=(0j, 0j, 0j, 0j))"
+    )
+
+
 def test_normalize_idempotent():
     rng = np.random.default_rng(5)
     for _ in range(25):
@@ -271,3 +349,9 @@ def test_substitute_affine_matches_pointwise():
             assert abs(g.evaluate(tuple(x)) - f.evaluate(tuple(A @ x + b))) < 1e-9 * max(
                 1.0, abs(f.evaluate(tuple(A @ x + b)))
             )
+
+
+def test_substitute_affine_overflow_raises():
+    f = ExpPoly.exponential(1.0, (1.0, 0, 0, 0))
+    with pytest.raises(NonFinite):
+        f.substitute_affine(np.eye(4), (1000.0, 0, 0, 0))

@@ -76,6 +76,12 @@ def test_apply_box_annihilates_lightcone_wave():
     assert wave_operator().apply(wave).max_coeff() < 1e-15
 
 
+@pytest.mark.parametrize("a, power", [(-1, 1), (4, 1), (2, -1)])
+def test_partial_rejects_bad_index_or_power(a, power):
+    with pytest.raises(ValueError):
+        LinDiffOp.partial(a, power)
+
+
 def test_apply_partial_to_constant():
     assert LinDiffOp.partial(1).apply(ExpPoly.constant(5)).is_zero()
 
