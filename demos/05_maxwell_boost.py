@@ -17,8 +17,10 @@ from commsym.scenarios import (
 
 p = DalembertParams(beta=0.3, n=(0.0, 1.0, 0.0))
 t = MaxwellTransform.from_params(p)
-print(f"transform parameters: kappa = {t.kappa:.6f}, e23 = {t.e23:.6f}, "
-      f"h23 = {t.h23:.6f} (d = {t.d:.6f})")
+# eq29: e32 = -e23, h32 = e23 and h23 = -e23; e23 is the d of the
+# composition law below
+print(f"transform parameters: kappa = {t.kappa:.6f}, d = e23 = {t.e23:.6f}, "
+      f"h23 = {t.h23:.6f}")
 
 # a transverse plane wave solves all eight rows
 l, m = polarization(p)

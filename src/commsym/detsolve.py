@@ -46,6 +46,8 @@ class NotClosed(RuntimeError):
 
 # gap ratio below which the null cutoff is declared ambiguous
 _GAP_GUARD = 10.0
+# structure constants: rank cutoff (relative) and largest closure residual
+_CLOSURE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ class DeterminingSystem:
                 parts[(u.kind, u.component)].append(ExpTerm(complex(c), u.alpha))
         xi = [ExpPoly(parts[("xi", a)]) for a in range(4)]
         eta, zeta = ExpPoly(parts[("eta", -1)]), ExpPoly(parts[("zeta", -1)])
-        return SymmetryCandidate(LinDiffOp.first_order(xi, eta), zeta, self.spec.p)
+        return SymmetryCandidate(LinDiffOp.first_order(xi, eta), zeta)
 
 
 @dataclass(frozen=True)
@@ -280,11 +282,7 @@ def solve_null_space(system: DeterminingSystem, tol: float = 1e-8) -> GeneratorB
     m = system.matrix
     if not np.all(np.isfinite(m)):
         raise ValueError("determining system contains non-finite entries")
-    n_unknowns = m.shape[1]
-    if m.shape[0] == 0:
-        sigma, vh = np.zeros(0), np.eye(n_unknowns, dtype=complex)
-    else:
-        _, sigma, vh = np.linalg.svd(m, full_matrices=True)
+    _, sigma, vh = np.linalg.svd(m, full_matrices=True)  # vh is the identity for 0 rows
     vectors = np.conj(vh[null_rank(sigma, tol):])
     return GeneratorBasis(vectors, sigma, _reverify(system, vectors))
 
@@ -322,15 +320,16 @@ def _reverify(system: DeterminingSystem, vectors: np.ndarray) -> float:
     return worst
 
 
-def structure_constants(ops: Sequence[LinDiffOp], tol: float = 1e-8) -> tuple[np.ndarray, float]:
+def structure_constants(ops: Sequence[LinDiffOp]) -> tuple[np.ndarray, float]:
     """Fit C_abg in [Q_a, Q_b] = C_abg Q_g over the given operators.
 
     The n operators and their n(n-1)/2 commutators, expanded exactly, are
     vectorized on one key set and the brackets regressed onto the operators
     by one least-squares solve.  Returns C and the closure residual: the
     largest fit error or imaginary part of a constant.  C is real and
-    antisymmetric in (a, b) by construction; a closure residual above tol
-    means the set does not close into a Lie algebra and raises NotClosed.
+    antisymmetric in (a, b) by construction; a closure residual above
+    _CLOSURE_TOL means the set does not close into a Lie algebra and raises
+    NotClosed.
     """
     for op in ops:
         if op.order > 1:
@@ -350,7 +349,7 @@ def structure_constants(ops: Sequence[LinDiffOp], tol: float = 1e-8) -> tuple[np
     ])
     basis, targets = matrix[:, :n], matrix[:, n:]
     scale = max(1.0, float(np.abs(basis).max(initial=0.0)))
-    if np.linalg.matrix_rank(basis, tol=tol * scale) < n:
+    if np.linalg.matrix_rank(basis, tol=_CLOSURE_TOL * scale) < n:
         raise ValueError("generators are not linearly independent")
     coeffs, *_ = np.linalg.lstsq(basis, targets, rcond=None)  # n x pairs
     worst = max(
@@ -360,8 +359,8 @@ def structure_constants(ops: Sequence[LinDiffOp], tol: float = 1e-8) -> tuple[np
     for (a, b), c in zip(pairs, coeffs.real.T):
         C[a, b, :] = c
         C[b, a, :] = -c
-    if worst > tol:
-        raise NotClosed(f"closure residual {worst:.3e} exceeds {tol:.1e}")
+    if worst > _CLOSURE_TOL:
+        raise NotClosed(f"closure residual {worst:.3e} exceeds {_CLOSURE_TOL:.1e}")
     return C, worst
 
 
@@ -423,16 +422,19 @@ def _expm(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def flow(Q: SymmetryCandidate, theta: float) -> AffineMap:
-    """Integrate dx'/dtheta = xi(x') exactly for affine xi.
+def flow(Q: LinDiffOp, theta: float) -> AffineMap:
+    """Integrate dx'/dtheta = xi(x') exactly for the generator
+    Q = xi^a d_a + eta with affine xi.
 
     The affine vector field xi(x) = M x + v exponentiates through the 5x5
     augmented matrix [[M, v], [0, 0]]; flow(Q, 0) is the identity and
     flow(Q, s).flow(Q, t) = flow(Q, s + t).  eta plays no role here.
     """
+    if Q.order > 1:
+        raise UnsupportedDegree("flows are defined for first-order generators only")
     M = np.zeros((4, 4))
     v = np.zeros(4)
-    for delta, coeff in Q.Q.terms:
+    for delta, coeff in Q.terms:
         if sum(delta) != 1:
             continue
         a = delta.index(1)

@@ -83,7 +83,67 @@ def _kappa_close(a: CVec4, b: CVec4, reach: float) -> bool:
     )
 
 
-class ExpPoly:
+class _Sum:
+    """An immutable sum held as a canonical ``terms`` tuple.
+
+    The base of ExpPoly and LinDiffOp: each subclass's constructor is the
+    gate that brings terms into canonical form, and supplies ``max_coeff``,
+    ``__neg__`` and ``__mul__``; equality, hashing, zero tests and the
+    derived arithmetic below are the same for both.
+    """
+
+    __slots__ = ("terms",)
+
+    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _raw(cls, terms: tuple):
+        """Wrap terms already in canonical form, bypassing the gate."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "terms", terms)
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls._raw(())
+
+    def is_zero(self, scale: float | None = None) -> bool:
+        """Tolerance-based zero test.
+
+        With no external ``scale`` the reference is the sum's own largest
+        coefficient, so a normalized nonzero sum never tests zero; pass the
+        scale of the inputs that produced ``self`` to absorb rounding noise
+        from cancellations.
+        """
+        if not self.terms:
+            return True
+        ref = self.max_coeff() if scale is None else scale
+        return self.max_coeff() <= ZERO_TOL * ref
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return type(self)(self.terms + other.terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def approx_eq(self, other, tol: float = 1e-10) -> bool:
+        scale = max(self.max_coeff(), other.max_coeff(), 1.0)
+        return (self - other).max_coeff() <= tol * scale
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
+
+
+class ExpPoly(_Sum):
     """A normalized exponential polynomial (immutable).
 
     Invariants: no zero-coefficient terms, no non-finite coefficient or
@@ -93,26 +153,12 @@ class ExpPoly:
     never normalized again.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Iterable[ExpTerm] = ()):
         object.__setattr__(self, "terms", _normalize_terms(terms))
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("ExpPoly is immutable")
-
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def _raw(cls, terms: tuple[ExpTerm, ...]) -> "ExpPoly":
-        """Wrap terms already in canonical form, bypassing the gate."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "terms", terms)
-        return out
-
-    @classmethod
-    def zero(cls) -> "ExpPoly":
-        return cls._raw(())
 
     @classmethod
     def constant(cls, c: complex) -> "ExpPoly":
@@ -148,34 +194,13 @@ class ExpPoly:
             return None
         return max(self.terms, key=lambda t: abs(t.coeff))
 
-    def is_zero(self, scale: float | None = None) -> bool:
-        """Tolerance-based zero test.
-
-        With no external ``scale`` the reference is the polynomial's own
-        largest coefficient, so a normalized nonzero polynomial never tests
-        zero; pass the scale of the inputs that produced ``self`` to absorb
-        rounding noise from cancellations.
-        """
-        if not self.terms:
-            return True
-        ref = self.max_coeff() if scale is None else scale
-        return self.max_coeff() <= ZERO_TOL * ref
-
     def has_exponential(self) -> bool:
         return any(k != 0 for t in self.terms for k in t.kappa)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: "ExpPoly") -> "ExpPoly":
-        if not isinstance(other, ExpPoly):
-            return NotImplemented
-        return ExpPoly(self.terms + other.terms)
-
     def __neg__(self) -> "ExpPoly":
         return ExpPoly._raw(tuple(ExpTerm(-t.coeff, t.alpha, t.kappa) for t in self.terms))
-
-    def __sub__(self, other: "ExpPoly") -> "ExpPoly":
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, ExpPoly):
@@ -193,15 +218,11 @@ class ExpPoly:
                     )
             return ExpPoly(prods)
         c = complex(other)
-        if c == 0:
-            return ExpPoly.zero()
         return ExpPoly(ExpTerm(t.coeff * c, t.alpha, t.kappa) for t in self.terms)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
 
     def derive(self, a: int) -> "ExpPoly":
         """Exact partial derivative with respect to coordinate ``a``."""
+        _unit_index(a)  # rejects a outside 0..3
         out: list[ExpTerm] = []
         for t in self.terms:
             if t.alpha[a] > 0:
@@ -259,17 +280,7 @@ class ExpPoly:
             out.extend(piece.terms)
         return ExpPoly(out)
 
-    # -- comparison / repr ---------------------------------------------------
-
-    def approx_eq(self, other: "ExpPoly", tol: float = 1e-10) -> bool:
-        scale = max(self.max_coeff(), other.max_coeff(), 1.0)
-        return (self - other).max_coeff() <= tol * scale
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExpPoly) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
+    # -- repr ----------------------------------------------------------------
 
     def __repr__(self) -> str:
         if not self.terms:

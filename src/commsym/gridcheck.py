@@ -127,7 +127,7 @@ def fd_apply_residual(A: LinDiffOp, f: ExpPoly, grid: GridSpec) -> float:
     """
     if A.order > 4:
         raise StencilOverrun("operators above order 4 are not supported")
-    total, pad = _fd_apply_values(A, eval_on_grid(f, grid), [0, 0, 0, 0], grid)
+    total, pad = fd_chain_values((A,), f, grid)
     exact = _crop(eval_on_grid(A.apply(f), grid), pad)
     return float(np.max(np.abs(total - exact)))
 

@@ -19,14 +19,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .expcore import ZERO_TOL, ExpPoly, ExpTerm, Index4, ZERO_ALPHA, _UNIT, _unit_index
+from .expcore import ExpPoly, ExpTerm, Index4, ZERO_ALPHA, _UNIT, _Sum, _unit_index
 
 
 class ShapeMismatch(ValueError):
     """Matrix operator applied to a field list of the wrong length."""
 
 
-class LinDiffOp:
+class LinDiffOp(_Sum):
     """A normalized linear differential operator (immutable).
 
     ``terms`` maps each derivative multi-index to a nonzero ExpPoly
@@ -34,7 +34,7 @@ class LinDiffOp:
     same multi-index are summed; a lone coefficient is kept as it is.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Iterable[tuple[Sequence[int], ExpPoly]] = ()):
         raw: dict[Index4, list[ExpPoly]] = defaultdict(list)
@@ -50,20 +50,7 @@ class LinDiffOp:
                 cleaned.append((d, c))
         object.__setattr__(self, "terms", tuple(cleaned))
 
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("LinDiffOp is immutable")
-
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def _raw(cls, terms: tuple[tuple[Index4, ExpPoly], ...]) -> "LinDiffOp":
-        out = cls.__new__(cls)
-        object.__setattr__(out, "terms", terms)
-        return out
-
-    @classmethod
-    def zero(cls) -> "LinDiffOp":
-        return cls._raw(())
 
     @classmethod
     def identity(cls) -> "LinDiffOp":
@@ -104,12 +91,6 @@ class LinDiffOp:
     def max_coeff(self) -> float:
         return max((c.max_coeff() for _, c in self.terms), default=0.0)
 
-    def is_zero(self, scale: float | None = None) -> bool:
-        if not self.terms:
-            return True
-        ref = self.max_coeff() if scale is None else scale
-        return self.max_coeff() <= ZERO_TOL * ref
-
     def has_constant_coefficients(self) -> bool:
         return all(
             t.alpha == ZERO_ALPHA and all(k == 0 for k in t.kappa)
@@ -122,23 +103,12 @@ class LinDiffOp:
 
     # -- algebra -----------------------------------------------------------
 
-    def __add__(self, other: "LinDiffOp") -> "LinDiffOp":
-        if not isinstance(other, LinDiffOp):
-            return NotImplemented
-        return LinDiffOp(self.terms + other.terms)
-
     def __neg__(self) -> "LinDiffOp":
         return LinDiffOp._raw(tuple((d, -c) for d, c in self.terms))
-
-    def __sub__(self, other: "LinDiffOp") -> "LinDiffOp":
-        return self + (-other)
 
     def __mul__(self, scalar) -> "LinDiffOp":
         c = complex(scalar)
         return LinDiffOp((d, coeff * c) for d, coeff in self.terms)
-
-    def __rmul__(self, scalar) -> "LinDiffOp":
-        return self.__mul__(scalar)
 
     def premultiply(self, f: ExpPoly) -> "LinDiffOp":
         """The operator f(x) * self (function times operator)."""
@@ -184,17 +154,7 @@ class LinDiffOp:
             collected.extend((d, coeff * _sum(parts)) for d, parts in peeled.items())
         return LinDiffOp(collected)
 
-    # -- comparison / repr ---------------------------------------------------
-
-    def approx_eq(self, other: "LinDiffOp", tol: float = 1e-10) -> bool:
-        scale = max(self.max_coeff(), other.max_coeff(), 1.0)
-        return (self - other).max_coeff() <= tol * scale
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinDiffOp) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
+    # -- repr ----------------------------------------------------------------
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -243,17 +203,14 @@ def residual_vs_multiple(
 
 @dataclass(frozen=True)
 class SymmetryCandidate:
-    """A first-order generator Q with its multiple zeta and commutator order p."""
+    """A first-order generator Q with its multiple zeta."""
 
     Q: LinDiffOp
     zeta: ExpPoly
-    p: int
 
     def __post_init__(self) -> None:
         if self.Q.order > 1:
             raise ValueError("symmetry candidates must be first-order operators")
-        if self.p < 1:
-            raise ValueError("commutator order p must be >= 1")
 
 
 class MatrixDiffOp:

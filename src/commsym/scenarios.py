@@ -214,16 +214,13 @@ class SchrodingerParams:
 
 @dataclass(frozen=True)
 class MaxwellTransform:
-    """Field-transform data: amplitude parameter kappa, mixing parameters
-    e23, e32, h23, h32 (all expressible through the common d = e23), and the
-    scalar weight function phi_D."""
+    """Field-transform data: amplitude parameter kappa, mixing parameter
+    e23 (the d of the composition law), the paper's own h23 (eq29 has
+    h23 = -e23), and the scalar weight function phi_D."""
 
     kappa: float
     e23: float
-    e32: float
     h23: float
-    h32: float
-    d: float
     phi_D: ExpPoly
 
     @classmethod
@@ -237,15 +234,7 @@ class MaxwellTransform:
         kappa = (nx * (p.beta - nx) + lam) / (1.0 - nx * nx)
         e23 = (nx * (lam - 1.0) + p.beta) / (nx * (p.beta - nx) + lam)
         h23 = -(nx * (lam - 1.0) + p.beta) / (nx * (p.beta - nx) + lam)
-        return cls(
-            kappa=kappa,
-            e23=e23,
-            e32=-e23,
-            h23=h23,
-            h32=e23,
-            d=e23,
-            phi_D=dalembert_weight(p),
-        )
+        return cls(kappa=kappa, e23=e23, h23=h23, phi_D=dalembert_weight(p))
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +334,11 @@ def infer_weight(phi_primed: ExpPoly, amap: detsolve.AffineMap, phi: ExpPoly) ->
 
 
 # deterministic sample points in the unit 4-ball, used by the sup-norm limits
-def _ball_points(count: int = 48, seed: int = 12345) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    u = rng.normal(size=(count, 4))
+def _ball_points() -> np.ndarray:
+    rng = np.random.default_rng(12345)
+    u = rng.normal(size=(48, 4))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    r = rng.uniform(0, 1, size=(count, 1)) ** 0.25
+    r = rng.uniform(0, 1, size=(48, 1)) ** 0.25
     return u * r
 
 
@@ -721,13 +710,14 @@ def transform_fields(fields: Sequence[ExpPoly], t: MaxwellTransform) -> list[Exp
     """Apply the boost field map to (E1, E2, E3, H1, H2, H3)."""
     e1, e2, e3, h1, h2, h3 = fields
     w, k = t.phi_D, t.kappa
+    e32, h32 = -t.e23, t.e23  # eq29
     return [
         w * e1,
         k * (w * (e2 + t.h23 * h3)),
-        k * (w * (e3 + t.h32 * h2)),
+        k * (w * (e3 + h32 * h2)),
         w * h1,
         k * (w * (h2 + t.e23 * e3)),
-        k * (w * (h3 + t.e32 * e2)),
+        k * (w * (h3 + e32 * e2)),
     ]
 
 
@@ -755,12 +745,7 @@ def run_maxwell(
         )
     )
 
-    sign_defect = max(
-        abs(transform.e32 + transform.e23),
-        abs(transform.h32 - transform.e23),
-        abs(transform.h23 + transform.e23),
-        abs(transform.d - transform.e23),
-    )
+    sign_defect = abs(transform.h23 + transform.e23)  # the paper's h23 against eq29
     checks.append(_check("eq29_sign_relations", "eq29", sign_defect, IDENTITY_TOL))
 
     primed_fields = transform_fields(fields, transform)
@@ -830,7 +815,7 @@ def run_maxwell(
             "kappa_param": transform.kappa,
             "e23": transform.e23,
             "h23": transform.h23,
-            "d": transform.d,
+            "d": transform.e23,
             "polarization_angle": angle,
         }
     )
@@ -889,7 +874,7 @@ def check_composition(
         _check(
             "eq30_d_composition",
             "eq30",
-            abs(t12.d - compose_d_parameters(t1.d, t2.d)),
+            abs(t12.e23 - compose_d_parameters(t1.e23, t2.e23)),
             law_tol,
         )
     )
@@ -897,7 +882,7 @@ def check_composition(
         _check(
             "eq30_kappa_composition",
             "eq30",
-            abs(t12.kappa - t2.kappa * t1.kappa * (1.0 + t2.d * t1.d)),
+            abs(t12.kappa - t2.kappa * t1.kappa * (1.0 + t2.e23 * t1.e23)),
             law_tol,
         )
     )
@@ -916,11 +901,11 @@ def compose_d_parameters(d1: float, d2: float) -> float:
 # full linear-group sweep
 
 
-def run_igl_sweep(schrod: SchrodingerParams | None = None) -> ScenarioReport:
+def run_igl_sweep() -> ScenarioReport:
     """All 40 commutator identities behind the maximal linear symmetry group:
     translations at order 1 and the 16 linear generators x^a d_b at order 2,
-    against both the wave and the Schrodinger operator."""
-    schrod = schrod or SchrodingerParams()
+    against both the wave and the default Schrodinger operator."""
+    schrod = SchrodingerParams()
     operators = (("box", wave_operator()), ("schrod", schrodinger_operator(schrod)))
     checks = []
     for op_name, L in operators:
@@ -964,14 +949,13 @@ def run_generator_search(
     p: int = 2,
     zeta_degree: int = 0,
     seed: int = 0,
-    schrod: SchrodingerParams | None = None,
 ) -> ScenarioReport:
     """Rediscover symmetry generators from the determining system and verify
     the result against independent observables."""
     if operator == "box":
         L = wave_operator()
     elif operator == "schrod":
-        L = schrodinger_operator(schrod or SchrodingerParams())
+        L = schrodinger_operator(SchrodingerParams())
     else:
         raise InvalidParams(f"unknown operator {operator!r}; use 'box' or 'schrod'")
     spec = detsolve.AnsatzSpec(degree=degree, p=p, zeta_degree=zeta_degree)

@@ -23,7 +23,7 @@ One test per criterion; each prints a single pass/fail line (run with
 import math
 
 import numpy as np
-import pytest
+from randgen import rand_generator, rand_op, rand_poly
 
 from commsym import scenarios as sc
 from commsym.detsolve import (
@@ -35,9 +35,9 @@ from commsym.detsolve import (
     pullback,
     solve_null_space,
 )
-from commsym.expcore import ExpPoly, ExpTerm
+from commsym.expcore import ExpPoly
 from commsym.gridcheck import GridSpec, convergence_order, fd_apply_residual, fd_chain_values
-from commsym.opalg import LinDiffOp, SymmetryCandidate, ad_power, commutator
+from commsym.opalg import LinDiffOp, ad_power, commutator
 
 SEED = 20260808
 DRAWS = 100
@@ -321,50 +321,12 @@ def test_criterion_10_finite_difference_oracle():
     )
 
 
-def _rand_poly(rng, n_terms=3):
-    terms = []
-    for _ in range(n_terms):
-        alpha = tuple(int(v) for v in rng.integers(0, 2, 4))
-        kappa = tuple(
-            complex(a, b) for a, b in zip(rng.normal(0, 0.5, 4), rng.normal(0, 0.5, 4))
-        )
-        terms.append(ExpTerm(complex(rng.normal(), rng.normal()), alpha, kappa))
-    return ExpPoly(terms)
-
-
-def _rand_op(rng, max_order=2):
-    terms = []
-    for _ in range(3):
-        delta = [0, 0, 0, 0]
-        for _ in range(int(rng.integers(0, max_order + 1))):
-            delta[int(rng.integers(0, 4))] += 1
-        terms.append((tuple(delta), _rand_poly(rng)))
-    return LinDiffOp(terms)
-
-
-def _rand_generator(rng):
-    pool = ((0j, 0j, 0j, 0j), (0.5j, -0.25j, 0j, 0.5 + 0j))
-    def coeff():
-        kappa = pool[int(rng.integers(0, 2))]
-        return ExpPoly(
-            [
-                ExpTerm(
-                    complex(rng.normal(), rng.normal()),
-                    tuple(int(v) for v in rng.multinomial(int(rng.integers(0, 3)), [0.25] * 4)),
-                    kappa,
-                )
-                for _ in range(2)
-            ]
-        )
-    return LinDiffOp.first_order([coeff() for _ in range(4)], coeff())
-
-
 def test_criterion_11_algebra_properties():
     rng = np.random.default_rng(SEED)
 
     jacobi = 0.0
     for _ in range(50):
-        A, B, C = (_rand_generator(rng) for _ in range(3))
+        A, B, C = (rand_generator(rng) for _ in range(3))
         total = (
             commutator(A, commutator(B, C))
             + commutator(B, commutator(C, A))
@@ -375,13 +337,13 @@ def test_criterion_11_algebra_properties():
 
     anti = 0.0
     for _ in range(50):
-        A, B = _rand_op(rng), _rand_op(rng)
+        A, B = rand_op(rng), rand_op(rng)
         scale = max(A.max_coeff() * B.max_coeff(), 1.0)
         anti = max(anti, (commutator(A, B) + commutator(B, A)).max_coeff() / scale)
 
     coherence = 0.0
     for _ in range(50):
-        A, B, f = _rand_op(rng), _rand_op(rng), _rand_poly(rng)
+        A, B, f = rand_op(rng), rand_op(rng), rand_poly(rng)
         gap = (A.compose(B).apply(f) - A.apply(B.apply(f))).max_coeff()
         scale = max(A.max_coeff() * B.max_coeff() * f.max_coeff(), 1.0)
         coherence = max(coherence, gap / scale)
@@ -389,7 +351,7 @@ def test_criterion_11_algebra_properties():
     group = 0.0
     for _ in range(50):
         xi = [ExpPoly.linear_form(rng.normal(size=4) * 0.5, rng.normal() * 0.5) for _ in range(4)]
-        q = SymmetryCandidate(LinDiffOp.first_order(xi, ExpPoly.zero()), ExpPoly.zero(), 1)
+        q = LinDiffOp.first_order(xi, ExpPoly.zero())
         s, t = rng.uniform(-1, 1, 2)
         left = flow(q, s).compose(flow(q, t))
         right = flow(q, s + t)

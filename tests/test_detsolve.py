@@ -28,7 +28,7 @@ from commsym.detsolve import (
     structure_constants,
 )
 from commsym.expcore import ExpPoly
-from commsym.opalg import LinDiffOp, SymmetryCandidate, ad_power, residual_vs_multiple
+from commsym.opalg import LinDiffOp, ad_power, residual_vs_multiple
 from commsym.scenarios import (
     SchrodingerParams,
     boost_generator,
@@ -348,7 +348,7 @@ def test_structure_constants_rejects_dependent_basis():
 
 
 def test_flow_shear_is_galilei_boost():
-    amap = flow(SymmetryCandidate(op_x0d1(), ExpPoly.zero(), 2), 0.25)
+    amap = flow(op_x0d1(), 0.25)
     expected = np.eye(4)
     expected[1, 0] = 0.25
     assert np.allclose(amap.A, expected, atol=1e-14)
@@ -358,7 +358,7 @@ def test_flow_shear_is_galilei_boost():
 def test_flow_boost_matches_closed_form():
     # 2x2 hyperbolic rotation oracle
     theta = 0.37
-    amap = flow(SymmetryCandidate(boost_generator(), ExpPoly.zero(), 2), theta)
+    amap = flow(boost_generator(), theta)
     ch, sh = math.cosh(theta), math.sinh(theta)
     assert abs(amap.A[0, 0] - ch) < 1e-12
     assert abs(amap.A[0, 1] - sh) < 1e-12
@@ -367,24 +367,22 @@ def test_flow_boost_matches_closed_form():
 
 
 def test_flow_zero_parameter_is_identity():
-    amap = flow(SymmetryCandidate(boost_generator(), ExpPoly.zero(), 2), 0.0)
+    amap = flow(boost_generator(), 0.0)
     assert amap.approx_eq(AffineMap.identity())
 
 
-def rand_affine_candidate(rng):
+def rand_affine_generator(rng):
     xi = [
         ExpPoly.linear_form(rng.normal(size=4) * 0.5, rng.normal() * 0.5)
         for _ in range(4)
     ]
-    return SymmetryCandidate(
-        LinDiffOp.first_order(xi, ExpPoly.zero()), ExpPoly.zero(), 1
-    )
+    return LinDiffOp.first_order(xi, ExpPoly.zero())
 
 
 def test_flow_group_law():
     rng = np.random.default_rng(53)
     for _ in range(50):
-        q = rand_affine_candidate(rng)
+        q = rand_affine_generator(rng)
         s, t = rng.uniform(-1, 1, 2)
         left = flow(q, s).compose(flow(q, t))
         right = flow(q, s + t)
@@ -396,24 +394,27 @@ def test_flow_ode_finite_difference():
     rng = np.random.default_rng(59)
     h = 1e-5
     for _ in range(20):
-        q = rand_affine_candidate(rng)
+        q = rand_affine_generator(rng)
         theta = rng.uniform(-1, 1)
         x = rng.uniform(-1, 1, 4)
         dx = (flow(q, theta + h)(x) - flow(q, theta - h)(x)) / (2 * h)
         y = flow(q, theta)(x)
         xi = np.array(
-            [q.Q.coeff(tuple(1 if i == a else 0 for i in range(4))).evaluate(tuple(y)).real
+            [q.coeff(tuple(1 if i == a else 0 for i in range(4))).evaluate(tuple(y)).real
              for a in range(4)]
         )
         assert np.max(np.abs(dx - xi)) < 1e-7
 
 
 def test_flow_rejects_quadratic_coefficients():
-    q = SymmetryCandidate(
-        LinDiffOp([((1, 0, 0, 0), ExpPoly.monomial(1.0, (0, 2, 0, 0)))]),
-        ExpPoly.zero(),
-        1,
-    )
+    q = LinDiffOp([((1, 0, 0, 0), ExpPoly.monomial(1.0, (0, 2, 0, 0)))])
+    with pytest.raises(UnsupportedDegree):
+        flow(q, 0.5)
+
+
+def test_flow_rejects_second_order_operator():
+    # the second-order term would otherwise be skipped and the shear flowed
+    q = op_x0d1() + LinDiffOp.partial(2, 2)
     with pytest.raises(UnsupportedDegree):
         flow(q, 0.5)
 

@@ -7,20 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from randgen import rand_poly
 
 from commsym.expcore import MERGE_TOL, ExpPoly, ExpTerm, NonFinite
-
-
-def rand_poly(rng, n_terms=3, kappa_scale=0.5):
-    terms = []
-    for _ in range(n_terms):
-        alpha = tuple(int(v) for v in rng.integers(0, 2, 4))
-        kappa = tuple(
-            complex(a, b)
-            for a, b in zip(rng.normal(0, kappa_scale, 4), rng.normal(0, kappa_scale, 4))
-        )
-        terms.append(ExpTerm(complex(rng.normal(), rng.normal()), alpha, kappa))
-    return ExpPoly(terms)
 
 
 def eval_terms(terms, x):
@@ -177,6 +166,15 @@ def test_constant_zero_is_zero_poly():
 def test_coordinate_rejects_index_outside_0_to_3(a):
     with pytest.raises(ValueError):
         ExpPoly.coordinate(a)
+
+
+@pytest.mark.parametrize("a", [-1, 4])
+def test_derive_rejects_index_outside_0_to_3(a):
+    # unchecked, -1 indexes x3 (d3 x3 = 1), 4 raises IndexError and the zero
+    # polynomial, having no term to index, accepts any index
+    for f in (ExpPoly.coordinate(3), ExpPoly.zero()):
+        with pytest.raises(ValueError):
+            f.derive(a)
 
 
 def test_exp_term_is_a_named_tuple():

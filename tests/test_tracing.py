@@ -1,0 +1,44 @@
+"""The benchmark tracer still finds every entry point it wraps.
+
+``perfbench/tracing.py`` patches each traced method in the ``__dict__`` of
+the class that defines it, so a refactor that moves such a method to a base
+class breaks the benchmark's per-layer run.  This test installs the tracer,
+runs one traced call and restores the originals; it only reads perfbench/.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from commsym import detsolve, expcore
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _bound(owner, attr):
+    """What the tracer replaces: a class's own attribute or a module's binding."""
+    return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    return tracing
+
+
+def test_tracer_installs_and_restores(tracing):
+    originals = {(owner, attr): _bound(owner, attr) for _, owner, attr in tracing.ENTRY_POINTS}
+    numpy = detsolve.np
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert expcore.ExpPoly.__dict__["__mul__"] is not originals[(expcore.ExpPoly, "__mul__")]
+        expcore.ExpPoly.coordinate(0) * expcore.ExpPoly.coordinate(1)
+        assert tracer.layer_metrics()["expcore.mul.calls"][0] == 1
+    finally:
+        tracer.restore()
+    for (owner, attr), fn in originals.items():
+        assert _bound(owner, attr) is fn, f"{owner.__name__}.{attr} not restored"
+    assert detsolve.np is numpy
