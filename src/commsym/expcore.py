@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Index4 = tuple[int, int, int, int]
 CVec4 = tuple[complex, complex, complex, complex]
@@ -204,19 +204,7 @@ class ExpPoly(_Sum):
 
     def __mul__(self, other):
         if isinstance(other, ExpPoly):
-            prods = []
-            for s in self.terms:
-                sc, sa, sk = s.coeff, s.alpha, s.kappa
-                for o in other.terms:
-                    oa, ok = o.alpha, o.kappa
-                    prods.append(
-                        ExpTerm(
-                            sc * o.coeff,
-                            (sa[0] + oa[0], sa[1] + oa[1], sa[2] + oa[2], sa[3] + oa[3]),
-                            (sk[0] + ok[0], sk[1] + ok[1], sk[2] + ok[2], sk[3] + ok[3]),
-                        )
-                    )
-            return ExpPoly(prods)
+            return ExpPoly(_products(self.terms, other.terms, 1))
         c = complex(other)
         return ExpPoly(ExpTerm(t.coeff * c, t.alpha, t.kappa) for t in self.terms)
 
@@ -296,6 +284,19 @@ class ExpPoly(_Sum):
             bits.append(f"({t.coeff:.6g}){mono}{expo}")
         more = "" if len(self.terms) <= 4 else f" ... {len(self.terms)} terms"
         return "ExpPoly(" + " + ".join(bits) + more + ")"
+
+
+def _products(left, right, weight) -> Iterator[ExpTerm]:
+    """weight * s * o for every term s of left and o of right, unnormalized."""
+    for s in left:
+        sc, sa, sk = weight * s.coeff, s.alpha, s.kappa
+        for o in right:
+            oa, ok = o.alpha, o.kappa
+            yield ExpTerm(
+                sc * o.coeff,
+                (sa[0] + oa[0], sa[1] + oa[1], sa[2] + oa[2], sa[3] + oa[3]),
+                (sk[0] + ok[0], sk[1] + ok[1], sk[2] + ok[2], sk[3] + ok[3]),
+            )
 
 
 def _as_alpha(alpha: Sequence[int]) -> Index4:

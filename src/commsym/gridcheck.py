@@ -52,21 +52,26 @@ class GridSpec:
 
 
 def eval_on_grid(f: ExpPoly, grid: GridSpec) -> np.ndarray:
-    """Vectorized evaluation of f on the full 4D grid."""
-    axes = grid.axes()
-    shape = [
-        ax.reshape([-1 if i == d else 1 for i in range(4)])
-        for d, ax in enumerate(axes)
-    ]
-    out = np.zeros((grid.extent,) * 4, dtype=complex)
-    for t in f.terms:
-        term = np.full((grid.extent,) * 4, t.coeff, dtype=complex)
-        for a in range(4):
-            if t.alpha[a]:
-                term = term * shape[a] ** t.alpha[a]
-            if t.kappa[a] != 0:
-                term = term * np.exp(t.kappa[a] * shape[a])
-        out += term
+    """Values of f on the full 4D grid, indexed [i0, i1, i2, i3].
+
+    Each term c x^alpha exp(kappa . x) factors by axis, so with the per-axis
+    factor matrices F_a[t, i] = x_ai^alpha_ta exp(kappa_ta x_ai) the grid is
+    one matrix product, (c F_0 (x) F_1)^T @ (F_2 (x) F_3), over the terms t.
+    Overflow and NaN raise FloatingPointError whatever the warning filters;
+    underflow gives 0 silently.
+    """
+    n = grid.extent
+    coeff = np.array([t.coeff for t in f.terms], dtype=complex)
+    alpha = np.array([t.alpha for t in f.terms], dtype=int).reshape(-1, 4)
+    kappa = np.array([t.kappa for t in f.terms], dtype=complex).reshape(-1, 4)
+    with np.errstate(over="raise", invalid="raise", under="ignore"):
+        F = [
+            ax ** alpha[:, a, None] * np.exp(kappa[:, a, None] * ax)
+            for a, ax in enumerate(grid.axes())
+        ]
+        left = (coeff[:, None, None] * F[0][:, :, None] * F[1][:, None, :]).reshape(-1, n * n)
+        right = (F[2][:, :, None] * F[3][:, None, :]).reshape(-1, n * n)
+        out = (left.T @ right).reshape((n,) * 4)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("grid evaluation overflowed")
     return out

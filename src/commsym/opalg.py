@@ -19,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .expcore import ExpPoly, ExpTerm, Index4, ZERO_ALPHA, _UNIT, _Sum, _unit_index
+from .expcore import ExpPoly, ExpTerm, Index4, ZERO_ALPHA, _UNIT, _Sum, _products, _unit_index
 
 
 class ShapeMismatch(ValueError):
@@ -130,29 +130,11 @@ class LinDiffOp(_Sum):
 
         d^delta (c d^gamma) is the sum over beta <= delta of
         binom(delta, beta) (d^beta c) d^(delta - beta + gamma), binom being
-        the product of the four binomial coefficients.  For each term of self
-        the derivatives that land on one multi-index are summed into one
-        polynomial before its coefficient multiplies them.  Each d^beta c is
-        derived once per call, from d^(beta - e_a) c.
+        the product of the four binomial coefficients.  All products are
+        collected per resulting multi-index and normalized once there
+        (see _leibniz).
         """
-        derived = {(j, ZERO_ALPHA): c for j, (_, c) in enumerate(other.terms)}
-        collected: list[tuple[Index4, ExpPoly]] = []
-        for delta, coeff in self.terms:
-            peeled: dict[Index4, list[ExpPoly]] = defaultdict(list)  # d^delta . other
-            # product order lists beta - e_a, a the first nonzero index of beta, before beta
-            for beta in itertools.product(*(range(n + 1) for n in delta)):
-                weight = math.prod(math.comb(n, b) for n, b in zip(delta, beta))
-                for j, (gamma, c) in enumerate(other.terms):
-                    if (j, beta) not in derived:
-                        a = next(i for i, n in enumerate(beta) if n)
-                        lower = beta[:a] + (beta[a] - 1,) + beta[a + 1:]
-                        derived[(j, beta)] = derived[(j, lower)].derive(a)
-                    dc = derived[(j, beta)]
-                    if dc.terms:
-                        target = tuple(n - b + g for n, b, g in zip(delta, beta, gamma))
-                        peeled[target].append(dc if weight == 1 else weight * dc)
-            collected.extend((d, coeff * _sum(parts)) for d, parts in peeled.items())
-        return LinDiffOp(collected)
+        return _leibniz(((1, self, other),), with_zero=True)
 
     # -- repr ----------------------------------------------------------------
 
@@ -172,9 +154,46 @@ def _sum(polys: list[ExpPoly]) -> ExpPoly:
     return polys[0] if len(polys) == 1 else ExpPoly([t for p in polys for t in p.terms])
 
 
+def _leibniz(products: Sequence[tuple[int, LinDiffOp, LinDiffOp]], with_zero: bool) -> LinDiffOp:
+    """sum of sign * a.b over (sign, a, b) in products, by the Leibniz rule.
+
+    For each term c d^delta of a and c' d^gamma of b, a.b is the sum over
+    beta <= delta of binom(delta, beta) c (d^beta c') d^(delta - beta + gamma);
+    beta = 0 is left out unless with_zero.  The product terms stay
+    unnormalized until the one gate at the end, one ExpPoly per multi-index.
+    Each d^beta c' is derived once per product, from d^(beta - e_k) c'.
+    """
+    collected: dict[Index4, list[ExpTerm]] = defaultdict(list)
+    for sign, a, b in products:
+        derived = {(j, ZERO_ALPHA): c for j, (_, c) in enumerate(b.terms)}
+        for delta, coeff in a.terms:
+            # product order lists beta - e_k, k the first nonzero index of
+            # beta, before beta, and beta = 0 first
+            betas = itertools.product(*(range(n + 1) for n in delta))
+            if not with_zero:
+                next(betas)
+            for beta in betas:
+                weight = sign * math.prod(math.comb(n, m) for n, m in zip(delta, beta))
+                for j, (gamma, c) in enumerate(b.terms):
+                    if (j, beta) not in derived:
+                        k = next(i for i, n in enumerate(beta) if n)
+                        lower = beta[:k] + (beta[k] - 1,) + beta[k + 1:]
+                        derived[(j, beta)] = derived[(j, lower)].derive(k)
+                    target = tuple(n - m + g for n, m, g in zip(delta, beta, gamma))
+                    collected[target].extend(_products(coeff.terms, derived[(j, beta)].terms, weight))
+    return LinDiffOp((d, ExpPoly(terms)) for d, terms in collected.items())
+
+
 def commutator(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
-    """[a, b] = a.b - b.a."""
-    return a.compose(b) - b.compose(a)
+    """[a, b] = a.b - b.a in closed Leibniz form.
+
+    The beta = 0 terms of a.b and b.a are the same products
+    c_delta c'_gamma d^(delta + gamma) and cancel exactly, so only beta != 0
+    is expanded, both ways, and the difference passes one gate; this is the
+    cancellation detsolve._AdMap makes on the monomial basis.  The bracket
+    of two first-order operators therefore has no second-order term at all.
+    """
+    return _leibniz(((1, a, b), (-1, b, a)), with_zero=False)
 
 
 def ad_power(L: LinDiffOp, Q: LinDiffOp, p: int) -> LinDiffOp:

@@ -1,5 +1,7 @@
 """Finite-difference oracle: residual bounds, convergence order, guards."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,60 @@ def test_eval_on_grid_matches_pointwise():
         idx = tuple(int(v) for v in rng.integers(0, 5, 4))
         x = tuple(axes[a][idx[a]] for a in range(4))
         assert abs(values[idx] - f.evaluate(x)) < 1e-13
+
+
+SMALL_GRID = GridSpec(origin=(0.3, -0.2, 0.1, 0.5), h=0.25, extent=5)
+
+
+def _assert_grid_matches_evaluate(f, grid):
+    values = eval_on_grid(f, grid)
+    assert values.shape == (grid.extent,) * 4 and values.dtype == complex
+    axes = grid.axes()
+    exact = np.array([
+        f.evaluate(tuple(axes[a][i] for a, i in enumerate(idx)))
+        for idx in np.ndindex(values.shape)
+    ]).reshape(values.shape)
+    assert np.max(np.abs(values - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_eval_on_grid_matches_evaluate_everywhere():
+    # twenty terms, exponents up to 3, complex covectors: every point of 5^4
+    rng = np.random.default_rng(3)
+    f = ExpPoly([
+        ExpTerm(
+            complex(rng.normal(), rng.normal()),
+            tuple(int(v) for v in rng.integers(0, 4, 4)),
+            tuple(complex(a, b) for a, b in zip(rng.normal(0, 0.5, 4), rng.normal(0, 0.5, 4))),
+        )
+        for _ in range(20)
+    ])
+    assert len(f.terms) == 20
+    _assert_grid_matches_evaluate(f, SMALL_GRID)
+
+
+def test_eval_on_grid_zero_and_constant():
+    zero = eval_on_grid(ExpPoly.zero(), SMALL_GRID)
+    assert zero.shape == (5,) * 4 and zero.dtype == complex and not np.any(zero)
+    _assert_grid_matches_evaluate(ExpPoly.constant(2 - 1j), SMALL_GRID)
+
+
+@pytest.mark.parametrize("action", ["error", "default", "always", "ignore"])
+def test_eval_on_grid_overflow_raises_under_any_warning_filter(action):
+    f = ExpPoly.exponential(1, (800, 0, 0, 0))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        with pytest.raises(FloatingPointError):
+            eval_on_grid(f, GridSpec(h=1.0, extent=5))
+    assert not seen
+
+
+def test_eval_on_grid_underflow_is_silent_zero():
+    # x0 runs over 1..5, so exp(-800 x0) underflows everywhere
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = ExpPoly.exponential(1, (-800, 0, 0, 0))
+        values = eval_on_grid(f, GridSpec(origin=(3, 0, 0, 0), h=1.0, extent=5))
+    assert values.shape == (5,) * 4 and not np.any(values)
 
 
 def test_fd_on_shell_wave_residual_is_second_order():

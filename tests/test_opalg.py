@@ -162,6 +162,42 @@ def test_jacobi_identity():
         assert total.max_coeff() <= 1e-10 * scale
 
 
+def _compose_difference(a, b):
+    """The bracket by its definition, a.b - b.a, beta = 0 products included."""
+    return a.compose(b) - b.compose(a)
+
+
+def _assert_same_bracket(got, a, b):
+    """got equals a.b - b.a within 1e-12 of the larger product."""
+    ab, ba = a.compose(b), b.compose(a)
+    scale = max(ab.max_coeff(), ba.max_coeff(), 1.0)
+    assert (got - (ab - ba)).max_coeff() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("draw", [rand_op, rand_generator], ids=["order2_exponential", "generator_pool"])
+def test_commutator_matches_compose_difference(draw):
+    # rand_op: order <= 2, three exponential terms per coefficient;
+    # rand_generator: first order, coefficients on a shared two-covector pool
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        A, B = draw(rng), draw(rng)
+        _assert_same_bracket(commutator(A, B), A, B)
+
+
+def test_ad_power_matches_iterated_compose_difference():
+    rng = np.random.default_rng(53)
+    for _ in range(5):
+        L, Q = rand_op(rng), rand_generator(rng)
+        _assert_same_bracket(ad_power(L, Q, 2), L, _compose_difference(L, Q))
+
+
+def test_first_order_bracket_has_no_second_order_key():
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        A, B = rand_generator(rng), rand_generator(rng)
+        assert all(sum(delta) <= 1 for delta, _ in commutator(A, B).terms)
+
+
 def test_constant_coefficient_absorption():
     # constant-coefficient L + affine-coefficient Q: [L,Q] constant, ad^2 = 0
     rng = np.random.default_rng(41)
