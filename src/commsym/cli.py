@@ -148,7 +148,7 @@ SCENARIOS = {s.name: s for s in (
     Scenario(
         "detsolve", "rediscover generators from the determining system",
         (
-            ("--operator", dict(choices=("box", "schrod"), default="box")),
+            ("--operator", dict(choices=tuple(sc.SEARCH_OPERATORS), default="box")),
             ("--degree", dict(type=int, default=1)),
             ("--p", dict(type=int, default=2)),
             ("--zeta-degree", dict(type=int, default=0)),

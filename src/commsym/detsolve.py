@@ -44,6 +44,8 @@ class NotClosed(RuntimeError):
     """Commutators leave the span of the candidate basis."""
 
 
+# null cutoff: singular values at most NULL_TOL * sigma_max count as zero
+NULL_TOL = 1e-8
 # gap ratio below which the null cutoff is declared ambiguous
 _GAP_GUARD = 10.0
 # structure constants: rank cutoff (relative) and largest closure residual
@@ -266,10 +268,10 @@ def null_rank(sigma: np.ndarray, tol: float) -> int:
     return rank
 
 
-def solve_null_space(system: DeterminingSystem, tol: float = 1e-8) -> GeneratorBasis:
+def solve_null_space(system: DeterminingSystem) -> GeneratorBasis:
     """Orthonormal null-space basis of the determining system.
 
-    The rank comes from :func:`null_rank` at tol.  The null vectors are
+    The rank comes from :func:`null_rank` at NULL_TOL.  The null vectors are
     re-verified through the operator algebra, which shares nothing with the
     assembly of the matrix: one ``ad_power`` of system.L on the candidate of
     a random combination sum_i r_i v_i with fixed-seed unit-modulus weights
@@ -283,7 +285,7 @@ def solve_null_space(system: DeterminingSystem, tol: float = 1e-8) -> GeneratorB
     if not np.all(np.isfinite(m)):
         raise ValueError("determining system contains non-finite entries")
     _, sigma, vh = np.linalg.svd(m, full_matrices=True)  # vh is the identity for 0 rows
-    vectors = np.conj(vh[null_rank(sigma, tol):])
+    vectors = np.conj(vh[null_rank(sigma, NULL_TOL):])
     return GeneratorBasis(vectors, sigma, _reverify(system, vectors))
 
 
@@ -378,10 +380,6 @@ class AffineMap:
             raise ValueError("AffineMap needs a 4x4 matrix and a 4-vector")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
-
-    @classmethod
-    def identity(cls) -> "AffineMap":
-        return cls(np.eye(4), np.zeros(4))
 
     def __call__(self, x: Sequence[float]) -> np.ndarray:
         return self.A @ np.asarray(x, dtype=float) + self.b

@@ -169,10 +169,6 @@ class ExpPoly(_Sum):
         return cls._raw((ExpTerm(1 + 0j, _unit_index(a)),))
 
     @classmethod
-    def monomial(cls, coeff: complex, alpha: Sequence[int]) -> "ExpPoly":
-        return cls([ExpTerm(complex(coeff), _as_alpha(alpha))])
-
-    @classmethod
     def exponential(cls, coeff: complex, kappa: Sequence[complex]) -> "ExpPoly":
         return cls([ExpTerm(complex(coeff), ZERO_ALPHA, _as_kappa(kappa))])
 
@@ -297,13 +293,6 @@ def _products(left, right, weight) -> Iterator[ExpTerm]:
                 (sa[0] + oa[0], sa[1] + oa[1], sa[2] + oa[2], sa[3] + oa[3]),
                 (sk[0] + ok[0], sk[1] + ok[1], sk[2] + ok[2], sk[3] + ok[3]),
             )
-
-
-def _as_alpha(alpha: Sequence[int]) -> Index4:
-    a = tuple(int(v) for v in alpha)
-    if len(a) != 4 or any(v < 0 for v in a):
-        raise ValueError("alpha must be four non-negative integers")
-    return a  # type: ignore[return-value]
 
 
 def _as_kappa(kappa: Sequence[complex]) -> CVec4:

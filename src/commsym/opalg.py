@@ -17,7 +17,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .expcore import ExpPoly, ExpTerm, Index4, ZERO_ALPHA, _UNIT, _Sum, _products, _unit_index
 
@@ -62,11 +62,6 @@ class LinDiffOp(_Sum):
         return cls([(tuple(int(power) * v for v in _unit_index(a)), ExpPoly.constant(1))])
 
     @classmethod
-    def multiplication(cls, f: ExpPoly) -> "LinDiffOp":
-        """Multiplication by the function f as a zeroth-order operator."""
-        return cls(((ZERO_ALPHA, f),))
-
-    @classmethod
     def first_order(cls, xi: Sequence[ExpPoly], eta: ExpPoly) -> "LinDiffOp":
         """xi^a(x) d_a + eta(x), the generator ansatz shape."""
         if len(xi) != 4:
@@ -81,22 +76,8 @@ class LinDiffOp(_Sum):
     def order(self) -> int:
         return max((sum(d) for d, _ in self.terms), default=0)
 
-    def coeff(self, delta: Sequence[int]) -> ExpPoly:
-        d = tuple(int(v) for v in delta)
-        for dd, c in self.terms:
-            if dd == d:
-                return c
-        return ExpPoly.zero()
-
     def max_coeff(self) -> float:
         return max((c.max_coeff() for _, c in self.terms), default=0.0)
-
-    def has_constant_coefficients(self) -> bool:
-        return all(
-            t.alpha == ZERO_ALPHA and all(k == 0 for k in t.kappa)
-            for _, c in self.terms
-            for t in c.terms
-        )
 
     def has_exponential_coefficients(self) -> bool:
         return any(c.has_exponential() for _, c in self.terms)
@@ -110,20 +91,19 @@ class LinDiffOp(_Sum):
         c = complex(scalar)
         return LinDiffOp((d, coeff * c) for d, coeff in self.terms)
 
-    def premultiply(self, f: ExpPoly) -> "LinDiffOp":
-        """The operator f(x) * self (function times operator)."""
-        return LinDiffOp((d, f * c) for d, c in self.terms)
-
     def apply(self, f: ExpPoly) -> ExpPoly:
         """Apply the operator to a function."""
-        out: list[ExpTerm] = []
+        return ExpPoly(self._applied(f))
+
+    def _applied(self, f: ExpPoly) -> Iterator[ExpTerm]:
+        """The terms of self applied to f, unnormalized: the products
+        coeff * (d^delta f), each left to the caller's one gate."""
         for delta, coeff in self.terms:
             g = f
             for a in range(4):
                 for _ in range(delta[a]):
                     g = g.derive(a)
-            out.extend((coeff * g).terms)
-        return ExpPoly(out)
+            yield from _products(coeff.terms, g.terms, 1)
 
     def compose(self, other: "LinDiffOp") -> "LinDiffOp":
         """Operator product self . other, expanded by the Leibniz rule.
@@ -216,7 +196,7 @@ def residual_vs_multiple(
     ad_L^p(Q) = zeta L.  zeta is caller-supplied: solving for it is a linear
     problem that lives in :mod:`commsym.detsolve`.
     """
-    residual = A - L.premultiply(zeta)
+    residual = A - LinDiffOp((d, zeta * c) for d, c in L.terms)
     return residual, residual.max_coeff()
 
 
@@ -257,6 +237,6 @@ class MatrixDiffOp:
                 f"operator has {n_cols} columns but got {len(fields)} fields"
             )
         return [
-            ExpPoly([t for entry, f in zip(row, fields) for t in entry.apply(f).terms])
+            ExpPoly(t for entry, f in zip(row, fields) for t in entry._applied(f))
             for row in self.rows
         ]

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import detsolve
-from .expcore import ExpPoly
+from .expcore import ExpPoly, _products
 from .opalg import LinDiffOp, MatrixDiffOp, ad_power
 
 # engaging-check pass thresholds, per scenario
@@ -722,7 +722,17 @@ def transform_fields(fields: Sequence[ExpPoly], t: MaxwellTransform) -> list[Exp
 
 
 def _dot(fields_a: Sequence[ExpPoly], fields_b: Sequence[ExpPoly]) -> ExpPoly:
-    return ExpPoly([t for a, b in zip(fields_a, fields_b) for t in (a * b).terms])
+    return ExpPoly(t for a, b in zip(fields_a, fields_b) for t in _products(a.terms, b.terms, 1))
+
+
+def _coeff_inner(rows_a: Sequence[ExpPoly], rows_b: Sequence[ExpPoly]) -> complex:
+    """sum of conj(a) * b over the coefficients of the terms (alpha, kappa)
+    that a row of rows_a and the same row of rows_b share."""
+    total = 0j
+    for a, b in zip(rows_a, rows_b):
+        coeffs = {(t.alpha, t.kappa): t.coeff for t in b.terms}
+        total += sum(t.coeff.conjugate() * coeffs.get((t.alpha, t.kappa), 0) for t in a.terms)
+    return total
 
 
 def run_maxwell(
@@ -745,11 +755,19 @@ def run_maxwell(
         )
     )
 
-    sign_defect = abs(transform.h23 + transform.e23)  # the paper's h23 against eq29
-    checks.append(_check("eq29_sign_relations", "eq29", sign_defect, IDENTITY_TOL))
-
+    primed = maxwell_primed_operator(p)
     primed_fields = transform_fields(fields, transform)
-    primed_rows = maxwell_primed_operator(p).apply(primed_fields)
+    primed_rows = primed.apply(primed_fields)
+
+    # eq29: h23 enters the primed fields only as kappa Phi_D h23 H3 in E2, so
+    # the primed rows R lie along P G, G = kappa Phi_D phi in E2, with weight
+    # (h23 - h23 of eq29) H3 / phi; G uses phi, not H3, so that a small H3
+    # amplitude does not amplify rounding
+    g = transform.kappa * (transform.phi_D * plane_wave(p))
+    along = [row[1].apply(g) for row in primed.rows]  # P G: column E2 of P
+    h23_defect = abs(_coeff_inner(along, primed_rows)) / _coeff_inner(along, along).real
+    h23_defect /= max(1.0, abs(transform.h23))
+    checks.append(_check("eq29_sign_relations", "eq29", h23_defect, IDENTITY_TOL))
     for name, row in zip(MAXWELL_ROW_NAMES, primed_rows):
         checks.append(
             _check(f"eq26_engaging_{name}", "eq26,eq28,eq29", row.max_coeff(), engaging_tol)
@@ -943,6 +961,13 @@ def igl_generator_vectors(system) -> dict[str, np.ndarray]:
     return out
 
 
+# the operators a generator search runs on, by the name the CLI offers
+SEARCH_OPERATORS = {
+    "box": wave_operator,
+    "schrod": lambda: schrodinger_operator(SchrodingerParams()),
+}
+
+
 def run_generator_search(
     operator: str = "box",
     degree: int = 1,
@@ -952,12 +977,11 @@ def run_generator_search(
 ) -> ScenarioReport:
     """Rediscover symmetry generators from the determining system and verify
     the result against independent observables."""
-    if operator == "box":
-        L = wave_operator()
-    elif operator == "schrod":
-        L = schrodinger_operator(SchrodingerParams())
-    else:
-        raise InvalidParams(f"unknown operator {operator!r}; use 'box' or 'schrod'")
+    build = SEARCH_OPERATORS.get(operator)
+    if build is None:
+        names = " or ".join(repr(name) for name in SEARCH_OPERATORS)
+        raise InvalidParams(f"unknown operator {operator!r}; use {names}")
+    L = build()
     spec = detsolve.AnsatzSpec(degree=degree, p=p, zeta_degree=zeta_degree)
     system = detsolve.build_determining_system(L, spec)
     basis = detsolve.solve_null_space(system)
@@ -986,7 +1010,8 @@ def run_generator_search(
 
     # the null dimension read from the same spectrum at cutoffs x10 and /10
     dims = [
-        len(system.unknowns) - detsolve.null_rank(basis.singular_values, 1e-8 * factor)
+        len(system.unknowns)
+        - detsolve.null_rank(basis.singular_values, detsolve.NULL_TOL * factor)
         for factor in (10.0, 0.1)
     ]
     stability = max(abs(d - basis.dimension) for d in dims)

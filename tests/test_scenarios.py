@@ -1,5 +1,6 @@
 """Scenario suites: spot values, trivial frames, sweeps, error guards."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -73,7 +74,7 @@ def test_dalembert_invalid_params():
 
 def test_infer_weight_identity():
     phi = sc.plane_wave(sc.DalembertParams(beta=0.1, n=(0, 1, 0)))
-    w = sc.infer_weight(phi, AffineMap.identity(), phi)
+    w = sc.infer_weight(phi, AffineMap(np.eye(4), np.zeros(4)), phi)
     assert w.approx_eq(ExpPoly.constant(1), 1e-14)
 
 
@@ -106,10 +107,11 @@ def test_infer_weight_rejects_two_terms():
     p = sc.DalembertParams(beta=0.1, n=(0, 1, 0))
     phi = sc.plane_wave(p)
     two = phi + ExpPoly.constant(1)
+    identity = AffineMap(np.eye(4), np.zeros(4))
     with pytest.raises(sc.NotSingleExponential):
-        sc.infer_weight(two, AffineMap.identity(), phi)
+        sc.infer_weight(two, identity, phi)
     with pytest.raises(sc.NotSingleExponential):
-        sc.infer_weight(ExpPoly.coordinate(1) * phi, AffineMap.identity(), phi)
+        sc.infer_weight(ExpPoly.coordinate(1) * phi, identity, phi)
 
 
 # -- Schrodinger ---------------------------------------------------------------
@@ -193,6 +195,21 @@ def test_maxwell_transform_spot_values():
     assert abs(t.kappa - lam) < 1e-12
     assert abs(t.e23 - 0.3 / lam) < 1e-12
     assert t.h23 == -t.e23
+
+
+def test_eq29_fails_when_e23_and_h23_are_both_negated(monkeypatch):
+    # h23 = -e23 still holds, so only the primed Maxwell rows can show the error
+    original = sc.MaxwellTransform.from_params
+
+    def negated(p):
+        t = original(p)
+        return dataclasses.replace(t, e23=-t.e23, h23=-t.h23)
+
+    p = sc.DalembertParams(beta=0.3, n=(0, 1, 0))
+    assert sc.run_maxwell(p).check("eq29_sign_relations").residual < 1e-15
+    monkeypatch.setattr(sc.MaxwellTransform, "from_params", negated)
+    check = sc.run_maxwell(p).check("eq29_sign_relations")
+    assert check.residual > 0.5 and not check.passed
 
 
 def test_maxwell_identity_frame():

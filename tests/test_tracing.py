@@ -1,13 +1,16 @@
-"""The benchmark tracer still finds every entry point it wraps.
+"""The benchmark still runs on the current API.
 
 ``perfbench/tracing.py`` patches each traced method in the ``__dict__`` of
 the class that defines it, so a refactor that moves such a method to a base
-class breaks the benchmark's per-layer run.  This test installs the tracer,
-runs one traced call and restores the originals; it only reads perfbench/.
+class breaks the benchmark's per-layer run.  One test installs the tracer,
+runs one traced call and restores the originals; another runs each
+workload's warm-up operations and judges them against their known answers.
+Both only read perfbench/.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from commsym import detsolve, expcore
@@ -42,3 +45,13 @@ def test_tracer_installs_and_restores(tracing):
     for (owner, attr), fn in originals.items():
         assert _bound(owner, attr) is fn, f"{owner.__name__}.{attr} not restored"
     assert detsolve.np is numpy
+
+
+def test_benchmark_warmup_verdicts_ok(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for name in workloads.WORKLOADS:
+        for op in workloads.warmup_ops(name, np.random.default_rng(0)):
+            verdict = op.judge(op.run())
+            assert verdict.ok, (name, op.kind, verdict.wrong)
