@@ -46,6 +46,8 @@ class NotClosed(RuntimeError):
 
 # null cutoff: singular values at most NULL_TOL * sigma_max count as zero
 NULL_TOL = 1e-8
+# largest coefficient of ad_L^p(Q) - zeta L a re-verified candidate may leave
+REVERIFY_TOL = 1e-8
 # gap ratio below which the null cutoff is declared ambiguous
 _GAP_GUARD = 10.0
 # structure constants: rank cutoff (relative) and largest closure residual
@@ -277,8 +279,8 @@ def solve_null_space(system: DeterminingSystem) -> GeneratorBasis:
     a random combination sum_i r_i v_i with fixed-seed unit-modulus weights
     (Freivalds' check: a wrong vector survives it only for weights in a
     measure-zero set).  Its residual ad_L^p(Q) - zeta L is kept on the basis
-    when its largest coefficient is at most 1e-8.  Otherwise every candidate
-    gets its own ``ad_power``; the first one above 1e-8 raises RuntimeError
+    when its largest coefficient is at most REVERIFY_TOL.  Otherwise every
+    candidate gets its own ``ad_power``; the first one above it raises RuntimeError
     naming the witness term, and if none is, their worst residual is kept.
     """
     m = system.matrix
@@ -306,12 +308,12 @@ def _reverify(system: DeterminingSystem, vectors: np.ndarray) -> float:
     if len(vectors) == 0:
         return 0.0
     _, res = residual(_freivalds_combination(vectors))
-    if res <= 1e-8:
+    if res <= REVERIFY_TOL:
         return res
     worst = 0.0
     for i, vec in enumerate(vectors):
         op, res = residual(vec)
-        if res > 1e-8:
+        if res > REVERIFY_TOL:
             delta, coeff = max(op.terms, key=lambda dc: dc[1].max_coeff())
             t = coeff.witness()
             raise RuntimeError(

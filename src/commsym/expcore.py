@@ -23,6 +23,8 @@ import cmath
 import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 Index4 = tuple[int, int, int, int]
 CVec4 = tuple[complex, complex, complex, complex]
 
@@ -37,8 +39,8 @@ _UNIT: tuple[Index4, ...] = (
 )
 
 
-class NonFinite(ArithmeticError):
-    """A coefficient or exponent overflowed or turned into NaN."""
+class NonFinite(FloatingPointError):
+    """A coefficient, exponent or value overflowed or turned into NaN."""
 
 
 # drop a term whose coefficient is below ZERO_TOL * (largest coefficient)
@@ -217,24 +219,21 @@ class ExpPoly(_Sum):
                 out.append(ExpTerm(t.coeff * t.kappa[a], t.alpha, t.kappa))
         return ExpPoly(out)
 
-    def evaluate(self, x: Sequence[float]) -> complex:
-        """Pointwise value at a real 4-point."""
-        if len(x) != 4 or not all(math.isfinite(float(v)) for v in x):
-            raise ValueError("evaluation point must be a finite 4-vector")
-        total = 0j
-        for t in self.terms:
-            mono = 1.0
-            for xa, aa in zip(x, t.alpha):
-                if aa:
-                    mono *= float(xa) ** aa
-            phase = sum(k * float(xa) for k, xa in zip(t.kappa, x))
-            try:
-                total += t.coeff * mono * cmath.exp(phase)
-            except OverflowError as exc:
-                raise NonFinite("exp overflow during evaluation") from exc
-        if not cmath.isfinite(total):
+    def evaluate(self, x) -> complex | np.ndarray:
+        """The value at a real 4-point, or the m values at the rows of an (m, 4)
+        array.  Overflow and NaN raise NonFinite under any warning filter."""
+        points = np.asarray(x, dtype=float)
+        if points.ndim not in (1, 2) or points.shape[-1] != 4 or not np.all(np.isfinite(points)):
+            raise ValueError("evaluation points must be finite 4-vectors")
+        try:
+            with np.errstate(over="raise", invalid="raise", under="ignore"):
+                coeff, F = _axis_factors(self.terms, points.reshape(-1, 4))
+                values = coeff @ (F[0] * F[1] * F[2] * F[3])
+        except FloatingPointError as exc:
+            raise NonFinite("evaluation overflowed") from exc
+        if not np.all(np.isfinite(values)):
             raise NonFinite("non-finite evaluation result")
-        return total
+        return complex(values[0]) if points.ndim == 1 else values
 
     def substitute_affine(self, A, b) -> "ExpPoly":
         """Compose with the affine change of variables x -> A x + b.
@@ -293,6 +292,18 @@ def _products(left, right, weight) -> Iterator[ExpTerm]:
                 (sa[0] + oa[0], sa[1] + oa[1], sa[2] + oa[2], sa[3] + oa[3]),
                 (sk[0] + ok[0], sk[1] + ok[1], sk[2] + ok[2], sk[3] + ok[3]),
             )
+
+
+def _axis_factors(terms: Sequence[ExpTerm], coords: np.ndarray):
+    """Coefficients c[t] and factors F[a, t, i] = x_ai^alpha_ta exp(kappa_ta x_ai)
+    at the rows x_i of coords, so that sum_t c[t] prod_a F[a, t, i] = f(x_i).
+    Callers keep it, their products and their contraction inside one
+    np.errstate(over="raise", invalid="raise"): overflow raises, never warns."""
+    coeff = np.array([t.coeff for t in terms], dtype=complex)
+    alpha = np.array([t.alpha for t in terms], dtype=int).reshape(-1, 4).T[:, :, None]
+    kappa = np.array([t.kappa for t in terms], dtype=complex).reshape(-1, 4).T[:, :, None]
+    x = coords.T[:, None, :]
+    return coeff, x ** alpha * np.exp(kappa * x)
 
 
 def _as_kappa(kappa: Sequence[complex]) -> CVec4:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expcore import ExpPoly
+from .expcore import ExpPoly, _axis_factors
 from .opalg import LinDiffOp
 
 
@@ -54,21 +54,15 @@ class GridSpec:
 def eval_on_grid(f: ExpPoly, grid: GridSpec) -> np.ndarray:
     """Values of f on the full 4D grid, indexed [i0, i1, i2, i3].
 
-    Each term c x^alpha exp(kappa . x) factors by axis, so with the per-axis
-    factor matrices F_a[t, i] = x_ai^alpha_ta exp(kappa_ta x_ai) the grid is
-    one matrix product, (c F_0 (x) F_1)^T @ (F_2 (x) F_3), over the terms t.
+    Each term c x^alpha exp(kappa . x) factors by axis, so with the axis
+    factors F_a[t, i] of expcore._axis_factors the grid is one matrix
+    product, (c F_0 (x) F_1)^T @ (F_2 (x) F_3), over the terms t.
     Overflow and NaN raise FloatingPointError whatever the warning filters;
     underflow gives 0 silently.
     """
     n = grid.extent
-    coeff = np.array([t.coeff for t in f.terms], dtype=complex)
-    alpha = np.array([t.alpha for t in f.terms], dtype=int).reshape(-1, 4)
-    kappa = np.array([t.kappa for t in f.terms], dtype=complex).reshape(-1, 4)
     with np.errstate(over="raise", invalid="raise", under="ignore"):
-        F = [
-            ax ** alpha[:, a, None] * np.exp(kappa[:, a, None] * ax)
-            for a, ax in enumerate(grid.axes())
-        ]
+        coeff, F = _axis_factors(f.terms, np.stack(grid.axes(), axis=1))
         left = (coeff[:, None, None] * F[0][:, :, None] * F[1][:, None, :]).reshape(-1, n * n)
         right = (F[2][:, :, None] * F[3][:, None, :]).reshape(-1, n * n)
         out = (left.T @ right).reshape((n,) * 4)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import detsolve
-from .expcore import ExpPoly, _products
+from .expcore import _UNIT, ExpPoly, _products
 from .opalg import LinDiffOp, MatrixDiffOp, ad_power
 
 # engaging-check pass thresholds, per scenario
@@ -346,7 +346,7 @@ _BALL = _ball_points()
 
 
 def _sup_on_ball(f: ExpPoly) -> float:
-    return max(abs(f.evaluate(tuple(x))) for x in _BALL)
+    return float(np.max(np.abs(f.evaluate(_BALL))))
 
 
 def _halving_ratio_residual(dev) -> float:
@@ -923,19 +923,18 @@ def run_igl_sweep() -> ScenarioReport:
     """All 40 commutator identities behind the maximal linear symmetry group:
     translations at order 1 and the 16 linear generators x^a d_b at order 2,
     against both the wave and the default Schrodinger operator."""
-    schrod = SchrodingerParams()
-    operators = (("box", wave_operator()), ("schrod", schrodinger_operator(schrod)))
     checks = []
-    for op_name, L in operators:
+    for op_name, build in SEARCH_OPERATORS.items():
+        L = build()
         for a in range(4):
             res = ad_power(L, LinDiffOp.partial(a), 1).max_coeff()
             checks.append(_check(f"eq31_{op_name}_p{a}", "eq31", res, IDENTITY_TOL))
         for a in range(4):
             for b in range(4):
-                g = LinDiffOp([(tuple(1 if i == b else 0 for i in range(4)), ExpPoly.coordinate(a))])
+                g = LinDiffOp([(_UNIT[b], ExpPoly.coordinate(a))])
                 res = ad_power(L, g, 2).max_coeff()
                 checks.append(_check(f"eq31_{op_name}_g{a}{b}", "eq31", res, IDENTITY_TOL))
-    return ScenarioReport("igl-sweep", {"W": schrod.W}, tuple(checks))
+    return ScenarioReport("igl-sweep", {"W": SchrodingerParams().W}, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -989,14 +988,8 @@ def run_generator_search(
 
     rng = np.random.default_rng(seed)
     oracle_dim = detsolve.apply_probe_null_dimension(system, rng)
-    checks.append(
-        _check(
-            "detsolve_nullspace_dim_matches_oracle",
-            "sec2",
-            abs(basis.dimension - oracle_dim),
-            0.5,
-        )
-    )
+    checks.append(_check("detsolve_nullspace_dim_matches_oracle", "sec2",
+                         abs(basis.dimension - oracle_dim), 0.5))
 
     if degree >= 1 and p == 2:
         worst = max(
@@ -1004,9 +997,8 @@ def run_generator_search(
         )
         checks.append(_check("detsolve_igl_generators_in_span", "eq31,sec4", worst, 1e-8))
 
-    checks.append(
-        _check("detsolve_candidates_reverify", "eq5,eq6", basis.reverify_residual, 1e-8)
-    )
+    checks.append(_check("detsolve_candidates_reverify", "eq5,eq6",
+                         basis.reverify_residual, detsolve.REVERIFY_TOL))
 
     # the null dimension read from the same spectrum at cutoffs x10 and /10
     dims = [

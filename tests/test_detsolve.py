@@ -138,6 +138,7 @@ def test_probe_sample_applies_residual_operators():
     ("schrod", 2, 1, 1, 13),
     ("schrod", 3, 1, 2, 13),
     ("box", 3, 2, 2, 46),
+    ("schrod", 3, 2, 2, 47),
 ])
 def test_null_dimensions_pinned(operator, degree, p, zeta_degree, expected):
     system, basis = system_and_basis(operator, degree, p, zeta_degree)

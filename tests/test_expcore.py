@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -282,6 +283,55 @@ def test_evaluate_overflow_raises():
     f = ExpPoly.exponential(1.0, (800.0, 0, 0, 0))
     with pytest.raises(NonFinite):
         f.evaluate((2.0, 0, 0, 0))
+
+
+def test_evaluate_rows_match_term_by_term_sum():
+    # the twenty-term polynomial of test_eval_on_grid_matches_evaluate_everywhere
+    rng = np.random.default_rng(3)
+    raw = [
+        ExpTerm(
+            complex(rng.normal(), rng.normal()),
+            tuple(int(v) for v in rng.integers(0, 4, 4)),
+            tuple(complex(a, b) for a, b in zip(rng.normal(0, 0.5, 4), rng.normal(0, 0.5, 4))),
+        )
+        for _ in range(20)
+    ]
+    f = ExpPoly(raw)
+    assert len(f.terms) == 20
+    points = rng.uniform(-1.5, 1.5, (50, 4))
+    values = f.evaluate(points)
+    assert values.shape == (50,) and values.dtype == complex
+    exact = np.array([eval_terms(raw, x) for x in points])
+    assert np.max(np.abs(values - exact)) <= 1e-12 * np.max(np.abs(exact))
+    assert f.evaluate(points[:0]).shape == (0,)
+
+
+def test_evaluate_one_point_is_a_python_complex():
+    value = ExpPoly.constant(2 - 1j).evaluate(np.zeros(4))
+    assert type(value) is complex and value == 2 - 1j
+    assert type(ExpPoly.zero().evaluate((1, 2, 3, 4))) is complex
+
+
+@pytest.mark.parametrize("x", [
+    (0.0, 0.0, 0.0), np.zeros((2, 5)), np.zeros((1, 2, 4)), 0.0,
+    (math.nan, 0, 0, 0), [[0, 0, 0, 0], [0, math.inf, 0, 0]],
+])
+def test_evaluate_rejects_bad_shape_or_non_finite_point(x):
+    with pytest.raises(ValueError):
+        ExpPoly.coordinate(0).evaluate(x)
+
+
+@pytest.mark.parametrize("f", [
+    ExpPoly([ExpTerm(1e300 + 0j, kappa=(60, 0, 0, 0))]),  # finite factors, overflowing contraction
+    ExpPoly.exponential(1, (300, 300, 0, 0)),  # finite factors, overflowing product
+])
+@pytest.mark.parametrize("action", ["error", "default", "always", "ignore"])
+def test_evaluate_rows_overflow_raises_under_any_warning_filter(f, action):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        with pytest.raises(NonFinite):
+            f.evaluate(np.array([[0.0, 0, 0, 0], [2.0, 2.0, 0, 0]]))
+    assert not seen
 
 
 def test_evaluation_homomorphism():

@@ -92,6 +92,20 @@ def test_eval_on_grid_overflow_raises_under_any_warning_filter(action):
     assert not seen
 
 
+@pytest.mark.parametrize("f", [
+    ExpPoly([ExpTerm(1e300 + 0j, kappa=(60, 0, 0, 0))]),  # finite factor, overflowing product
+    ExpPoly.exponential(1, (300, 300, 0, 0)),  # finite factors, overflowing product
+])
+@pytest.mark.parametrize("action", ["error", "default", "always", "ignore"])
+def test_eval_on_grid_product_overflow_raises_under_any_warning_filter(f, action):
+    # x0 and x1 run over -2..2, and every factor is finite there
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        with pytest.raises(FloatingPointError):
+            eval_on_grid(f, GridSpec(h=1.0, extent=5))
+    assert not seen
+
+
 def test_eval_on_grid_underflow_is_silent_zero():
     # x0 runs over 1..5, so exp(-800 x0) underflows everywhere
     with warnings.catch_warnings():
