@@ -56,10 +56,10 @@ class Scenario:
     """One verification suite as the command line sees it.
 
     ``build`` turns the parsed flags into the suite's arguments, ``draw``
-    draws seeded random arguments for ``--sweeps``, and ``run`` turns either
-    into a report.  ``run`` looks its suite up in ``scenarios`` at call time,
-    so a function replaced on that module (a tracer, a test double) is the
-    one called.
+    draws seeded random arguments for ``--sweeps`` (a suite with ``draw``
+    also takes ``--residual-tol``), and ``run`` turns either into a report.
+    ``run`` looks its suite up in ``scenarios`` at call time, so a function
+    replaced on that module (a tracer, a test double) is the one called.
     """
 
     name: str
@@ -67,7 +67,6 @@ class Scenario:
     flags: tuple[tuple[str, dict], ...]
     build: Callable[[RunConfig], Any]
     run: Callable[[Any, float | None], sc.ScenarioReport]
-    residual_tol: bool = True  # whether --residual-tol is offered
     draw: Callable[[np.random.Generator], Any] | None = None
     sweep_checks: tuple[str, ...] = ()
 
@@ -132,7 +131,6 @@ SCENARIOS = {s.name: s for s in (
         (),
         build=lambda cfg: None,
         run=lambda _, tol: sc.run_igl_sweep(),
-        residual_tol=False,
     ),
     Scenario(
         "composition", "composition laws for two successive boosts",
@@ -156,7 +154,6 @@ SCENARIOS = {s.name: s for s in (
         ),
         build=lambda cfg: dict(cfg.overrides, seed=cfg.seed),
         run=lambda kwargs, tol: sc.run_generator_search(**kwargs),
-        residual_tol=False,
     ),
 )}
 
@@ -170,10 +167,9 @@ def build_parser() -> _Parser:
             sp.add_argument(flag, **kwargs)
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--output", default=None, help="write the report to this path")
-        if s.residual_tol:
+        if s.draw is not None:
             sp.add_argument("--residual-tol", type=float, default=None,
                             help="override the engaging-check pass threshold")
-        if s.draw is not None:
             sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--sweeps", type=int, default=0,
                             help="extra seeded random parameter draws")

@@ -77,13 +77,6 @@ class Unknown:
     component: int  # coordinate index for xi, -1 otherwise
     alpha: Index4
 
-    @property
-    def label(self) -> str:
-        a = ",".join(str(v) for v in self.alpha)
-        if self.kind == "xi":
-            return f"xi{self.component}[{a}]"
-        return f"{self.kind}[{a}]"
-
 
 @dataclass(frozen=True)
 class DeterminingSystem:
@@ -279,9 +272,8 @@ def solve_null_space(system: DeterminingSystem) -> GeneratorBasis:
     a random combination sum_i r_i v_i with fixed-seed unit-modulus weights
     (Freivalds' check: a wrong vector survives it only for weights in a
     measure-zero set).  Its residual ad_L^p(Q) - zeta L is kept on the basis
-    when its largest coefficient is at most REVERIFY_TOL.  Otherwise every
-    candidate gets its own ``ad_power``; the first one above it raises RuntimeError
-    naming the witness term, and if none is, their worst residual is kept.
+    when its largest coefficient is at most REVERIFY_TOL; otherwise
+    RuntimeError names the residual's largest term.
     """
     m = system.matrix
     if not np.all(np.isfinite(m)):
@@ -298,30 +290,18 @@ def _freivalds_combination(vectors: np.ndarray) -> np.ndarray:
 
 
 def _reverify(system: DeterminingSystem, vectors: np.ndarray) -> float:
-    """Worst residual of the null vectors, by the check of solve_null_space."""
-    L, p = system.L, system.spec.p
-
-    def residual(vec: np.ndarray) -> tuple[LinDiffOp, float]:
-        cand = system.decode(vec)
-        return residual_vs_multiple(ad_power(L, cand.Q, p), L, cand.zeta)
-
-    if len(vectors) == 0:
-        return 0.0
-    _, res = residual(_freivalds_combination(vectors))
-    if res <= REVERIFY_TOL:
-        return res
-    worst = 0.0
-    for i, vec in enumerate(vectors):
-        op, res = residual(vec)
-        if res > REVERIFY_TOL:
-            delta, coeff = max(op.terms, key=lambda dc: dc[1].max_coeff())
-            t = coeff.witness()
-            raise RuntimeError(
-                f"null-space candidate {i} fails re-verification: residual {res:.3e} "
-                f"at delta={delta}, alpha={t.alpha}, kappa={t.kappa}, coeff={t.coeff:.3e}"
-            )
-        worst = max(worst, res)
-    return worst
+    """Residual of the random combination of the null vectors, by the check
+    of solve_null_space."""
+    cand = system.decode(_freivalds_combination(vectors))
+    op, res = residual_vs_multiple(ad_power(system.L, cand.Q, system.spec.p), system.L, cand.zeta)
+    if res > REVERIFY_TOL:
+        delta, coeff = max(op.terms, key=lambda dc: dc[1].max_coeff())
+        t = coeff.witness()
+        raise RuntimeError(
+            f"null space fails re-verification: residual {res:.3e} "
+            f"at delta={delta}, alpha={t.alpha}, kappa={t.kappa}, coeff={t.coeff:.3e}"
+        )
+    return res
 
 
 def structure_constants(ops: Sequence[LinDiffOp]) -> tuple[np.ndarray, float]:
@@ -397,12 +377,6 @@ class AffineMap:
         inv = np.linalg.inv(self.A)
         return AffineMap(inv, -inv @ self.b)
 
-    def approx_eq(self, other: "AffineMap", tol: float = 1e-12) -> bool:
-        return (
-            float(np.max(np.abs(self.A - other.A))) <= tol
-            and float(np.max(np.abs(self.b - other.b))) <= tol
-        )
-
 
 def _expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring of the Taylor series."""
@@ -467,14 +441,10 @@ def pullback(Lp: LinDiffOp, amap: AffineMap) -> LinDiffOp:
     """
     inv = amap.inverse().A
     # constant-coefficient images sum_b (A^-1)_{ba} d_b of the primed partials
-    primed_partials = []
-    for a in range(4):
-        terms = []
-        for bidx in range(4):
-            delta = [0, 0, 0, 0]
-            delta[bidx] = 1
-            terms.append((tuple(delta), ExpPoly.constant(inv[bidx, a])))
-        primed_partials.append(LinDiffOp(terms))
+    primed_partials = [
+        LinDiffOp([(_UNIT[b], ExpPoly.constant(inv[b, a])) for b in range(4)])
+        for a in range(4)
+    ]
 
     collected = []
     for delta, coeff in Lp.terms:

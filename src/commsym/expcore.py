@@ -110,18 +110,10 @@ class _Sum:
     def zero(cls):
         return cls._raw(())
 
-    def is_zero(self, scale: float | None = None) -> bool:
-        """Tolerance-based zero test.
-
-        With no external ``scale`` the reference is the sum's own largest
-        coefficient, so a normalized nonzero sum never tests zero; pass the
-        scale of the inputs that produced ``self`` to absorb rounding noise
-        from cancellations.
-        """
-        if not self.terms:
-            return True
-        ref = self.max_coeff() if scale is None else scale
-        return self.max_coeff() <= ZERO_TOL * ref
+    def is_zero(self) -> bool:
+        """Whether the sum has no terms: the gate has already dropped every
+        term below ZERO_TOL times the largest coefficient."""
+        return not self.terms
 
     def __add__(self, other):
         if not isinstance(other, type(self)):

@@ -376,10 +376,12 @@ def test_is_zero_with_witness():
     assert abs(abs(w.coeff) - abs(-(k0**2) + k1**2)) < 1e-12
 
 
-def test_is_zero_with_external_scale():
+def test_is_zero_means_no_terms():
     tiny = ExpPoly.constant(1e-14)
     assert not tiny.is_zero()  # relative to itself it is a real term
-    assert tiny.is_zero(scale=1.0)  # noise relative to O(1) inputs
+    # a cancellation leaves its rounding residue as a term; only an exact one is zero
+    assert not (ExpPoly.constant(1.0) + ExpPoly.constant(-1.0 + 2**-52)).is_zero()
+    assert (tiny - tiny).is_zero() and (tiny - tiny).terms == ()
 
 
 # -- affine substitution -------------------------------------------------------

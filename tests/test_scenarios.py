@@ -54,6 +54,18 @@ def test_dalembert_sweep():
         assert report.check("eq17_engaging_weighted_wave").residual < 1e-9
 
 
+def test_eq19_fails_with_a_perturbed_weight(monkeypatch):
+    # Phi_D * phi is one exponential for any weight; eq19 says which one
+    original = sc.dalembert_weight
+    p = sc.DalembertParams(beta=0.3, n=(0.6, 0.8, 0.0))
+    assert sc.run_dalembert(p).check("eq19_weighted_wave_single_exponential").residual == 0.0
+    monkeypatch.setattr(
+        sc, "dalembert_weight", lambda q: original(dataclasses.replace(q, beta=1.01 * q.beta))
+    )
+    check = sc.run_dalembert(p).check("eq19_weighted_wave_single_exponential")
+    assert check.residual == 1.0 and not check.passed
+
+
 def test_offshell_wave_fails_dispersion():
     # k0^2 != |k|^2 must break the on-shell check
     wave = ExpPoly.exponential(1.0, (-2j, 1j, 0j, 0j))
