@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expcore import ExpPoly, _axis_factors
+from .expcore import ZERO_ALPHA, ZERO_KAPPA, ExpPoly, _axis_factors
 from .opalg import LinDiffOp
 
 
@@ -52,7 +52,13 @@ class GridSpec:
 
 
 def eval_on_grid(f: ExpPoly, grid: GridSpec) -> np.ndarray:
-    """Values of f on the full 4D grid, indexed [i0, i1, i2, i3].
+    """Values of f on the full 4D grid, indexed [i0, i1, i2, i3]: the kernel
+    _eval_on_axes on all of the grid's axes."""
+    return _eval_on_axes(f, grid.axes())
+
+
+def _eval_on_axes(f: ExpPoly, axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Values of f on the tensor grid of four axes of any lengths.
 
     Each term c x^alpha exp(kappa . x) factors by axis, so with the axis
     factors F_a[t, i] of expcore._axis_factors the grid is one matrix
@@ -60,15 +66,27 @@ def eval_on_grid(f: ExpPoly, grid: GridSpec) -> np.ndarray:
     Overflow and NaN raise FloatingPointError whatever the warning filters;
     underflow gives 0 silently.
     """
-    n = grid.extent
+    n = [len(x) for x in axes]
+    # _axis_factors takes (m, 4) points: each shorter axis is padded with its
+    # own first point, so no coordinate off the axes is evaluated
+    coords = np.empty((max(n), 4))
+    for a, x in enumerate(axes):
+        coords[:, a] = x[0]
+        coords[: n[a], a] = x
     with np.errstate(over="raise", invalid="raise", under="ignore"):
-        coeff, F = _axis_factors(f.terms, np.stack(grid.axes(), axis=1))
-        left = (coeff[:, None, None] * F[0][:, :, None] * F[1][:, None, :]).reshape(-1, n * n)
-        right = (F[2][:, :, None] * F[3][:, None, :]).reshape(-1, n * n)
-        out = (left.T @ right).reshape((n,) * 4)
+        coeff, F = _axis_factors(f.terms, coords)
+        F0, F1, F2, F3 = (F[a][:, :k] for a, k in enumerate(n))
+        left = (coeff[:, None, None] * F0[:, :, None] * F1[:, None, :]).reshape(-1, n[0] * n[1])
+        right = (F2[:, :, None] * F3[:, None, :]).reshape(-1, n[2] * n[3])
+        out = (left.T @ right).reshape(n)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("grid evaluation overflowed")
     return out
+
+
+def _interior_axes(grid: GridSpec, pad: Sequence[int]) -> list[np.ndarray]:
+    """The grid's axes without pad[a] points at each end of axis a."""
+    return [x[q : grid.extent - q] for x, q in zip(grid.axes(), pad)]
 
 
 def _central_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -105,15 +123,20 @@ def _fd_apply_values(
         raise StencilOverrun(
             f"stencil needs {max(new_pad)} points per side; extent {grid.extent} too small"
         )
-    out = np.zeros(tuple(grid.extent - 2 * q for q in new_pad), dtype=complex)
+    axes = _interior_axes(grid, new_pad)
+    out = np.zeros(tuple(len(x) for x in axes), dtype=complex)
     for delta, coeff in A.terms:
-        part = values
+        # keep only the delta_a points per side that the stencil consumes
+        part = _crop(values, [s - d for s, d in zip(shrink, delta)])
         for a in range(4):
             for _ in range(delta[a]):
                 part = _central_diff(part, a, grid.h)
-        part = _crop(part, [s - d for s, d in zip(shrink, delta)])
-        cvals = _crop(eval_on_grid(coeff, grid), new_pad)
-        out += cvals * part
+        terms = coeff.terms
+        if len(terms) == 1 and terms[0].alpha == ZERO_ALPHA and terms[0].kappa == ZERO_KAPPA:
+            # a constant is its own value at every point
+            out += terms[0].coeff * part
+        else:
+            out += _eval_on_axes(coeff, axes) * part
     return out, new_pad
 
 
@@ -127,7 +150,7 @@ def fd_apply_residual(A: LinDiffOp, f: ExpPoly, grid: GridSpec) -> float:
     if A.order > 4:
         raise StencilOverrun("operators above order 4 are not supported")
     total, pad = fd_chain_values((A,), f, grid)
-    exact = _crop(eval_on_grid(A.apply(f), grid), pad)
+    exact = _eval_on_axes(A.apply(f), _interior_axes(grid, pad))
     return float(np.max(np.abs(total - exact)))
 
 

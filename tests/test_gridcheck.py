@@ -16,6 +16,7 @@ from commsym.gridcheck import (
     fd_chain_values,
 )
 from commsym.opalg import LinDiffOp
+from commsym import gridcheck
 from commsym import scenarios as sc
 
 OBLIQUE = sc.DalembertParams(beta=0.3, n=(0.36, 0.48, 0.8))
@@ -61,8 +62,8 @@ def _assert_grid_matches_evaluate(f, grid):
     assert np.max(np.abs(values - exact)) <= 1e-12 * np.max(np.abs(exact))
 
 
-def test_eval_on_grid_matches_evaluate_everywhere():
-    # twenty terms, exponents up to 3, complex covectors: every point of 5^4
+def _twenty_terms() -> ExpPoly:
+    """Twenty terms, exponents up to 3, complex covectors."""
     rng = np.random.default_rng(3)
     f = ExpPoly([
         ExpTerm(
@@ -73,7 +74,29 @@ def test_eval_on_grid_matches_evaluate_everywhere():
         for _ in range(20)
     ])
     assert len(f.terms) == 20
-    _assert_grid_matches_evaluate(f, SMALL_GRID)
+    return f
+
+
+def test_eval_on_grid_matches_evaluate_everywhere():
+    # every point of 5^4
+    _assert_grid_matches_evaluate(_twenty_terms(), SMALL_GRID)
+
+
+def test_eval_on_ragged_axes_matches_cropped_grid():
+    # the interior kernel on axes of four different lengths (9, 7, 5 and 3
+    # points) against the full grid cropped to them
+    grid = GridSpec(origin=SMALL_GRID.origin, h=0.25, extent=9)
+    pad = (0, 1, 2, 3)
+    axes = [x[q : grid.extent - q] for x, q in zip(grid.axes(), pad)]
+    crop = tuple(slice(q, grid.extent - q) for q in pad)
+    f = _twenty_terms()
+    values = gridcheck._eval_on_axes(f, axes)
+    full = eval_on_grid(f, grid)[crop]
+    assert values.shape == (9, 7, 5, 3)
+    assert np.max(np.abs(values - full)) <= 1e-14 * np.max(np.abs(full))
+    for t in f.terms:
+        one = ExpPoly([t])
+        assert np.array_equal(gridcheck._eval_on_axes(one, axes), eval_on_grid(one, grid)[crop])
 
 
 def test_eval_on_grid_zero_and_constant():
@@ -113,6 +136,99 @@ def test_eval_on_grid_underflow_is_silent_zero():
         f = ExpPoly.exponential(1, (-800, 0, 0, 0))
         values = eval_on_grid(f, GridSpec(origin=(3, 0, 0, 0), h=1.0, extent=5))
     assert values.shape == (5,) * 4 and not np.any(values)
+
+
+@pytest.mark.parametrize("action", ["error", "default", "always", "ignore"])
+def test_coefficient_overflow_raises_only_where_values_are_used(action):
+    # x0 runs over -2..2 and the stencil of d0 keeps -1..1: exp(800 x0)
+    # overflows at an interior point, exp(400 x0) only on the dropped rim
+    grid = GridSpec(h=1.0, extent=5)
+
+    def op(k):
+        return LinDiffOp([((1, 0, 0, 0), ExpPoly.exponential(1, (k, 0, 0, 0)))])
+
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        with pytest.raises(FloatingPointError):
+            fd_chain_values((op(800),), ExpPoly.constant(1), grid)
+        values, pad = fd_chain_values((op(400),), ExpPoly.constant(1), grid)
+    assert not seen
+    assert pad == (1, 0, 0, 0) and values.shape == (3, 5, 5, 5) and not np.any(values)
+
+
+def _reference_chain(ops, f, grid):
+    """fd_chain_values the plain way, kept as the reference: difference the
+    whole grid, then crop; evaluate each coefficient on the whole grid, then
+    crop."""
+    def crop(v, pad):
+        return v[tuple(slice(p, v.shape[i] - p) for i, p in enumerate(pad))]
+
+    values, pad = eval_on_grid(f, grid), [0, 0, 0, 0]
+    for op in reversed(ops):
+        shrink = [max(d[a] for d, _ in op.terms) for a in range(4)]
+        new_pad = [p + s for p, s in zip(pad, shrink)]
+        out = np.zeros(tuple(grid.extent - 2 * q for q in new_pad), dtype=complex)
+        for delta, coeff in op.terms:
+            part = values
+            for a in range(4):
+                for _ in range(delta[a]):
+                    m = part.shape[a]
+                    part = (np.take(part, range(2, m), axis=a)
+                            - np.take(part, range(m - 2), axis=a)) / (2.0 * grid.h)
+            part = crop(part, [s - d for s, d in zip(shrink, delta)])
+            out += crop(eval_on_grid(coeff, grid), new_pad) * part
+        values, pad = out, new_pad
+    return values, tuple(pad)
+
+
+@pytest.mark.parametrize("extent", [9, 13])
+def test_fd_chain_equals_full_grid_reference_on_physics_operators(extent):
+    # constant and one-term coefficients: the interior route is bit-identical
+    p = sc.DalembertParams(beta=0.3, n=(0.36, 0.48, 0.8), omega=1.7)
+    f = sc.dalembert_weight(p) * sc.plane_wave(p)
+    grid = GridSpec(h=1e-2, extent=extent)
+    box, A = sc.wave_operator(), sc.dalembert_engaging_operator(p)
+    Q = LinDiffOp([((0, 0, 1, 0), ExpPoly.coordinate(1))])  # x^1 d_2
+    chains = [(box,), (A,), (Q,), (box, Q), (Q, box), (A, Q)]
+    if extent == 13:
+        chains += [(box, box, Q), (box, Q, box), (Q, box, box)]
+    for ops in chains:
+        values, pad = fd_chain_values(ops, f, grid)
+        ref, ref_pad = _reference_chain(ops, f, grid)
+        assert pad == ref_pad and np.array_equal(values, ref)
+
+
+def test_fd_chain_matches_full_grid_reference_on_random_operators():
+    # coefficients of several terms with complex covectors: the contraction
+    # over a smaller grid may round differently, but only at rounding level
+    rng = np.random.default_rng(5)
+    grid = GridSpec(h=1e-2, extent=9)
+
+    def poly(terms):
+        return ExpPoly([
+            ExpTerm(
+                complex(rng.normal(), rng.normal()),
+                tuple(int(v) for v in rng.integers(0, 3, 4)),
+                tuple(complex(a, b) for a, b in zip(rng.normal(0, 0.5, 4), rng.normal(0, 0.5, 4))),
+            )
+            for _ in range(terms)
+        ])
+
+    for _ in range(10):
+        ops = []
+        for _ in range(2):
+            terms = []
+            for _ in range(3):
+                delta = [0, 0, 0, 0]
+                for _ in range(int(rng.integers(0, 3))):
+                    delta[int(rng.integers(0, 4))] += 1
+                terms.append((tuple(delta), poly(3)))
+            ops.append(LinDiffOp(terms))
+        f = poly(3)
+        values, pad = fd_chain_values(ops, f, grid)
+        ref, ref_pad = _reference_chain(ops, f, grid)
+        assert pad == ref_pad
+        assert np.max(np.abs(values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_fd_on_shell_wave_residual_is_second_order():

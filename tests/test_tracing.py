@@ -3,9 +3,10 @@
 ``perfbench/tracing.py`` patches each traced method in the ``__dict__`` of
 the class that defines it, so a refactor that moves such a method to a base
 class breaks the benchmark's per-layer run.  One test installs the tracer,
-runs one traced call and restores the originals; another runs each
+runs one traced call and restores the originals; one runs a stencil
+operation traced and untraced and compares the bytes; another runs each
 workload's warm-up operations and judges them against their known answers.
-Both only read perfbench/.
+All only read perfbench/.
 """
 
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from commsym import detsolve, expcore
+from commsym import detsolve, expcore, gridcheck
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,3 +56,23 @@ def test_benchmark_warmup_verdicts_ok(monkeypatch):
         for op in workloads.warmup_ops(name, np.random.default_rng(0)):
             verdict = op.judge(op.run())
             assert verdict.ok, (name, op.kind, verdict.wrong)
+
+
+def test_traced_stencil_operation_gives_untraced_bytes(tracing):
+    # the per-layer run wraps gridcheck's entry points by name and calls
+    # eval_on_grid as (f, grid); a renamed or re-signed one breaks it
+    import workloads
+
+    ops = workloads.warmup_ops("stencil-crosscheck", np.random.default_rng(0))
+    op = next(op for op in ops if op.kind == "physics")
+    untraced = op.run()
+    original = gridcheck.eval_on_grid
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        traced = op.run()
+    finally:
+        tracer.restore()
+    assert gridcheck.eval_on_grid is original
+    assert traced == untraced
+    assert tracer.layer_metrics()["gridcheck.eval_on_grid.calls"][0] > 0
