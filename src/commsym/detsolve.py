@@ -103,13 +103,15 @@ class DeterminingSystem:
 @dataclass(frozen=True)
 class GeneratorBasis:
     """Null space of a determining system: its orthonormal vectors, one per
-    row, the spectrum their count was read from, and the worst residual of
-    their re-verification.  ``system.decode(vec)`` turns a vector into a
+    row, the merged spectrum their count was read from, the worst residual
+    of their re-verification, and the (rows, columns) shape of each sparsity
+    component that has rows.  ``system.decode(vec)`` turns a vector into a
     symmetry candidate."""
 
     vectors: np.ndarray
     singular_values: np.ndarray
     reverify_residual: float
+    components: tuple[tuple[int, int], ...]
 
     @property
     def dimension(self) -> int:
@@ -173,23 +175,32 @@ class _AdMap:
             = sum_beta binom(gamma, beta) c x^a (d^beta x^alpha) d^(gamma - beta + delta)
             - sum_beta binom(delta, beta) c x^alpha (d^beta x^a) d^(delta - beta + gamma),
 
-    where the beta = 0 terms of the two sums cancel.  The image of each key
-    is computed once per map.
+    where the beta = 0 terms of the two sums cancel.  The image of each key,
+    and the Leibniz weights of each (order, alpha) pair, are computed once
+    per map.
     """
 
     def __init__(self, L: LinDiffOp):
         # (gamma, a, c) for every term c x^a d^gamma of L (polynomial coefficients)
         self.terms = [(gamma, t.alpha, t.coeff) for gamma, coeff in L.terms for t in coeff.terms]
         self._images: dict[Key, dict[Key, complex]] = {}
+        self._weights: dict[tuple[Index4, Index4], list[tuple[Index4, int, Index4]]] = {}
+
+    def _leibniz(self, order: Index4, alpha: Index4) -> list[tuple[Index4, int, Index4]]:
+        """The module's _leibniz(order, alpha), computed once per map."""
+        weights = self._weights.get((order, alpha))
+        if weights is None:
+            weights = self._weights[(order, alpha)] = _leibniz(order, alpha)
+        return weights
 
     def _image(self, key: Key) -> dict[Key, complex]:
         delta, alpha = key
         out: dict[Key, complex] = defaultdict(complex)
         for gamma, a, c in self.terms:
             top = _add(gamma, delta)
-            for beta, weight, lowered in _leibniz(gamma, alpha):
+            for beta, weight, lowered in self._leibniz(gamma, alpha):
                 out[(_sub(top, beta), _add(a, lowered))] += c * weight
-            for beta, weight, lowered in _leibniz(delta, a):
+            for beta, weight, lowered in self._leibniz(delta, a):
                 out[(_sub(top, beta), _add(alpha, lowered))] -= c * weight
         return {k: v for k, v in out.items() if v != 0}
 
@@ -263,24 +274,80 @@ def null_rank(sigma: np.ndarray, tol: float) -> int:
     return rank
 
 
+def _components(m: np.ndarray) -> list[tuple[list[int], list[int]]]:
+    """(rows, columns) of each connected component of the graph that joins
+    row i to column j where m[i, j] != 0, in the order of their first column.
+
+    A column without nonzeros is a component without rows; a row without
+    nonzeros belongs to none.  Up to a permutation of rows and columns, m is
+    block-diagonal with one block per component.
+    """
+    parent = list(range(m.shape[1]))  # union-find forest over the columns
+
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    first: dict[int, int] = {}  # each nonzero row's first column
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(m))):
+        k = first.setdefault(i, j)
+        if k != j:
+            parent[find(j)] = find(k)
+    groups: dict[int, tuple[list[int], list[int]]] = {}
+    for j in range(m.shape[1]):
+        groups.setdefault(find(j), ([], []))[1].append(j)
+    for i, j in first.items():
+        groups[find(j)][0].append(i)
+    return list(groups.values())
+
+
 def solve_null_space(system: DeterminingSystem) -> GeneratorBasis:
     """Orthonormal null-space basis of the determining system.
 
-    The rank comes from :func:`null_rank` at NULL_TOL.  The null vectors are
-    re-verified through the operator algebra, which shares nothing with the
-    assembly of the matrix: one ``ad_power`` of system.L on the candidate of
-    a random combination sum_i r_i v_i with fixed-seed unit-modulus weights
-    (Freivalds' check: a wrong vector survives it only for weights in a
-    measure-zero set).  Its residual ad_L^p(Q) - zeta L is kept on the basis
-    when its largest coefficient is at most REVERIFY_TOL; otherwise
-    RuntimeError names the residual's largest term.
+    The matrix is solved one connected component of its row/column sparsity
+    graph at a time (:func:`_components`): one SVD per component with rows,
+    and a unit null vector for each column that touches no row.  The
+    component spectra merge into one descending spectrum; its rank at
+    NULL_TOL, with the gap guard of :func:`null_rank`, is read once, and each
+    component keeps the vectors whose singular values lie at or below
+    NULL_TOL times the global sigma_max.  Each null vector is a dense row
+    supported on one component: first the unit vectors, then the vectors of
+    each component in the order of their first columns.
+
+    The null vectors are re-verified through the operator algebra, which
+    shares nothing with the assembly of the matrix: one ``ad_power`` of
+    system.L on the candidate of a random combination sum_i r_i v_i with
+    fixed-seed unit-modulus weights (Freivalds' check: a wrong vector
+    survives it only for weights in a measure-zero set).  Its residual
+    ad_L^p(Q) - zeta L is kept on the basis when its largest coefficient is
+    at most REVERIFY_TOL; otherwise RuntimeError names the residual's
+    largest term.
     """
     m = system.matrix
     if not np.all(np.isfinite(m)):
         raise ValueError("determining system contains non-finite entries")
-    _, sigma, vh = np.linalg.svd(m, full_matrices=True)  # vh is the identity for 0 rows
-    vectors = np.conj(vh[null_rank(sigma, NULL_TOL):])
-    return GeneratorBasis(vectors, sigma, _reverify(system, vectors))
+    components = _components(m)
+    # (columns, singular values, vh): one SVD per component with rows, and
+    # the identity on the columns that touch no row
+    free = [cols[0] for rows, cols in components if not rows]
+    parts = [(free, np.zeros(0), np.eye(len(free)))]
+    for rows, cols in components:
+        if rows:
+            _, s, vh = np.linalg.svd(m[np.ix_(rows, cols)], full_matrices=True)
+            parts.append((cols, s, vh))
+    sigma = np.sort(np.concatenate([s for _, s, _ in parts]))[::-1]
+    n = m.shape[1]
+    vectors = np.zeros((n - null_rank(sigma, NULL_TOL), n), dtype=complex)
+    cutoff = NULL_TOL * (sigma[0] if sigma.size else 0.0)
+    row = 0
+    for cols, s, vh in parts:
+        null = vh[int(np.count_nonzero(s > cutoff)):]
+        vectors[row : row + len(null), cols] = np.conj(null)
+        row += len(null)
+    shapes = tuple((len(rows), len(cols)) for rows, cols in components if rows)
+    return GeneratorBasis(vectors, sigma, _reverify(system, vectors), shapes)
 
 
 def _freivalds_combination(vectors: np.ndarray) -> np.ndarray:

@@ -1016,6 +1016,8 @@ def run_generator_search(
         "zeta_degree": zeta_degree,
         "null_dimension": basis.dimension,
         "oracle_dimension": oracle_dim,
+        "components": len(basis.components),
+        "largest_component": list(max(basis.components, key=lambda shape: shape[0] * shape[1])),
         "seed": seed,
     }
     return ScenarioReport("detsolve", params, tuple(checks))

@@ -109,6 +109,10 @@ def test_detsolve_scenario_passes():
     assert doc["params"]["null_dimension"] == 25
 
 
+# sparsity components with rows, and the (rows, columns) shape of the largest
+SEARCH_COMPONENTS = {("box", 2): (27, [4, 5]), ("schrod", 2): (27, [4, 8]), ("box", 3): (36, [20, 21])}
+
+
 @pytest.mark.parametrize("argv", [
     ["--degree", "2"],
     ["--operator", "schrod", "--degree", "2"],
@@ -119,6 +123,9 @@ def test_detsolve_higher_degree_oracle_agrees(argv):
     assert status == cli.EXIT_PASS
     params = json.loads(payload)["params"]
     assert params["null_dimension"] == params["oracle_dimension"] == 46
+    assert (params["components"], params["largest_component"]) == SEARCH_COMPONENTS[
+        (params["operator"], params["degree"])
+    ]
 
 
 def test_python_m_commsym_runs_the_cli(capsys):

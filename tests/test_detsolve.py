@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from commsym.detsolve import (
+    NULL_TOL,
     AffineMap,
     AnsatzSpec,
     DeterminingSystem,
@@ -17,6 +18,7 @@ from commsym.detsolve import (
     Unknown,
     UnsupportedCoefficient,
     UnsupportedDegree,
+    _components,
     _freivalds_combination,
     apply_probe_null_dimension,
     build_determining_system,
@@ -145,6 +147,56 @@ def test_null_dimensions_pinned(operator, degree, p, zeta_degree, expected):
     system, basis = system_and_basis(operator, degree, p, zeta_degree)
     assert basis.dimension == expected
     assert apply_probe_null_dimension(system, np.random.default_rng(0)) == expected
+
+
+# null dimensions per (operator, zeta_degree) and degree, at p = 1, 2, 3
+NULL_DIMENSIONS = {
+    ("box", 0): {1: (12, 25, 25), 2: (12, 46, 75), 3: (12, 46, 120), 4: (12, 46, 120)},
+    ("schrod", 0): {1: (12, 25, 25), 2: (12, 46, 75), 3: (12, 46, 121), 4: (12, 46, 121)},
+    ("box", 2): {1: (12, 25, 25), 2: (16, 46, 75), 3: (16, 46, 120)},
+    ("schrod", 2): {1: (12, 25, 25), 2: (13, 46, 75), 3: (13, 47, 121)},
+}
+
+
+@pytest.mark.parametrize("operator, degree, p, zeta_degree, expected", [
+    (op, degree, p, zeta_degree, dims[p - 1])
+    for (op, zeta_degree), by_degree in NULL_DIMENSIONS.items()
+    for degree, dims in by_degree.items()
+    for p in (1, 2, 3)
+] + [("box", 4, 3, 2, 120), ("schrod", 4, 3, 2, 122)])
+def test_component_null_space_matches_whole_matrix(operator, degree, p, zeta_degree, expected):
+    system, basis = system_and_basis(operator, degree, p, zeta_degree)
+    m, V = system.matrix, basis.vectors
+    whole = np.linalg.svd(m, compute_uv=False)
+    rank = m.shape[1] - expected
+    assert m.shape[1] - int(np.sum(whole > NULL_TOL * whole[0])) == basis.dimension == expected
+    # the merged spectrum is the whole matrix's, up to the zeros a split drops
+    sigma = basis.singular_values
+    assert np.all(np.diff(sigma) <= 0)
+    assert np.abs(sigma[:rank] - whole[:rank]).max() <= 1e-12 * whole[0]
+    assert max(sigma[rank:].max(initial=0.0), whole[rank:].max(initial=0.0)) <= NULL_TOL * whole[0]
+    assert np.abs(V.conj() @ V.T - np.eye(len(V))).max() <= 1e-12
+    assert np.linalg.norm(m @ V.T, axis=0).max(initial=0.0) <= 1e-12 * whole[0]
+    # the components block-diagonalize m, and each vector lives on one of them
+    label = np.full(m.shape[1], -1)
+    row_label = np.full(m.shape[0], -1)
+    for c, (rows, cols) in enumerate(_components(m)):
+        assert np.all(label[cols] == -1)
+        label[cols], row_label[rows] = c, c
+    i, j = np.nonzero(m)
+    assert np.all(label >= 0) and np.array_equal(row_label[i], label[j])
+    for v in V:
+        assert len(set(label[np.abs(v) > 0])) == 1
+    assert basis.components == tuple(
+        (len(rows), len(cols)) for rows, cols in _components(m) if rows
+    )
+
+
+def test_components_of_a_permuted_block_matrix():
+    m = np.zeros((4, 5))
+    m[2, 0] = m[2, 3] = m[0, 3] = 1.0  # rows {0, 2} x columns {0, 3}
+    m[1, 4] = 2.0  # rows {1} x columns {4}; row 3 and columns 1, 2 are empty
+    assert _components(m) == [([0, 2], [0, 3]), ([], [1]), ([], [2]), ([1], [4])]
 
 
 def exact_null_dimension(system):
@@ -282,6 +334,21 @@ def test_rank_ambiguity_guard_fires():
     )
     with pytest.raises(RankDeficiencyAmbiguous):
         solve_null_space(dummy)
+
+
+def test_null_cutoff_is_relative_to_the_global_sigma_max():
+    # two 1 x 1 components: 1e-9 is the whole of its own but below NULL_TOL * 1
+    dummy = DeterminingSystem(
+        matrix=np.diag([1.0, 1e-9]).astype(complex),
+        unknowns=tuple(Unknown("xi", a, (0, 0, 0, 0)) for a in range(2)),
+        row_keys=(),
+        L=wave_operator(),
+        spec=AnsatzSpec(degree=0, p=1),
+    )
+    basis = solve_null_space(dummy)
+    assert basis.components == ((1, 1), (1, 1))
+    assert np.array_equal(basis.singular_values, [1.0, 1e-9])
+    assert np.array_equal(np.abs(basis.vectors), [[0.0, 1.0]])
 
 
 def test_null_dimension_stable_under_tolerance():

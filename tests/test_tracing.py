@@ -4,9 +4,9 @@
 the class that defines it, so a refactor that moves such a method to a base
 class breaks the benchmark's per-layer run.  One test installs the tracer,
 runs one traced call and restores the originals; one runs a stencil
-operation traced and untraced and compares the bytes; another runs each
-workload's warm-up operations and judges them against their known answers.
-All only read perfbench/.
+operation and one generator search traced and untraced and compare the
+bytes; another runs each workload's warm-up operations and judges them
+against their known answers.  All only read perfbench/.
 """
 
 from pathlib import Path
@@ -76,3 +76,22 @@ def test_traced_stencil_operation_gives_untraced_bytes(tracing):
     assert gridcheck.eval_on_grid is original
     assert traced == untraced
     assert tracer.layer_metrics()["gridcheck.eval_on_grid.calls"][0] > 0
+
+
+def test_traced_generator_search_gives_untraced_bytes(tracing):
+    # the tracer counts SVDs through its proxy of detsolve.np, so an SVD
+    # called past that binding would read 0 calls
+    import workloads
+
+    (op,) = workloads.warmup_ops("generator-search", np.random.default_rng(0))
+    untraced = op.run()
+    numpy = detsolve.np
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        traced = op.run()
+    finally:
+        tracer.restore()
+    assert detsolve.np is numpy
+    assert traced == untraced
+    assert tracer.layer_metrics()["detsolve.svd.calls"][0] > 0
