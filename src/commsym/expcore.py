@@ -126,10 +126,6 @@ class _Sum:
     def __rmul__(self, other):
         return self.__mul__(other)
 
-    def approx_eq(self, other, tol: float = 1e-10) -> bool:
-        scale = max(self.max_coeff(), other.max_coeff(), 1.0)
-        return (self - other).max_coeff() <= tol * scale
-
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.terms == other.terms
 

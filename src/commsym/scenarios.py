@@ -47,7 +47,7 @@ class DegenerateDirection(InvalidParams):
 
 
 class NotSingleExponential(ValueError):
-    """Weight inference needs single-term pure exponentials."""
+    """Weight inference and limit gaps need single-term pure exponentials."""
 
 
 # ---------------------------------------------------------------------------
@@ -329,20 +329,22 @@ def infer_weight(phi_primed: ExpPoly, amap: detsolve.AffineMap, phi: ExpPoly) ->
     return _exp_quotient(phi_primed.substitute_affine(amap.A, amap.b), phi)
 
 
-# deterministic sample points in the unit 4-ball, used by the sup-norm limits
-def _ball_points() -> np.ndarray:
-    rng = np.random.default_rng(12345)
-    u = rng.normal(size=(48, 4))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    r = rng.uniform(0, 1, size=(48, 1)) ** 0.25
-    return u * r
+def _limit_gap(f: ExpPoly, e: ExpPoly, reach: float) -> float:
+    """|a - b| + |a| max_j |kappa_f,j - kappa_e,j| reach for single terms
+    f = a exp(kappa_f . x) and e = b exp(kappa_e . x); a zero term has a = 0.
 
-
-_BALL = _ball_points()
-
-
-def _sup_on_ball(f: ExpPoly) -> float:
-    return float(np.max(np.abs(f.evaluate(_BALL))))
+    To first order in the covector gap this measures |f - e| over |x| <= reach.
+    Callers take reach = c/omega, one reduced wavelength, and covectors
+    proportional to omega/c, so the gap does not depend on omega.
+    """
+    for t in (f, e):
+        if t.terms:
+            _require_single_exponential(t, "limit term")
+    if not (f.terms and e.terms):
+        return max(f.max_coeff(), e.max_coeff())  # |a - b| with a or b zero
+    tf, te = f.terms[0], e.terms[0]
+    spread = max(abs(x - y) for x, y in zip(tf.kappa, te.kappa))
+    return abs(tf.coeff - te.coeff) + abs(tf.coeff) * spread * reach
 
 
 def _halving_ratio_residual(dev) -> float:
@@ -414,7 +416,7 @@ def run_dalembert(
 
     def weight_deviation(beta: float) -> float:
         q = dataclasses.replace(p, beta=beta)
-        return _sup_on_ball(dalembert_weight(q) - ExpPoly.constant(1))
+        return _limit_gap(dalembert_weight(q), ExpPoly.constant(1), q.c / q.omega)
 
     checks.append(
         _check(
@@ -802,7 +804,7 @@ def run_maxwell(
             h[1] + beta * e[2],
             h[2] - beta * e[1],
         ]
-        return max(_sup_on_ball(a - b) for a, b in zip(fp, expect))
+        return max(_limit_gap(a, b, q.c / q.omega) for a, b in zip(fp, expect))
 
     checks.append(
         _check(

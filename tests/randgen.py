@@ -1,4 +1,5 @@
-"""Seeded random exponential polynomials and operators shared by the tests.
+"""Seeded random exponential polynomials and operators shared by the tests,
+and the tolerance comparison the tests apply to them.
 
 Each generator draws from the given numpy Generator in a fixed order, so a
 test seeded the same way always sees the same inputs.
@@ -6,6 +7,13 @@ test seeded the same way always sees the same inputs.
 
 from commsym.expcore import ExpPoly, ExpTerm
 from commsym.opalg import LinDiffOp
+
+
+def approx_eq(a, b, tol):
+    """Whether two ExpPolys or two LinDiffOps agree coefficient-wise:
+    max|coeff(a - b)| <= tol * max(max|coeff(a)|, max|coeff(b)|, 1)."""
+    scale = max(a.max_coeff(), b.max_coeff(), 1.0)
+    return (a - b).max_coeff() <= tol * scale
 
 
 def rand_poly(rng):

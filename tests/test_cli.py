@@ -61,11 +61,15 @@ def test_residual_tol_is_config_error_where_unused(scenario):
     (["dalembert-galilei", "--omega", "1e5"], "eq19_primed_covector_match"),
     (["composition", "--omega", "1e5"], "eq30_weight_composition"),
     (["schrodinger-lorentz", "--m0", "1e8"], "eq24_cross_weight_psi12"),
+    (["dalembert-galilei", "--omega", "1e3"], "eq18_weight_limit_linear_scaling"),
+    (["dalembert-galilei", "--omega", "1e5"], "eq18_weight_limit_linear_scaling"),
+    (["maxwell-galilei", "--omega", "1e5"], "eq28_nonrel_field_limit_scaling"),
 ])
 def test_covector_checks_pass_at_large_scale(argv, check):
-    # covectors that differ by rounding merge relative to their size; only the
-    # named check is asserted, the limit and dispersion checks at these
-    # parameters fail for a separate reason (absolute residual bounds)
+    # covectors that differ by rounding merge relative to their size, and the
+    # limit gaps are read off covectors over one reduced wavelength c/omega;
+    # only the named check is asserted, the dispersion checks at m0 = 1e8
+    # fail for a separate reason (absolute residual bounds)
     _, payload = run_cli(argv + ["--format", "json"])
     result = next(c for c in json.loads(payload)["checks"] if c["name"] == check)
     assert result["pass"] is True, result

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from randgen import approx_eq
 
 from commsym.detsolve import AffineMap
 from commsym.expcore import ExpPoly
@@ -31,8 +34,8 @@ def test_dalembert_example_parameters():
 def test_dalembert_identity_frame():
     # beta = 0: weight is the constant 1, the boosted operator reduces to box
     p = sc.DalembertParams(beta=0.0, n=(0.0, 1.0, 0.0))
-    assert sc.dalembert_weight(p).approx_eq(ExpPoly.constant(1), 1e-14)
-    assert sc.dalembert_engaging_operator(p).approx_eq(sc.wave_operator(), 1e-14)
+    assert approx_eq(sc.dalembert_weight(p), ExpPoly.constant(1), 1e-14)
+    assert approx_eq(sc.dalembert_engaging_operator(p), sc.wave_operator(), 1e-14)
     report = sc.run_dalembert(p)
     assert report.passed
     assert report.check("eq17_engaging_weighted_wave").residual == 0.0
@@ -44,7 +47,7 @@ def test_dalembert_engaging_operator_is_pullback():
 
     p = sc.DalembertParams(beta=0.37, n=(0.2, 0.9, np.sqrt(1 - 0.04 - 0.81)))
     pulled = pullback(sc.wave_operator(), sc.galilei_map(p))
-    assert pulled.approx_eq(sc.dalembert_engaging_operator(p), 1e-12)
+    assert approx_eq(pulled, sc.dalembert_engaging_operator(p), 1e-12)
 
 
 def test_dalembert_sweep():
@@ -64,6 +67,21 @@ def test_eq19_fails_with_a_perturbed_weight(monkeypatch):
     )
     check = sc.run_dalembert(p).check("eq19_weighted_wave_single_exponential")
     assert check.residual == 1.0 and not check.passed
+
+
+def test_eq18_fails_when_the_weight_covector_grows_as_beta_squared(monkeypatch):
+    # a weight that tends to 1 quadratically in beta does not halve with beta
+    original = sc.dalembert_weight
+
+    def quadratic(q):
+        t = original(q).terms[0]
+        return ExpPoly.exponential(t.coeff, [q.beta * k for k in t.kappa])
+
+    p = sc.DalembertParams(beta=0.3, n=(0.6, 0.8, 0.0))
+    assert sc.run_dalembert(p).check("eq18_weight_limit_linear_scaling").passed
+    monkeypatch.setattr(sc, "dalembert_weight", quadratic)
+    check = sc.run_dalembert(p).check("eq18_weight_limit_linear_scaling")
+    assert check.residual > 1.5 and not check.passed
 
 
 def test_offshell_wave_fails_dispersion():
@@ -87,7 +105,7 @@ def test_dalembert_invalid_params():
 def test_infer_weight_identity():
     phi = sc.plane_wave(sc.DalembertParams(beta=0.1, n=(0, 1, 0)))
     w = sc.infer_weight(phi, AffineMap(np.eye(4), np.zeros(4)), phi)
-    assert w.approx_eq(ExpPoly.constant(1), 1e-14)
+    assert approx_eq(w, ExpPoly.constant(1), 1e-14)
 
 
 def test_infer_weight_recovers_boost_weight():
@@ -132,8 +150,8 @@ def test_infer_weight_rejects_two_terms():
 def test_schrodinger_identity_frame():
     # V = 0: the boosted operator reduces to L_S and the psi1 weight to 1
     p = sc.SchrodingerParams(V=0.0, v=(0.4, 0.0, 0.0))
-    assert sc.schrodinger_engaging_operator(p).approx_eq(sc.schrodinger_operator(p), 1e-14)
-    assert sc.psi11_weight(p).approx_eq(ExpPoly.constant(1), 1e-14)
+    assert approx_eq(sc.schrodinger_engaging_operator(p), sc.schrodinger_operator(p), 1e-14)
+    assert approx_eq(sc.psi11_weight(p), ExpPoly.constant(1), 1e-14)
     report = sc.run_schrodinger(p)
     for c in report.checks:
         if c.name != "eq23_engaging_psi22_as_printed":
@@ -224,6 +242,21 @@ def test_eq29_fails_when_e23_and_h23_are_both_negated(monkeypatch):
     assert check.residual > 0.5 and not check.passed
 
 
+def test_eq28_fails_with_a_perturbed_amplitude(monkeypatch):
+    # a field map 1 % too large stays 1 % off the Galilean fields as beta -> 0
+    original = sc.MaxwellTransform.from_params
+
+    def scaled(p):
+        t = original(p)
+        return dataclasses.replace(t, kappa=1.01 * t.kappa)
+
+    p = sc.DalembertParams(beta=0.3, n=(0, 1, 0))
+    assert sc.run_maxwell(p).check("eq28_nonrel_field_limit_scaling").passed
+    monkeypatch.setattr(sc.MaxwellTransform, "from_params", scaled)
+    check = sc.run_maxwell(p).check("eq28_nonrel_field_limit_scaling")
+    assert check.residual > 0.5 and not check.passed
+
+
 def test_maxwell_identity_frame():
     t = sc.MaxwellTransform.from_params(sc.DalembertParams(beta=0.0, n=(0, 1, 0)))
     assert abs(t.kappa - 1.0) < 1e-15
@@ -268,6 +301,36 @@ def test_polarization_constraints():
         assert abs(n @ l) < 1e-12
         assert np.allclose(np.cross(n, l), m)
         assert abs(np.linalg.norm(l) - 1) < 1e-12
+
+
+# -- small-velocity limits -------------------------------------------------------
+
+
+def _limit_residuals(p, angle):
+    return (
+        sc.run_dalembert(p).check("eq18_weight_limit_linear_scaling").residual,
+        sc.run_maxwell(p, angle=angle).check("eq28_nonrel_field_limit_scaling").residual,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    beta=st.floats(-0.9, 0.9),
+    nx=st.floats(-0.95, 0.95),
+    azimuth=st.floats(0.0, 2 * math.pi),
+    angle=st.floats(0.0, 2 * math.pi),
+    log_omega=st.floats(-3.0, 7.0),
+)
+def test_limit_checks_pass_and_do_not_depend_on_omega(beta, nx, azimuth, angle, log_omega):
+    # the gaps are taken over one reduced wavelength c/omega of covectors
+    # proportional to omega/c, so every omega reads the residuals of omega = 1
+    s = math.sqrt(1.0 - nx * nx)
+    n = (nx, s * math.cos(azimuth), s * math.sin(azimuth))
+    p = sc.DalembertParams(beta=beta, n=n, omega=10.0**log_omega)
+    at_one = _limit_residuals(dataclasses.replace(p, omega=1.0), angle)
+    for got, ref in zip(_limit_residuals(p, angle), at_one):
+        assert got <= sc.SCALING_TOL
+        assert abs(got - ref) <= 1e-9
 
 
 # -- composition ---------------------------------------------------------------
@@ -330,7 +393,7 @@ def test_igl_inner_bracket_spot_check():
     box = sc.wave_operator()
     g01 = LinDiffOp([((0, 1, 0, 0), ExpPoly.coordinate(0))])
     inner = commutator(box, g01)
-    assert inner.approx_eq(LinDiffOp([((1, 1, 0, 0), ExpPoly.constant(2))]), 1e-14)
+    assert approx_eq(inner, LinDiffOp([((1, 1, 0, 0), ExpPoly.constant(2))]), 1e-14)
     assert ad_power(box, g01, 2).is_zero()
 
 
