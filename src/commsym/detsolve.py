@@ -291,7 +291,7 @@ def _components(m: np.ndarray) -> list[tuple[list[int], list[int]]]:
         return j
 
     first: dict[int, int] = {}  # each nonzero row's first column
-    for i, j in zip(*(ix.tolist() for ix in np.nonzero(m))):
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(m != 0))):
         k = first.setdefault(i, j)
         if k != j:
             parent[find(j)] = find(k)

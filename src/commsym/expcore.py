@@ -15,13 +15,25 @@ feeding the scenarios (square roots of quadratic forms) are irrational, so
 exact rational arithmetic is not an option.  All zero tests are therefore
 tolerance-based, with the dropping threshold taken relative to the largest
 coefficient present.
+
+Every sum, product and derivative is gathered in one accumulator,
+{kappa: {alpha: coeff}}, whose keys are exact: terms with the same key are
+added as they arrive, and a product adds the covectors once per pair of
+covectors, not per pair of terms.  One gate, ``_canonical``, then brings the
+gathered sum into canonical form: it sorts the distinct covectors, merges
+covectors of one alpha that lie within MERGE_TOL of each other, checks each
+covector and each merged coefficient once for NaN and inf, drops terms below
+ZERO_TOL times the largest coefficient, and emits the terms sorted by alpha,
+then by covector.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import compress, count
+from operator import eq, itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,24 +77,14 @@ def _unit_index(a: int) -> Index4:
     return _UNIT[a]
 
 
-def _term_sort_key(term: ExpTerm):
-    k = term.kappa
-    return (
-        term.alpha,
-        k[0].real, k[0].imag,
-        k[1].real, k[1].imag,
-        k[2].real, k[2].imag,
-        k[3].real, k[3].imag,
-    )
-
-
 def _kappa_close(a: CVec4, b: CVec4, reach: float) -> bool:
-    return (
-        abs(a[0] - b[0]) <= reach
-        and abs(a[1] - b[1]) <= reach
-        and abs(a[2] - b[2]) <= reach
-        and abs(a[3] - b[3]) <= reach
-    )
+    """Whether every component of a - b is within reach; the real and imaginary
+    parts are tested first, so abs never overflows."""
+    for x, y in zip(a, b):
+        d = x - y
+        if not (abs(d.real) <= reach and abs(d.imag) <= reach and abs(d) <= reach):
+            return False
+    return True
 
 
 class _Sum:
@@ -138,15 +140,23 @@ class ExpPoly(_Sum):
 
     Invariants: no zero-coefficient terms, no non-finite coefficient or
     covector component, no two terms sharing the same alpha and a kappa
-    within merge tolerance, terms in canonical sort order.  ``ExpPoly(terms)``
-    is the one gate that puts any sum of terms into that form; an instance is
-    never normalized again.
+    within merge tolerance, terms sorted by alpha, then by (Re kappa0,
+    Im kappa0, ..., Im kappa3).  Every instance comes out of the one gate,
+    ``_canonical``: ``ExpPoly(terms)`` gathers the terms in an accumulator and
+    passes it through the gate, and products, derivatives and operator
+    applications fill an accumulator directly.  An instance is never
+    normalized again.
     """
 
     __slots__ = ()
 
     def __init__(self, terms: Iterable[ExpTerm] = ()):
-        object.__setattr__(self, "terms", _normalize_terms(terms))
+        object.__setattr__(self, "terms", _canonical(_accumulate(terms)))
+
+    @classmethod
+    def _from(cls, acc: "Accumulator") -> "ExpPoly":
+        """The sum gathered in an accumulator, through the one gate."""
+        return cls._raw(_canonical(acc))
 
     # -- construction -----------------------------------------------------
 
@@ -190,22 +200,28 @@ class ExpPoly(_Sum):
 
     def __mul__(self, other):
         if isinstance(other, ExpPoly):
-            return ExpPoly(_products(self.terms, other.terms, 1))
+            acc: Accumulator = {}
+            _add_products(acc, self.terms, other.terms, 1)
+            return ExpPoly._from(acc)
         c = complex(other)
         return ExpPoly(ExpTerm(t.coeff * c, t.alpha, t.kappa) for t in self.terms)
 
     def derive(self, a: int) -> "ExpPoly":
         """Exact partial derivative with respect to coordinate ``a``."""
         _unit_index(a)  # rejects a outside 0..3
-        out: list[ExpTerm] = []
-        for t in self.terms:
-            if t.alpha[a] > 0:
-                lowered = list(t.alpha)
-                lowered[a] -= 1
-                out.append(ExpTerm(t.coeff * t.alpha[a], tuple(lowered), t.kappa))
-            if t.kappa[a] != 0:
-                out.append(ExpTerm(t.coeff * t.kappa[a], t.alpha, t.kappa))
-        return ExpPoly(out)
+        acc: Accumulator = {}
+        for c, alpha, kappa in self.terms:
+            n, k = alpha[a], kappa[a]
+            if n or k:
+                group = acc.get(kappa)
+                if group is None:
+                    group = acc[kappa] = {}
+                if n:
+                    lowered = alpha[:a] + (n - 1,) + alpha[a + 1:]
+                    group[lowered] = group.get(lowered, _START) + c * n
+                if k:
+                    group[alpha] = group.get(alpha, _START) + c * k
+        return ExpPoly._from(acc)
 
     def evaluate(self, x) -> complex | np.ndarray:
         """The value at a real 4-point, or the m values at the rows of an (m, 4)
@@ -269,19 +285,6 @@ class ExpPoly(_Sum):
         return "ExpPoly(" + " + ".join(bits) + more + ")"
 
 
-def _products(left, right, weight) -> Iterator[ExpTerm]:
-    """weight * s * o for every term s of left and o of right, unnormalized."""
-    for s in left:
-        sc, sa, sk = weight * s.coeff, s.alpha, s.kappa
-        for o in right:
-            oa, ok = o.alpha, o.kappa
-            yield ExpTerm(
-                sc * o.coeff,
-                (sa[0] + oa[0], sa[1] + oa[1], sa[2] + oa[2], sa[3] + oa[3]),
-                (sk[0] + ok[0], sk[1] + ok[1], sk[2] + ok[2], sk[3] + ok[3]),
-            )
-
-
 def _axis_factors(terms: Sequence[ExpTerm], coords: np.ndarray):
     """Coefficients c[t] and factors F[a, t, i] = x_ai^alpha_ta exp(kappa_ta x_ai)
     at the rows x_i of coords, so that sum_t c[t] prod_a F[a, t, i] = f(x_i).
@@ -301,48 +304,152 @@ def _as_kappa(kappa: Sequence[complex]) -> CVec4:
     return k  # type: ignore[return-value]
 
 
-def _normalize_terms(terms: Iterable[ExpTerm]) -> tuple[ExpTerm, ...]:
-    """Canonical form of a sum: sorted, merged, checked finite, zero terms
-    dropped.
+# A sum being gathered: {kappa: {alpha: coeff}}.  Each key is exact, and each
+# coefficient is the sum of the terms with that key, added in input order.
+Accumulator = dict
+# where a coefficient sum starts: -0.0 + x is x bit for bit for every float x,
+# signed zeros included, so a term's coefficient passes through unchanged
+_START = complex(-0.0, -0.0)
 
-    A term merges into an earlier term with the same alpha whose covector is
-    within MERGE_TOL * max(1, max_j |kappa_j|) of its own in every component.
-    Terms arrive sorted by (alpha, Re kappa0, ...), so the candidates are the
-    trailing run of merged terms with that alpha and Re kappa0 within that
-    distance, even when other covectors sort between them.  A merged term
-    keeps the earliest covector, so the representative does not depend on
-    the input order.  An infinite covector component is close to nothing, so
-    such a term is never absorbed by a finite covector.  Every merged term,
-    kept or dropped, then passes one finiteness check of its coefficient and
-    covector before the drop threshold is taken from the coefficients.
+
+def _accumulate(terms: Iterable[ExpTerm]) -> Accumulator:
+    """The terms gathered in a new accumulator."""
+    acc: Accumulator = {}
+    for c, alpha, kappa in terms:
+        group = acc.get(kappa)
+        if group is None:
+            acc[kappa] = {alpha: c}
+        else:
+            group[alpha] = group.get(alpha, _START) + c
+    return acc
+
+
+def _add_products(acc: Accumulator, left: Sequence[ExpTerm], right: Sequence[ExpTerm],
+                  weight: int) -> None:
+    """Add weight * s * o to acc for every term s of left and o of right, in
+    the order of s, then of o.  The covector sum and its group in acc are
+    found once per pair of covectors, not per pair of terms."""
+    index: dict = {}  # covector of o -> its place in groups
+    others = []
+    for oc, oa, ok in right:
+        others.append((oc, oa, index.setdefault(ok, len(index))))
+    sums: dict = {}  # covector of s -> the groups of acc, by covector of o
+    for sc, (s0, s1, s2, s3), sk in left:
+        sc = weight * sc
+        groups = sums.get(sk)
+        if groups is None:
+            groups = sums[sk] = []
+            for ok in index:
+                groups.append(acc.setdefault(
+                    (sk[0] + ok[0], sk[1] + ok[1], sk[2] + ok[2], sk[3] + ok[3]), {}))
+        for oc, oa, g in others:
+            group = groups[g]
+            alpha = (s0 + oa[0], s1 + oa[1], s2 + oa[2], s3 + oa[3])
+            group[alpha] = group.get(alpha, _START) + sc * oc
+
+
+def _kappa_key(group: tuple):
+    """Sort key of an accumulator group (kappa, {alpha: coeff})."""
+    k = group[0]
+    return (
+        k[0].real, k[0].imag,
+        k[1].real, k[1].imag,
+        k[2].real, k[2].imag,
+        k[3].real, k[3].imag,
+    )
+
+
+_alpha = itemgetter(0)
+
+
+def _canonical(acc: Accumulator) -> tuple[ExpTerm, ...]:
+    """The canonical terms of a gathered sum: merged, checked finite, zero
+    terms dropped, sorted by alpha, then by covector.
+
+    Only the distinct covectors are sorted, by (Re kappa0, Im kappa0, ...,
+    Im kappa3); the terms are then sorted natively by (alpha, covector rank).
+    A covector k of alpha merges into the latest earlier covector of the same
+    alpha, not itself merged, whose every component is within
+    MERGE_TOL * max(1, max_j |k_j|) of k's, whatever sorts between them; so a
+    merged term keeps the earliest covector that its own alpha brought, and
+    the result does not depend on the input order.  Each covector and each
+    merged coefficient is checked once for NaN and inf, so any non-finite
+    input raises NonFinite, before the drop threshold is taken from the
+    coefficients.
     """
-    isfinite = cmath.isfinite
-    merged: list[ExpTerm] = []
-    for t in sorted(terms, key=_term_sort_key):
-        alpha, k = t.alpha, t.kappa
-        i = len(merged) - 1
-        if i < 0 or merged[i].alpha != alpha:
-            merged.append(t)
-            continue
-        if merged[i].kappa != k:
-            reach = MERGE_TOL * max(1.0, abs(k[0]), abs(k[1]), abs(k[2]), abs(k[3]))
-            lowest = k[0].real - reach
-            while (reach < math.inf and i >= 0 and merged[i].alpha == alpha
-                   and merged[i].kappa[0].real >= lowest):
-                if _kappa_close(merged[i].kappa, k, reach):
-                    break
-                i -= 1
-            else:  # no close covector in the window
-                merged.append(t)
-                continue
-        m = merged[i]
-        merged[i] = ExpTerm(m.coeff + t.coeff, alpha, m.kappa)
-
-    for c, _, k in merged:
-        if not (isfinite(c) and isfinite(k[0]) and isfinite(k[1]) and isfinite(k[2])
-                and isfinite(k[3])):
-            raise NonFinite(f"non-finite coefficient {c!r} or covector {k!r}")
-    scale = max((abs(t.coeff) for t in merged), default=0.0)
-    if scale == 0.0:
+    if not acc:
         return ()
-    return tuple(t for t in merged if abs(t.coeff) > ZERO_TOL * scale)
+    isfinite = cmath.isfinite
+    groups = list(acc.items())
+    for k, _ in groups:
+        if not (isfinite(k[0]) and isfinite(k[1]) and isfinite(k[2]) and isfinite(k[3])):
+            raise NonFinite(f"non-finite covector {k!r}")
+    if len(groups) > 1:  # a lone covector has nothing to sort or merge with
+        groups.sort(key=_kappa_key)
+    rows = []  # (alpha, covector rank, coeff, kappa), in rank order
+    for r, (k, group) in enumerate(groups):
+        for alpha, c in group.items():
+            rows.append((alpha, r, c, k))
+    rows.sort(key=_alpha)  # stable: rank order within an alpha
+    if len(groups) > 1:
+        rows = _merge(rows, groups)
+    new = tuple.__new__  # ExpTerm's own __new__, without its Python frame
+    terms = []
+    scale, least = 0.0, math.inf
+    for alpha, _, c, k in rows:
+        m = abs(c)
+        if not m < math.inf:
+            raise NonFinite(f"non-finite coefficient {c!r}")
+        if m > scale:
+            scale = m
+        if m < least:
+            least = m
+        terms.append(new(ExpTerm, (c, alpha, k)))
+    floor = ZERO_TOL * scale
+    if least <= floor:
+        terms = [t for t in terms if abs(t.coeff) > floor]
+    return tuple(terms)
+
+
+def _merge(rows: list, groups: list) -> list:
+    """The (alpha, rank, coeff, kappa) rows, sorted by alpha and in rank order
+    within an alpha, with each row added into the latest earlier row of its
+    alpha, itself not merged, whose covector is within reach of the row's
+    (see _within_reach).  Only a row whose alpha brought an earlier covector
+    can merge."""
+    alphas = list(map(_alpha, rows))
+    near: list = [None] * len(groups)  # rank -> _within_reach, once needed
+    sums = {}  # row index -> coefficient with the rows merged into it
+    gone = set()  # rows merged into an earlier row
+    for j in compress(count(1), map(eq, alphas[1:], alphas)):
+        alpha, r, c, _ = rows[j]
+        targets = near[r]
+        if targets is None:
+            targets = near[r] = _within_reach(groups, r)
+        i = j - 1
+        while targets and i >= 0 and alphas[i] == alpha:
+            if i not in gone and rows[i][1] in targets:
+                sums[i] = sums.get(i, rows[i][2]) + c
+                gone.add(j)
+                break
+            i -= 1
+    if not gone:
+        return rows
+    return [(a, r, sums.get(i, c), k) for i, (a, r, c, k) in enumerate(rows) if i not in gone]
+
+
+def _within_reach(groups: list, r: int) -> set[int]:
+    """The ranks q < r whose covector is within MERGE_TOL * max(1, max_j |k_j|)
+    of k = groups[r][0] in every component.  Re kappa0 grows with the rank,
+    so the scan stops at the first Re kappa0 below that reach."""
+    k = groups[r][0]
+    reach = MERGE_TOL * max(1.0, abs(k[0]), abs(k[1]), abs(k[2]), abs(k[3]))
+    lowest = k[0].real - reach
+    near = set()
+    for q in range(r - 1, -1, -1):
+        kq = groups[q][0]
+        if kq[0].real < lowest:
+            break
+        if _kappa_close(kq, k, reach):
+            near.add(q)
+    return near

@@ -17,9 +17,11 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .expcore import ExpPoly, ExpTerm, Index4, ZERO_ALPHA, _UNIT, _Sum, _products, _unit_index
+from .expcore import (
+    ZERO_ALPHA, _UNIT, Accumulator, ExpPoly, Index4, _add_products, _Sum, _unit_index,
+)
 
 
 class ShapeMismatch(ValueError):
@@ -93,17 +95,9 @@ class LinDiffOp(_Sum):
 
     def apply(self, f: ExpPoly) -> ExpPoly:
         """Apply the operator to a function."""
-        return ExpPoly(self._applied(f))
-
-    def _applied(self, f: ExpPoly) -> Iterator[ExpTerm]:
-        """The terms of self applied to f, unnormalized: the products
-        coeff * (d^delta f), each left to the caller's one gate."""
-        for delta, coeff in self.terms:
-            g = f
-            for a in range(4):
-                for _ in range(delta[a]):
-                    g = g.derive(a)
-            yield from _products(coeff.terms, g.terms, 1)
+        acc: Accumulator = {}
+        _apply_into(acc, self, {ZERO_ALPHA: f})
+        return ExpPoly._from(acc)
 
     def compose(self, other: "LinDiffOp") -> "LinDiffOp":
         """Operator product self . other, expanded by the Leibniz rule.
@@ -111,7 +105,7 @@ class LinDiffOp(_Sum):
         d^delta (c d^gamma) is the sum over beta <= delta of
         binom(delta, beta) (d^beta c) d^(delta - beta + gamma), binom being
         the product of the four binomial coefficients.  All products are
-        collected per resulting multi-index and normalized once there
+        gathered per resulting multi-index and pass the gate once there
         (see _leibniz).
         """
         return _leibniz(((1, self, other),), with_zero=True)
@@ -129,6 +123,26 @@ class LinDiffOp(_Sum):
         return "LinDiffOp(" + " + ".join(bits) + more + ")"
 
 
+def _apply_into(acc: Accumulator, op: LinDiffOp, derived: dict[Index4, ExpPoly]) -> None:
+    """Add the products coeff * (d^delta f) of op applied to f to acc.
+
+    derived holds the derivatives of f taken so far, f itself at delta = 0;
+    each d^delta f is derived once, from d^(delta - e_k) f with k the last
+    nonzero axis of delta, so axis 0 is always derived first.
+    """
+    for delta, coeff in op.terms:
+        _add_products(acc, coeff.terms, _derivative(derived, delta).terms, 1)
+
+
+def _derivative(derived: dict[Index4, ExpPoly], delta: Index4) -> ExpPoly:
+    g = derived.get(delta)
+    if g is None:
+        k = max(a for a in range(4) if delta[a])
+        lower = delta[:k] + (delta[k] - 1,) + delta[k + 1:]
+        g = derived[delta] = _derivative(derived, lower).derive(k)
+    return g
+
+
 def _sum(polys: list[ExpPoly]) -> ExpPoly:
     """The sum of polynomials; a lone one is returned as it is (canonical)."""
     return polys[0] if len(polys) == 1 else ExpPoly([t for p in polys for t in p.terms])
@@ -140,10 +154,10 @@ def _leibniz(products: Sequence[tuple[int, LinDiffOp, LinDiffOp]], with_zero: bo
     For each term c d^delta of a and c' d^gamma of b, a.b is the sum over
     beta <= delta of binom(delta, beta) c (d^beta c') d^(delta - beta + gamma);
     beta = 0 is left out unless with_zero.  The product terms stay
-    unnormalized until the one gate at the end, one ExpPoly per multi-index.
+    gathered in one accumulator per multi-index until the one gate at the end.
     Each d^beta c' is derived once per product, from d^(beta - e_k) c'.
     """
-    collected: dict[Index4, list[ExpTerm]] = defaultdict(list)
+    collected: dict[Index4, Accumulator] = defaultdict(dict)
     for sign, a, b in products:
         derived = {(j, ZERO_ALPHA): c for j, (_, c) in enumerate(b.terms)}
         for delta, coeff in a.terms:
@@ -160,8 +174,8 @@ def _leibniz(products: Sequence[tuple[int, LinDiffOp, LinDiffOp]], with_zero: bo
                         lower = beta[:k] + (beta[k] - 1,) + beta[k + 1:]
                         derived[(j, beta)] = derived[(j, lower)].derive(k)
                     target = tuple(n - m + g for n, m, g in zip(delta, beta, gamma))
-                    collected[target].extend(_products(coeff.terms, derived[(j, beta)].terms, weight))
-    return LinDiffOp((d, ExpPoly(terms)) for d, terms in collected.items())
+                    _add_products(collected[target], coeff.terms, derived[(j, beta)].terms, weight)
+    return LinDiffOp((d, ExpPoly._from(acc)) for d, acc in collected.items())
 
 
 def commutator(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
@@ -236,7 +250,11 @@ class MatrixDiffOp:
             raise ShapeMismatch(
                 f"operator has {n_cols} columns but got {len(fields)} fields"
             )
-        return [
-            ExpPoly(t for entry, f in zip(row, fields) for t in entry._applied(f))
-            for row in self.rows
-        ]
+        derived = [{ZERO_ALPHA: f} for f in fields]
+        out = []
+        for row in self.rows:
+            acc: Accumulator = {}
+            for entry, d in zip(row, derived):
+                _apply_into(acc, entry, d)
+            out.append(ExpPoly._from(acc))
+        return out

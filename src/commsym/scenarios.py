@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import detsolve
-from .expcore import _UNIT, ZERO_ALPHA, ExpPoly, _products
+from .expcore import _UNIT, ZERO_ALPHA, ExpPoly, _add_products
 from .opalg import LinDiffOp, MatrixDiffOp, ad_power
 
 # engaging-check pass thresholds, per scenario
@@ -725,7 +725,10 @@ def transform_fields(fields: Sequence[ExpPoly], t: MaxwellTransform) -> list[Exp
 
 
 def _dot(fields_a: Sequence[ExpPoly], fields_b: Sequence[ExpPoly]) -> ExpPoly:
-    return ExpPoly(t for a, b in zip(fields_a, fields_b) for t in _products(a.terms, b.terms, 1))
+    acc: dict = {}
+    for a, b in zip(fields_a, fields_b):
+        _add_products(acc, a.terms, b.terms, 1)
+    return ExpPoly._from(acc)
 
 
 def _coeff_inner(rows_a: Sequence[ExpPoly], rows_b: Sequence[ExpPoly]) -> complex:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from randgen import approx_eq, rand_poly
+from randgen import approx_eq, assert_same_terms, rand_poly, reference_normalize, term_lists
 
 from commsym.expcore import MERGE_TOL, ExpPoly, ExpTerm, NonFinite
 
@@ -92,6 +92,48 @@ def test_perturbed_covectors_merge_whatever_sorts_between(kappa, shift, fillers,
     ]
     raw = data.draw(st.permutations([ExpTerm(1 + 0j, kappa=kappa), ExpTerm(-1 + 0j, kappa=moved)] + between))
     assert ExpPoly(raw) == ExpPoly(between)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=term_lists())
+def test_gate_matches_sort_and_window_reference(raw):
+    """The accumulator gate gives the terms of the term-by-term
+    sort-and-window reference: the same alpha and covector, in the same
+    order, with coefficients within 1e-14 of the largest input."""
+    size = max(abs(t.coeff) for t in raw)
+    assert_same_terms(ExpPoly(raw).terms, reference_normalize(raw), size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(left=term_lists(max_terms=4), right=term_lists(max_terms=4))
+def test_product_is_the_gate_of_the_flat_product_list(left, right):
+    p, q = ExpPoly(left), ExpPoly(right)
+    flat = [
+        ExpTerm(s.coeff * o.coeff,
+                tuple(a + b for a, b in zip(s.alpha, o.alpha)),
+                tuple(a + b for a, b in zip(s.kappa, o.kappa)))
+        for s in p.terms
+        for o in q.terms
+    ]
+    assert p * q == ExpPoly(flat)
+    size = max((abs(t.coeff) for t in flat), default=0.0)
+    assert_same_terms((p * q).terms, reference_normalize(flat), size)
+
+
+def test_merged_term_keeps_a_covector_its_own_alpha_brought():
+    # within reach of each other (|0.25 - 0| <= 1e-12 * 2.5e11), the second
+    # covector sorts first; a merge across alphas would give alpha0 kappa_b
+    kappa_a = (0j, 0j, 0.25 + 0j, 2.5e11 + 0j)
+    kappa_b = (0j, 0j, 0j, 2.5e11 + 0j)
+    alpha0, alpha1 = (0, 0, 0, 0), (0, 0, 0, 1)
+    apart = [ExpTerm(1 + 0j, alpha0, kappa_a), ExpTerm(2 + 0j, alpha1, kappa_b)]
+    assert ExpPoly(apart).terms == tuple(apart)
+    assert ExpPoly(apart[::-1]).terms == tuple(apart)
+    # alpha0 bringing both merges into the earlier one, kappa_b
+    both = apart + [ExpTerm(3 + 0j, alpha0, kappa_b)]
+    expected = (ExpTerm(4 + 0j, alpha0, kappa_b), ExpTerm(2 + 0j, alpha1, kappa_b))
+    assert ExpPoly(both).terms == expected
+    assert ExpPoly(both[::-1]).terms == expected
 
 
 def test_normalize_rejects_non_finite():
