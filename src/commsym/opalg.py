@@ -254,7 +254,7 @@ class MatrixDiffOp:
         out = []
         for row in self.rows:
             acc: Accumulator = {}
-            for entry, d in zip(row, derived):
-                _apply_into(acc, entry, d)
+            for entry, memo in zip(row, derived):
+                _apply_into(acc, entry, memo)
             out.append(ExpPoly._from(acc))
         return out

@@ -140,7 +140,8 @@ _LIST_KAPPA = [
 # relative nudges of a covector component: copies 1e-13 apart merge, copies
 # 6e-13 from the base merge into it but not with each other
 _NUDGE = st.sampled_from([0.0, 1e-13, -1e-13, 6e-13, -6e-13])
-_COEFF = st.builds(complex, st.floats(-2, 2).filter(lambda v: abs(v) > 0.1), st.sampled_from([0.0, 0.5, -1.5]))
+_COEFF = st.builds(complex, st.floats(-2, 2).filter(lambda v: abs(v) > 0.1),
+                   st.sampled_from([0.0, 0.5, -1.5]))
 
 
 @st.composite
