@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import compress, count
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -393,22 +392,20 @@ def _canonical(acc: Accumulator) -> tuple[ExpTerm, ...]:
     rows.sort(key=_alpha)  # stable: rank order within an alpha
     if len(groups) > 1:
         rows = _merge(rows, groups)
-    new = tuple.__new__  # ExpTerm's own __new__, without its Python frame
-    terms = []
     scale, least = 0.0, math.inf
-    for alpha, _, c, k in rows:
-        m = abs(c)
+    for row in rows:
+        m = abs(row[2])
         if not m < math.inf:
-            raise NonFinite(f"non-finite coefficient {c!r}")
+            raise NonFinite(f"non-finite coefficient {row[2]!r}")
         if m > scale:
             scale = m
         if m < least:
             least = m
-        terms.append(new(ExpTerm, (c, alpha, k)))
     floor = ZERO_TOL * scale
     if least <= floor:
-        terms = [t for t in terms if abs(t.coeff) > floor]
-    return tuple(terms)
+        rows = [row for row in rows if abs(row[2]) > floor]
+    new = tuple.__new__  # ExpTerm's own __new__, without its Python frame
+    return tuple([new(ExpTerm, (c, alpha, k)) for alpha, _, c, k in rows])
 
 
 def _merge(rows: list, groups: list) -> list:
@@ -417,17 +414,19 @@ def _merge(rows: list, groups: list) -> list:
     alpha, itself not merged, whose covector is within reach of the row's
     (see _within_reach).  Only a row whose alpha brought an earlier covector
     can merge."""
-    alphas = list(map(_alpha, rows))
+    later = [j for j in range(1, len(rows)) if rows[j][0] == rows[j - 1][0]]
+    if not later:
+        return rows
     near: list = [None] * len(groups)  # rank -> _within_reach, once needed
     sums = {}  # row index -> coefficient with the rows merged into it
     gone = set()  # rows merged into an earlier row
-    for j in compress(count(1), map(eq, alphas[1:], alphas)):
+    for j in later:
         alpha, r, c, _ = rows[j]
         targets = near[r]
         if targets is None:
             targets = near[r] = _within_reach(groups, r)
         i = j - 1
-        while targets and i >= 0 and alphas[i] == alpha:
+        while targets and i >= 0 and rows[i][0] == alpha:
             if i not in gone and rows[i][1] in targets:
                 sums[i] = sums.get(i, rows[i][2]) + c
                 gone.add(j)
