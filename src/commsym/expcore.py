@@ -395,14 +395,14 @@ def _canonical(acc: Accumulator) -> tuple[ExpTerm, ...]:
     scale, least = 0.0, math.inf
     for row in rows:
         m = abs(row[2])
-        if not m < math.inf:
+        if not m < math.inf:  # NaN or inf
             raise NonFinite(f"non-finite coefficient {row[2]!r}")
         if m > scale:
             scale = m
         if m < least:
             least = m
     floor = ZERO_TOL * scale
-    if least <= floor:
+    if least <= floor:  # some term is dropped
         rows = [row for row in rows if abs(row[2]) > floor]
     new = tuple.__new__  # ExpTerm's own __new__, without its Python frame
     return tuple([new(ExpTerm, (c, alpha, k)) for alpha, _, c, k in rows])
