@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
@@ -18,6 +19,7 @@ import numpy as np
 from . import __version__
 from . import scenarios as sc
 from .detsolve import RankDeficiencyAmbiguous
+from .expcore import NonFinite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -193,8 +195,8 @@ def parse_config(argv) -> RunConfig:
     cfg.overrides = data
     if cfg.sweeps < 0:
         raise ConfigError("--sweeps must be non-negative")
-    if cfg.residual_tol is not None and cfg.residual_tol <= 0:
-        raise ConfigError("--residual-tol must be positive")
+    if cfg.residual_tol is not None and not 0 < cfg.residual_tol < math.inf:
+        raise ConfigError("--residual-tol must be finite and positive")
     return cfg
 
 
@@ -228,9 +230,9 @@ def run(cfg: RunConfig) -> tuple[int, bytes]:
                 params=dict(report.params, seed=cfg.seed, sweeps=cfg.sweeps),
                 checks=report.checks + tuple(_sweep_summary(s, cfg)),
             )
-    except (ValueError, RankDeficiencyAmbiguous) as exc:
-        # InvalidParams, DegenerateDirection, bad ansatz degrees, or an
-        # ambiguous null cutoff: all configuration problems, exit 2
+    except (ValueError, RankDeficiencyAmbiguous, NonFinite) as exc:
+        # InvalidParams, DegenerateDirection, bad ansatz degrees, an ambiguous
+        # null cutoff or overflowing parameters: configuration problems, exit 2
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
     payload = report_emit(report, cfg.fmt)

@@ -70,34 +70,31 @@ class AnsatzSpec:
 
 
 @dataclass(frozen=True)
-class Unknown:
-    """One scalar unknown: a monomial coefficient of xi^a, eta or zeta."""
-
-    kind: str  # "xi" | "eta" | "zeta"
-    component: int  # coordinate index for xi, -1 otherwise
-    alpha: Index4
-
-
-@dataclass(frozen=True)
 class DeterminingSystem:
-    """Homogeneous linear system M v = 0 over the ansatz unknowns."""
+    """Homogeneous linear system M v = 0 over the ansatz unknowns.
+
+    Each unknown, and so each column, is a key: (delta, alpha) for the
+    coefficient of the term x^alpha d^delta of Q, and (None, alpha) for the
+    coefficient of the monomial x^alpha of zeta.
+    """
 
     matrix: np.ndarray
-    unknowns: tuple[Unknown, ...]
+    unknowns: tuple[tuple[Index4 | None, Index4], ...]
     row_keys: tuple[tuple[Index4, Index4], ...]  # (derivative delta, monomial alpha)
     L: LinDiffOp
     spec: AnsatzSpec
 
     def decode(self, vec: Sequence[complex]) -> SymmetryCandidate:
         """Turn a coefficient vector back into a symmetry candidate."""
-        # one term list per function, keyed by (kind, component)
-        parts: dict[tuple[str, int], list[ExpTerm]] = defaultdict(list)
-        for u, c in zip(self.unknowns, vec):
+        if len(vec) != len(self.unknowns):
+            raise ValueError(f"vector has {len(vec)} entries for {len(self.unknowns)} unknowns")
+        # one term list per derivative index, None collecting zeta
+        parts: dict[Index4 | None, list[ExpTerm]] = defaultdict(list)
+        for (delta, alpha), c in zip(self.unknowns, vec):
             if complex(c) != 0:
-                parts[(u.kind, u.component)].append(ExpTerm(complex(c), u.alpha))
-        xi = [ExpPoly(parts[("xi", a)]) for a in range(4)]
-        eta, zeta = ExpPoly(parts[("eta", -1)]), ExpPoly(parts[("zeta", -1)])
-        return SymmetryCandidate(LinDiffOp.first_order(xi, eta), zeta)
+                parts[delta].append(ExpTerm(complex(c), alpha))
+        zeta = ExpPoly(parts.pop(None, []))
+        return SymmetryCandidate(LinDiffOp((d, ExpPoly(t)) for d, t in parts.items()), zeta)
 
 
 @dataclass(frozen=True)
@@ -132,15 +129,6 @@ def monomials_up_to(degree: int) -> list[Index4]:
             if sum(alpha) == total:
                 out.append(alpha)
     return out
-
-
-def _ansatz_unknowns(spec: AnsatzSpec) -> tuple[Unknown, ...]:
-    unknowns: list[Unknown] = []
-    for a in range(4):
-        unknowns.extend(Unknown("xi", a, m) for m in monomials_up_to(spec.degree))
-    unknowns.extend(Unknown("eta", -1, m) for m in monomials_up_to(spec.degree))
-    unknowns.extend(Unknown("zeta", -1, m) for m in monomials_up_to(spec.zeta_degree))
-    return tuple(unknowns)
 
 
 Key = tuple[Index4, Index4]  # (derivative delta, monomial alpha) of x^alpha d^delta
@@ -219,24 +207,27 @@ class _AdMap:
 def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSystem:
     """Assemble the linear system for  ad_L^p(Q) - zeta L = 0.
 
-    Unknowns are all monomial coefficients of xi^a, eta (degree <= spec.degree)
-    and zeta (degree <= spec.zeta_degree); each row equates the coefficient of
-    one (monomial x derivative) pair in the residual operator to zero.  The
-    column of a xi or eta unknown is its unit operator x^alpha d^delta pushed
-    p times through one sparse ad_L map; a zeta unknown's column is -x^alpha L.
+    The unknowns are the keys (e_a, alpha) of xi^a, then (0, alpha) of eta,
+    for |alpha| <= spec.degree, then (None, alpha) of zeta, for
+    |alpha| <= spec.zeta_degree.  Each row equates the coefficient of one
+    (monomial x derivative) pair in the residual operator to zero.  The
+    column of a key (delta, alpha) of Q is x^alpha d^delta pushed p times
+    through one sparse ad_L map; that of a key (None, alpha) is -x^alpha L.
     """
     if L.has_exponential_coefficients():
         raise UnsupportedCoefficient(
             "determining systems require polynomial operator coefficients"
         )
-    unknowns = _ansatz_unknowns(spec)
+    monomials = monomials_up_to(spec.degree)
+    unknowns = tuple((delta, m) for delta in (*_UNIT, ZERO_ALPHA) for m in monomials)
+    unknowns += tuple((None, m) for m in monomials_up_to(spec.zeta_degree))
     ad = _AdMap(L)
     columns = []
-    for u in unknowns:
-        if u.kind == "zeta":
-            columns.append({(gamma, _add(a, u.alpha)): -c for gamma, a, c in ad.terms})
+    for delta, alpha in unknowns:
+        if delta is None:
+            columns.append({(gamma, _add(a, alpha)): -c for gamma, a, c in ad.terms})
             continue
-        col = {(_UNIT[u.component] if u.kind == "xi" else ZERO_ALPHA, u.alpha): 1 + 0j}
+        col = {(delta, alpha): 1 + 0j}
         for _ in range(spec.p):
             col = ad(col)
         columns.append(col)

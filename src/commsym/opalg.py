@@ -126,15 +126,17 @@ class LinDiffOp(_Sum):
 def _apply_into(acc: Accumulator, op: LinDiffOp, derived: dict[Index4, ExpPoly]) -> None:
     """Add the products coeff * (d^delta f) of op applied to f to acc.
 
-    derived holds the derivatives of f taken so far, f itself at delta = 0;
-    each d^delta f is derived once, from d^(delta - e_k) f with k the last
-    nonzero axis of delta, so axis 0 is always derived first.
+    derived holds the derivatives of f taken so far, f itself at delta = 0
+    (see _derivative).
     """
     for delta, coeff in op.terms:
         _add_products(acc, coeff.terms, _derivative(derived, delta).terms, 1)
 
 
 def _derivative(derived: dict[Index4, ExpPoly], delta: Index4) -> ExpPoly:
+    """d^delta f, memoized in derived; each d^delta f is derived once, from
+    d^(delta - e_k) f with k the last nonzero axis of delta, so axis 0 is
+    always derived first."""
     g = derived.get(delta)
     if g is None:
         k = max(a for a in range(4) if delta[a])
@@ -155,26 +157,22 @@ def _leibniz(products: Sequence[tuple[int, LinDiffOp, LinDiffOp]], with_zero: bo
     beta <= delta of binom(delta, beta) c (d^beta c') d^(delta - beta + gamma);
     beta = 0 is left out unless with_zero.  The product terms stay
     gathered in one accumulator per multi-index until the one gate at the end.
-    Each d^beta c' is derived once per product, from d^(beta - e_k) c'.
+    Each d^beta c' is derived once per product, in the order of apply
+    (see _derivative).
     """
     collected: dict[Index4, Accumulator] = defaultdict(dict)
     for sign, a, b in products:
-        derived = {(j, ZERO_ALPHA): c for j, (_, c) in enumerate(b.terms)}
+        memos = [{ZERO_ALPHA: c} for _, c in b.terms]
         for delta, coeff in a.terms:
-            # product order lists beta - e_k, k the first nonzero index of
-            # beta, before beta, and beta = 0 first
             betas = itertools.product(*(range(n + 1) for n in delta))
             if not with_zero:
-                next(betas)
+                next(betas)  # beta = 0 comes first
             for beta in betas:
                 weight = sign * math.prod(math.comb(n, m) for n, m in zip(delta, beta))
-                for j, (gamma, c) in enumerate(b.terms):
-                    if (j, beta) not in derived:
-                        k = next(i for i, n in enumerate(beta) if n)
-                        lower = beta[:k] + (beta[k] - 1,) + beta[k + 1:]
-                        derived[(j, beta)] = derived[(j, lower)].derive(k)
+                for (gamma, _), memo in zip(b.terms, memos):
+                    derived = memo.get(beta) or _derivative(memo, beta)
                     target = tuple(n - m + g for n, m, g in zip(delta, beta, gamma))
-                    _add_products(collected[target], coeff.terms, derived[(j, beta)].terms, weight)
+                    _add_products(collected[target], coeff.terms, derived.terms, weight)
     return LinDiffOp((d, ExpPoly._from(acc)) for d, acc in collected.items())
 
 

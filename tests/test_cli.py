@@ -57,6 +57,26 @@ def test_residual_tol_is_config_error_where_unused(scenario):
     assert cli.main([scenario, "--residual-tol", "1e-30"]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [
+    ["schrodinger-lorentz", "--V", "nan"],
+    ["schrodinger-lorentz", "--v", "0.4,nan,0"],
+    ["schrodinger-lorentz", "--c", "inf"],
+    ["schrodinger-lorentz", "--hbar", "nan"],
+    ["schrodinger-lorentz", "--m0", "inf"],
+    ["maxwell-galilei", "--angle", "nan"],
+    ["maxwell-galilei", "--angle", "inf"],
+    ["schrodinger-lorentz", "--residual-tol", "nan"],
+    # an infinite threshold would pass the documented eq23 failure
+    ["schrodinger-lorentz", "--residual-tol", "inf"],
+    # finite, but a second derivative of the plane wave overflows: omega^2 > 1e308
+    ["dalembert-galilei", "--omega", "1e160"],
+], ids=lambda argv: " ".join(argv[1:]))
+def test_non_finite_input_is_config_error(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv, check", [
     (["dalembert-galilei", "--omega", "1e5"], "eq19_primed_covector_match"),
     (["composition", "--omega", "1e5"], "eq30_weight_composition"),

@@ -16,7 +16,6 @@ from commsym.detsolve import (
     NotClosed,
     RankDeficiencyAmbiguous,
     SingularMap,
-    Unknown,
     UnsupportedCoefficient,
     UnsupportedDegree,
     _components,
@@ -30,7 +29,7 @@ from commsym.detsolve import (
     solve_null_space,
     structure_constants,
 )
-from commsym.expcore import ExpPoly, ExpTerm
+from commsym.expcore import _UNIT, ZERO_ALPHA, ExpPoly, ExpTerm
 from commsym.opalg import LinDiffOp, ad_power, residual_vs_multiple
 from commsym.scenarios import (
     SchrodingerParams,
@@ -245,22 +244,21 @@ def test_schrodinger_null_space_contains_boost():
     ls = schrodinger_operator(SchrodingerParams())
     system = build_determining_system(ls, AnsatzSpec(degree=1, p=2))
     basis = solve_null_space(system)
-    index = {(u.kind, u.component, u.alpha): i for i, u in enumerate(system.unknowns)}
+    index = {key: i for i, key in enumerate(system.unknowns)}
     vec = np.zeros(len(system.unknowns), dtype=complex)
-    vec[index[("xi", 1, (1, 0, 0, 0))]] = 1.0  # x0 d1
-    vec[index[("xi", 0, (0, 1, 0, 0))]] = 1.0  # x1 d0
+    vec[index[((0, 1, 0, 0), (1, 0, 0, 0))]] = 1.0  # x0 d1
+    vec[index[((1, 0, 0, 0), (0, 1, 0, 0))]] = 1.0  # x1 d0
     vec /= np.linalg.norm(vec)
     assert basis.projection_residual(vec) < 1e-8
 
 
 def encode(system, Q, zeta):
     """The coefficient vector of the candidate (Q, zeta) over the system's unknowns."""
-    index = {(u.kind, u.component, u.alpha): i for i, u in enumerate(system.unknowns)}
+    index = {key: i for i, key in enumerate(system.unknowns)}
     vec = np.zeros(len(system.unknowns), dtype=complex)
-    parts = [(("xi", delta.index(1)) if any(delta) else ("eta", -1), c) for delta, c in Q.terms]
-    for (kind, component), f in parts + [(("zeta", -1), zeta)]:
+    for delta, f in [*Q.terms, (None, zeta)]:
         for t in f.terms:
-            vec[index[(kind, component, t.alpha)]] += t.coeff
+            vec[index[(delta, t.alpha)]] += t.coeff
     return vec
 
 
@@ -305,16 +303,38 @@ def test_exponential_coefficients_rejected():
 def test_decode_roundtrip():
     system = build_determining_system(wave_operator(), AnsatzSpec(degree=1, p=2))
     vec = np.zeros(len(system.unknowns))
-    index = {(u.kind, u.component, u.alpha): i for i, u in enumerate(system.unknowns)}
-    vec[index[("xi", 1, (1, 0, 0, 0))]] = 2.0
+    index = {key: i for i, key in enumerate(system.unknowns)}
+    vec[index[((0, 1, 0, 0), (1, 0, 0, 0))]] = 2.0
     cand = system.decode(vec)
     assert approx_eq(cand.Q, 2 * op_x0d1(), 1e-14)
+
+
+@pytest.mark.parametrize("operator", ["box", "schrod"])
+def test_unit_vectors_decode_to_their_keys(operator):
+    # a Q key (delta, alpha) is the term x^alpha d^delta, a zeta key (None, alpha) is x^alpha
+    system, _ = system_and_basis(operator, 1, 2, 2)
+    eye = np.eye(len(system.unknowns))
+    for (delta, alpha), vec in zip(system.unknowns, eye):
+        cand = system.decode(vec)
+        monomial = ExpPoly([ExpTerm(1, alpha)])
+        if delta is None:
+            assert cand.Q.is_zero() and cand.zeta == monomial
+        else:
+            assert cand.Q == LinDiffOp([(delta, monomial)]) and cand.zeta.is_zero()
+
+
+def test_decode_rejects_a_vector_of_the_wrong_length():
+    system, _ = system_and_basis("box", 1, 2, 0)
+    assert len(system.unknowns) == 26
+    for n in (3, 25, 27):
+        with pytest.raises(ValueError, match="26 unknowns"):
+            system.decode(np.ones(n))
 
 
 def test_full_rank_system_empty_basis():
     dummy = DeterminingSystem(
         matrix=np.eye(3, dtype=complex),
-        unknowns=tuple(Unknown("xi", a, (0, 0, 0, 0)) for a in range(3)),
+        unknowns=tuple((_UNIT[a], ZERO_ALPHA) for a in range(3)),
         row_keys=(),
         L=wave_operator(),
         spec=AnsatzSpec(degree=0, p=1),
@@ -328,7 +348,7 @@ def test_full_rank_system_empty_basis():
 def test_rank_ambiguity_guard_fires():
     dummy = DeterminingSystem(
         matrix=np.diag([1.0, 3e-8, 5e-9]).astype(complex),
-        unknowns=tuple(Unknown("xi", a, (0, 0, 0, 0)) for a in range(3)),
+        unknowns=tuple((_UNIT[a], ZERO_ALPHA) for a in range(3)),
         row_keys=(),
         L=wave_operator(),
         spec=AnsatzSpec(degree=0, p=1),
@@ -341,7 +361,7 @@ def test_null_cutoff_is_relative_to_the_global_sigma_max():
     # two 1 x 1 components: 1e-9 is the whole of its own but below NULL_TOL * 1
     dummy = DeterminingSystem(
         matrix=np.diag([1.0, 1e-9]).astype(complex),
-        unknowns=tuple(Unknown("xi", a, (0, 0, 0, 0)) for a in range(2)),
+        unknowns=tuple((_UNIT[a], ZERO_ALPHA) for a in range(2)),
         row_keys=(),
         L=wave_operator(),
         spec=AnsatzSpec(degree=0, p=1),
@@ -400,7 +420,7 @@ def test_reverification_rejects_a_wrong_matrix():
     # the matrix admits x0 d0 for box at p = 1, but [box, x0 d0] = 2 d0^2
     wrong = DeterminingSystem(
         matrix=np.zeros((1, 1), dtype=complex),
-        unknowns=(Unknown("xi", 0, (1, 0, 0, 0)),),
+        unknowns=(((1, 0, 0, 0), (1, 0, 0, 0)),),
         row_keys=(((2, 0, 0, 0), (0, 0, 0, 0)),),
         L=wave_operator(),
         spec=AnsatzSpec(degree=1, p=1),

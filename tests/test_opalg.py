@@ -137,16 +137,6 @@ def _derived_axis_by_axis(f, delta):
     return f
 
 
-def _derived_first_axis_last(f, beta):
-    """d^beta f taken as compose and commutator take it: the last derivative
-    along the first nonzero axis of beta.  The order matters at the merge
-    tolerance, since a merge keeps one covector for the next derivative."""
-    if not any(beta):
-        return f
-    k = next(a for a in range(4) if beta[a])
-    return _derived_first_axis_last(f, beta[:k] + (beta[k] - 1,) + beta[k + 1:]).derive(k)
-
-
 def test_apply_derives_each_derivative_once(monkeypatch):
     """MatrixDiffOp.apply and LinDiffOp.apply give the gate of the flat list
     of coeff * (d^delta f) products, each derivative taken axis by axis from
@@ -178,6 +168,22 @@ def test_apply_derives_each_derivative_once(monkeypatch):
          for t in _products(c.terms, _derived_axis_by_axis(fields[1], delta).terms, 1)])
 
 
+def test_compose_with_a_function_derives_as_apply_does():
+    """The d^0 coefficient of D . c is D.apply(c) bit for bit: compose and
+    apply take each derivative of c in the same axis order."""
+    rng = np.random.default_rng(37)
+    deltas = [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 1), (0, 1, 1, 0), (1, 1, 1, 0), (2, 0, 1, 0),
+              (0, 0, 1, 2)]
+    for _ in range(200):
+        D = LinDiffOp((deltas[i], rand_poly(rng)) for i in rng.choice(len(deltas), 3, replace=False))
+        c = rand_poly(rng)
+        # one covector: every derivative order rounds the same products
+        single = ExpPoly([ExpTerm(t.coeff, t.alpha, c.terms[0].kappa) for t in c.terms])
+        for f in (c, single):
+            composed = dict(D.compose(LinDiffOp([((0, 0, 0, 0), f)])).terms)
+            assert composed.get((0, 0, 0, 0), ExpPoly.zero()) == D.apply(f)
+
+
 _DELTAS = st.sampled_from([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 1), (0, 2, 0, 0)])
 
 
@@ -200,7 +206,7 @@ def test_commutator_matches_the_gate_of_the_flat_product_list(a, b):
                 weight = sign * math.prod(math.comb(n, m) for n, m in zip(delta, beta))
                 for gamma, c2 in y.terms:
                     target = tuple(n - m + g for n, m, g in zip(delta, beta, gamma))
-                    derived = _derived_first_axis_last(c2, beta)
+                    derived = _derived_axis_by_axis(c2, beta)
                     flat.setdefault(target, []).extend(_products(c.terms, derived.terms, weight))
     size = max((abs(t.coeff) for terms in flat.values() for t in terms), default=0.0)
     got = dict(commutator(A, B).terms)
