@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expcore import ZERO_ALPHA, ExpPoly, ExpTerm, Index4, _UNIT
+from .expcore import ZERO_ALPHA, ExpPoly, ExpTerm, Index4, NonFinite, _UNIT
 from .opalg import LinDiffOp, SymmetryCandidate, ad_power, commutator, residual_vs_multiple
 
 
@@ -418,6 +418,8 @@ class AffineMap:
         b = np.asarray(self.b, dtype=float)
         if A.shape != (4, 4) or b.shape != (4,):
             raise ValueError("AffineMap needs a 4x4 matrix and a 4-vector")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise ValueError("AffineMap needs finite A and b")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "b", b)
 
@@ -460,8 +462,13 @@ def flow(Q: LinDiffOp, theta: float) -> AffineMap:
 
     The affine vector field xi(x) = M x + v exponentiates through the 5x5
     augmented matrix [[M, v], [0, 0]]; flow(Q, 0) is the identity and
-    flow(Q, s).flow(Q, t) = flow(Q, s + t).  eta plays no role here.
+    flow(Q, s).flow(Q, t) = flow(Q, s + t).  eta plays no role here.  A
+    non-finite theta raises ValueError; an exponential beyond the float range
+    raises NonFinite under any warning filter.
     """
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"flow parameter must be finite, not {theta!r}")
     if Q.order > 1:
         raise UnsupportedDegree("flows are defined for first-order generators only")
     M = np.zeros((4, 4))
@@ -485,7 +492,13 @@ def flow(Q: LinDiffOp, theta: float) -> AffineMap:
     aug = np.zeros((5, 5))
     aug[:4, :4] = M
     aug[:4, 4] = v
-    E = _expm(float(theta) * aug)
+    try:
+        with np.errstate(over="raise", invalid="raise", under="ignore"):
+            E = _expm(theta * aug)
+    except (FloatingPointError, OverflowError) as exc:
+        raise NonFinite(f"flow overflowed at theta = {theta!r}") from exc
+    if not np.all(np.isfinite(E)):
+        raise NonFinite(f"flow overflowed at theta = {theta!r}")
     return AffineMap(E[:4, :4], E[:4, 4])
 
 

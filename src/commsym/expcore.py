@@ -228,10 +228,16 @@ class ExpPoly(_Sum):
         points = np.asarray(x, dtype=float)
         if points.ndim not in (1, 2) or points.shape[-1] != 4 or not np.all(np.isfinite(points)):
             raise ValueError("evaluation points must be finite 4-vectors")
+        rows = points.reshape(-1, 4)
+        coeff = np.array([t.coeff for t in self.terms], dtype=complex)
+        alpha = np.array([t.alpha for t in self.terms], dtype=int).reshape(-1, 4)
+        kappa = np.array([t.kappa for t in self.terms], dtype=complex).reshape(-1, 4)
         try:
             with np.errstate(over="raise", invalid="raise", under="ignore"):
-                coeff, F = _axis_factors(self.terms, points.reshape(-1, 4))
-                values = coeff @ (F[0] * F[1] * F[2] * F[3])
+                # kappa . x is summed before exp, so exp overflows only where
+                # exp(kappa . x) does, not where one exp(kappa_a x_a) would
+                mono = (rows[:, None, :] ** alpha).prod(axis=2)
+                values = (mono * np.exp(rows @ kappa.T)) @ coeff
         except FloatingPointError as exc:
             raise NonFinite("evaluation overflowed") from exc
         if not np.all(np.isfinite(values)):
@@ -282,18 +288,6 @@ class ExpPoly(_Sum):
             bits.append(f"({t.coeff:.6g}){mono}{expo}")
         more = "" if len(self.terms) <= 4 else f" ... {len(self.terms)} terms"
         return "ExpPoly(" + " + ".join(bits) + more + ")"
-
-
-def _axis_factors(terms: Sequence[ExpTerm], coords: np.ndarray):
-    """Coefficients c[t] and factors F[a, t, i] = x_ai^alpha_ta exp(kappa_ta x_ai)
-    at the rows x_i of coords, so that sum_t c[t] prod_a F[a, t, i] = f(x_i).
-    Callers keep it, their products and their contraction inside one
-    np.errstate(over="raise", invalid="raise"): overflow raises, never warns."""
-    coeff = np.array([t.coeff for t in terms], dtype=complex)
-    alpha = np.array([t.alpha for t in terms], dtype=int).reshape(-1, 4).T[:, :, None]
-    kappa = np.array([t.kappa for t in terms], dtype=complex).reshape(-1, 4).T[:, :, None]
-    x = coords.T[:, None, :]
-    return coeff, x ** alpha * np.exp(kappa * x)
 
 
 def _as_kappa(kappa: Sequence[complex]) -> CVec4:

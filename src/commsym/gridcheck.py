@@ -9,12 +9,13 @@ oracle for every symbolic zero claimed by the scenario suites.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .expcore import ZERO_ALPHA, ZERO_KAPPA, ExpPoly, _axis_factors
+from .expcore import ZERO_ALPHA, ZERO_KAPPA, ExpPoly
 from .opalg import LinDiffOp
 
 
@@ -39,10 +40,13 @@ class GridSpec:
     extent: int = 9
 
     def __post_init__(self) -> None:
-        if self.h <= 0:
-            raise ValueError("grid step must be positive")
-        if self.extent < 5 or self.extent % 2 == 0:
-            raise ValueError("extent must be odd and at least 5")
+        origin = np.asarray(self.origin, dtype=float)
+        if origin.shape != (4,) or not np.all(np.isfinite(origin)):
+            raise ValueError("grid origin must be four finite numbers")
+        if not 0 < self.h < math.inf:
+            raise ValueError("grid step must be finite and positive")
+        if not isinstance(self.extent, (int, np.integer)) or self.extent < 5 or self.extent % 2 == 0:
+            raise ValueError("extent must be an odd integer, at least 5")
 
     def axes(self) -> list[np.ndarray]:
         half = (self.extent - 1) / 2.0
@@ -61,21 +65,20 @@ def _eval_on_axes(f: ExpPoly, axes: Sequence[np.ndarray]) -> np.ndarray:
     """Values of f on the tensor grid of four axes of any lengths.
 
     Each term c x^alpha exp(kappa . x) factors by axis, so with the axis
-    factors F_a[t, i] of expcore._axis_factors the grid is one matrix
-    product, (c F_0 (x) F_1)^T @ (F_2 (x) F_3), over the terms t.
-    Overflow and NaN raise FloatingPointError whatever the warning filters;
-    underflow gives 0 silently.
+    factors F_a[t, i] = x_ai^alpha_ta exp(kappa_ta x_ai) the grid is one
+    matrix product, (c F_0 (x) F_1)^T @ (F_2 (x) F_3), over the terms t.
+    Overflow and NaN raise FloatingPointError whatever the warning filters,
+    also where a factor overflows and the product would not; underflow
+    gives 0 silently.
     """
     n = [len(x) for x in axes]
-    # _axis_factors takes (m, 4) points: each shorter axis is padded with its
-    # own first point, so no coordinate off the axes is evaluated
-    coords = np.empty((max(n), 4))
-    for a, x in enumerate(axes):
-        coords[:, a] = x[0]
-        coords[: n[a], a] = x
+    coeff = np.array([t.coeff for t in f.terms], dtype=complex)
+    alpha = np.array([t.alpha for t in f.terms], dtype=int).reshape(-1, 4)
+    kappa = np.array([t.kappa for t in f.terms], dtype=complex).reshape(-1, 4)
     with np.errstate(over="raise", invalid="raise", under="ignore"):
-        coeff, F = _axis_factors(f.terms, coords)
-        F0, F1, F2, F3 = (F[a][:, :k] for a, k in enumerate(n))
+        F0, F1, F2, F3 = (
+            x ** alpha[:, a, None] * np.exp(kappa[:, a, None] * x) for a, x in enumerate(axes)
+        )
         left = (coeff[:, None, None] * F0[:, :, None] * F1[:, None, :]).reshape(-1, n[0] * n[1])
         right = (F2[:, :, None] * F3[:, None, :]).reshape(-1, n[2] * n[3])
         out = (left.T @ right).reshape(n)
@@ -185,6 +188,8 @@ def convergence_order(
     """
     if len(steps) < 3:
         raise ValueError("need at least three step sizes")
+    if len(set(steps)) < len(steps):  # GridSpec rejects a step that is not positive
+        raise ValueError("step sizes must be pairwise distinct")
     exact = A.apply(f)
     residuals = [
         _fd_residual(A, f, exact, GridSpec(origin=grid.origin, h=float(h), extent=grid.extent))

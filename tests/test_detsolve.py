@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from commsym.detsolve import (
     solve_null_space,
     structure_constants,
 )
-from commsym.expcore import _UNIT, ZERO_ALPHA, ExpPoly, ExpTerm
+from commsym.expcore import _UNIT, ZERO_ALPHA, ExpPoly, ExpTerm, NonFinite
 from commsym.opalg import LinDiffOp, ad_power, residual_vs_multiple
 from commsym.scenarios import (
     SchrodingerParams,
@@ -561,6 +562,22 @@ def test_flow_ode_finite_difference():
         assert np.max(np.abs(dx - xi)) < 1e-7
 
 
+def test_flow_rejects_non_finite_parameter():
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            flow(boost_generator(), theta)
+
+
+@pytest.mark.parametrize("action", ["error", "default", "always", "ignore"])
+def test_flow_overflow_raises_under_any_warning_filter(action):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        for theta in (1e6, -1e6, 1e308):
+            with pytest.raises(NonFinite):
+                flow(boost_generator(), theta)
+    assert not seen
+
+
 def test_flow_rejects_quadratic_coefficients():
     q = LinDiffOp([((1, 0, 0, 0), ExpPoly([ExpTerm(1.0, (0, 2, 0, 0))]))])
     with pytest.raises(UnsupportedDegree):
@@ -647,6 +664,13 @@ def test_pullback_singular_map():
     A = np.zeros((4, 4))
     with pytest.raises(SingularMap):
         pullback(LinDiffOp.partial(0), AffineMap(A, np.zeros(4)))
+
+
+def test_affine_map_rejects_non_finite_entries():
+    with pytest.raises(ValueError):
+        AffineMap(np.full((4, 4), math.nan), np.zeros(4))
+    with pytest.raises(ValueError):
+        AffineMap(np.eye(4), np.array([0, math.inf, 0, 0]))
 
 
 def test_affine_map_inverse_roundtrip():

@@ -327,6 +327,14 @@ def test_evaluate_overflow_raises():
         f.evaluate((2.0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("s", [800.0, 1e4, 1e6])
+def test_evaluate_cancelling_exponent_is_finite(s):
+    # exp(s x0 - s x1) is 1 at x0 = x1 = 1, although exp(s) alone overflows
+    f = ExpPoly.exponential(1, (s, -s, 0, 0))
+    assert f.evaluate((1, 1, 0, 0)) == 1
+    assert np.array_equal(f.evaluate(np.ones((3, 4)) * (1, 1, 0, 0)), np.ones(3))
+
+
 def test_evaluate_rows_match_term_by_term_sum():
     # the twenty-term polynomial of test_eval_on_grid_matches_evaluate_everywhere
     rng = np.random.default_rng(3)

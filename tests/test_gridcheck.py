@@ -1,5 +1,6 @@
 """Finite-difference oracle: residual bounds, convergence order, guards."""
 
+import math
 import warnings
 
 import numpy as np
@@ -29,6 +30,13 @@ def test_gridspec_validation():
         GridSpec(extent=4)
     with pytest.raises(ValueError):
         GridSpec(extent=8)
+    for bad in (
+        dict(h=-1e-2), dict(h=math.nan), dict(h=math.inf),
+        dict(origin=(math.nan, 0, 0, 0)), dict(origin=(0, math.inf, 0, 0)), dict(origin=(0, 0, 0)),
+        dict(extent=9.0),
+    ):
+        with pytest.raises(ValueError):
+            GridSpec(**bad)
 
 
 def test_eval_on_grid_matches_pointwise():
@@ -277,6 +285,13 @@ def test_convergence_degenerate_on_exact_stencil():
     with pytest.raises(DegenerateResiduals) as exc:
         convergence_order(LinDiffOp.partial(1), lin, GridSpec(), [0.04, 0.02, 0.01])
     assert len(exc.value.residuals) == 3
+
+
+@pytest.mark.parametrize("steps", [[1e-2] * 3, [0.04, 0.02, 0.02]])
+def test_convergence_order_rejects_repeated_steps(steps):
+    f = ExpPoly.exponential(1, (1j, 0, 0, 0))
+    with pytest.raises(ValueError):
+        convergence_order(LinDiffOp.partial(0), f, GridSpec(), steps)
 
 
 def test_stencil_overrun():
