@@ -63,6 +63,10 @@ class AnsatzSpec:
     zeta_degree: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("degree", "p", "zeta_degree"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.degree < 0 or self.zeta_degree < 0:
             raise ValueError("polynomial degrees must be non-negative")
         if self.p < 1:
@@ -299,8 +303,9 @@ def solve_null_space(system: DeterminingSystem) -> GeneratorBasis:
 
     The matrix is solved one connected component of its row/column sparsity
     graph at a time (:func:`_components`): one SVD per component with rows,
-    and a unit null vector for each column that touches no row.  The
-    component spectra merge into one descending spectrum; its rank at
+    the components of one shape stacked into one batched call, and a unit
+    null vector for each column that touches no row.  The component spectra
+    merge into one descending spectrum; its rank at
     NULL_TOL, with the gap guard of :func:`null_rank`, is read once, and each
     component keeps the vectors whose singular values lie at or below
     NULL_TOL times the global sigma_max.  Each null vector is a dense row
@@ -320,14 +325,22 @@ def solve_null_space(system: DeterminingSystem) -> GeneratorBasis:
     if not np.all(np.isfinite(m)):
         raise ValueError("determining system contains non-finite entries")
     components = _components(m)
-    # (columns, singular values, vh): one SVD per component with rows, and
-    # the identity on the columns that touch no row
+    blocks = [(rows, cols) for rows, cols in components if rows]
+    # one batched SVD per block shape; numpy runs the same LAPACK call on
+    # each matrix of a stack, so each result is that of its own call
+    by_shape: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for i, (rows, cols) in enumerate(blocks):
+        by_shape[len(rows), len(cols)].append(i)
+    svds = {}  # block index -> (singular values, vh)
+    for members in by_shape.values():
+        _, s, vh = np.linalg.svd(np.stack([m[np.ix_(*blocks[i])] for i in members]),
+                                 full_matrices=True)
+        svds.update(zip(members, zip(s, vh)))
+    # (columns, singular values, vh): the identity on the columns that touch
+    # no row, then each block in component order
     free = [cols[0] for rows, cols in components if not rows]
     parts = [(free, np.zeros(0), np.eye(len(free)))]
-    for rows, cols in components:
-        if rows:
-            _, s, vh = np.linalg.svd(m[np.ix_(rows, cols)], full_matrices=True)
-            parts.append((cols, s, vh))
+    parts += [(cols, *svds[i]) for i, (_, cols) in enumerate(blocks)]
     sigma = np.sort(np.concatenate([s for _, s, _ in parts]))[::-1]
     n = m.shape[1]
     vectors = np.zeros((n - null_rank(sigma, NULL_TOL), n), dtype=complex)
@@ -337,7 +350,7 @@ def solve_null_space(system: DeterminingSystem) -> GeneratorBasis:
         null = vh[int(np.count_nonzero(s > cutoff)):]
         vectors[row : row + len(null), cols] = np.conj(null)
         row += len(null)
-    shapes = tuple((len(rows), len(cols)) for rows, cols in components if rows)
+    shapes = tuple((len(rows), len(cols)) for rows, cols in blocks)
     return GeneratorBasis(vectors, sigma, _reverify(system, vectors), shapes)
 
 

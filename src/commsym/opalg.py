@@ -13,11 +13,14 @@ test oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .expcore import (
     ZERO_ALPHA, _UNIT, Accumulator, ExpPoly, Index4, _add_products, _Sum, _unit_index,
@@ -136,18 +139,30 @@ def _apply_into(acc: Accumulator, op: LinDiffOp, derived: dict[Index4, ExpPoly])
 def _derivative(derived: dict[Index4, ExpPoly], delta: Index4) -> ExpPoly:
     """d^delta f, memoized in derived; each d^delta f is derived once, from
     d^(delta - e_k) f with k the last nonzero axis of delta, so axis 0 is
-    always derived first."""
+    always derived first.  Once d^(delta - e_k) f is zero, so is d^delta f,
+    and nothing is derived."""
     g = derived.get(delta)
     if g is None:
         k = max(a for a in range(4) if delta[a])
-        lower = delta[:k] + (delta[k] - 1,) + delta[k + 1:]
-        g = derived[delta] = _derivative(derived, lower).derive(k)
+        lower = _derivative(derived, delta[:k] + (delta[k] - 1,) + delta[k + 1:])
+        g = derived[delta] = lower.derive(k) if lower.terms else lower
     return g
 
 
 def _sum(polys: list[ExpPoly]) -> ExpPoly:
     """The sum of polynomials; a lone one is returned as it is (canonical)."""
     return polys[0] if len(polys) == 1 else ExpPoly([t for p in polys for t in p.terms])
+
+
+@functools.lru_cache(maxsize=256)
+def _betas(delta: Index4) -> tuple[tuple[Index4, int, Index4], ...]:
+    """(beta, binom(delta, beta), delta - beta) for every beta <= delta,
+    beta = 0 first; binom is the product of the four binomial coefficients.
+    Cached per delta: operators of order up to 5 have 126 multi-indices."""
+    return tuple(
+        (beta, math.prod(map(math.comb, delta, beta)), tuple(n - m for n, m in zip(delta, beta)))
+        for beta in itertools.product(*(range(n + 1) for n in delta))
+    )
 
 
 def _leibniz(products: Sequence[tuple[int, LinDiffOp, LinDiffOp]], with_zero: bool) -> LinDiffOp:
@@ -158,22 +173,25 @@ def _leibniz(products: Sequence[tuple[int, LinDiffOp, LinDiffOp]], with_zero: bo
     beta = 0 is left out unless with_zero.  The product terms stay
     gathered in one accumulator per multi-index until the one gate at the end.
     Each d^beta c' is derived once per product, in the order of apply
-    (see _derivative).
+    (see _derivative).  A zero d^beta c' adds no term, so its products are
+    skipped, and a multi-index that no product reaches has no accumulator.
+    The multi-indices are distinct, so the result is built sorted, without
+    the regrouping of LinDiffOp's constructor.
     """
     collected: dict[Index4, Accumulator] = defaultdict(dict)
+    first = 0 if with_zero else 1  # beta = 0 comes first
     for sign, a, b in products:
         memos = [{ZERO_ALPHA: c} for _, c in b.terms]
         for delta, coeff in a.terms:
-            betas = itertools.product(*(range(n + 1) for n in delta))
-            if not with_zero:
-                next(betas)  # beta = 0 comes first
-            for beta in betas:
-                weight = sign * math.prod(math.comb(n, m) for n, m in zip(delta, beta))
+            for beta, binom, (r0, r1, r2, r3) in _betas(delta)[first:]:
+                weight = sign * binom
                 for (gamma, _), memo in zip(b.terms, memos):
                     derived = memo.get(beta) or _derivative(memo, beta)
-                    target = tuple(n - m + g for n, m, g in zip(delta, beta, gamma))
-                    _add_products(collected[target], coeff.terms, derived.terms, weight)
-    return LinDiffOp((d, ExpPoly._from(acc)) for d, acc in collected.items())
+                    if derived.terms:
+                        target = (r0 + gamma[0], r1 + gamma[1], r2 + gamma[2], r3 + gamma[3])
+                        _add_products(collected[target], coeff.terms, derived.terms, weight)
+    coeffs = ((d, ExpPoly._from(collected[d])) for d in sorted(collected))
+    return LinDiffOp._raw(tuple((d, c) for d, c in coeffs if c.terms))
 
 
 def commutator(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
@@ -189,9 +207,10 @@ def commutator(a: LinDiffOp, b: LinDiffOp) -> LinDiffOp:
 
 
 def ad_power(L: LinDiffOp, Q: LinDiffOp, p: int) -> LinDiffOp:
-    """The p-fold nested commutator [L, [L, ... [L, Q] ...]]."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    """The p-fold nested commutator [L, [L, ... [L, Q] ...]]; p is an int or
+    numpy integer (not a bool) of at least 1."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
+        raise ValueError(f"p must be a positive integer, not {p!r}")
     out = Q
     for _ in range(p):
         out = commutator(L, out)

@@ -193,6 +193,66 @@ def test_component_null_space_matches_whole_matrix(operator, degree, p, zeta_deg
     )
 
 
+def per_component_null_space(m):
+    """Null vectors and merged spectrum of m by one SVD call per component:
+    the reference for the batched calls of solve_null_space."""
+    components = _components(m)
+    free = [cols[0] for rows, cols in components if not rows]
+    parts = [(free, np.zeros(0), np.eye(len(free)))]
+    for rows, cols in components:
+        if rows:
+            _, s, vh = np.linalg.svd(m[np.ix_(rows, cols)], full_matrices=True)
+            parts.append((cols, s, vh))
+    sigma = np.sort(np.concatenate([s for _, s, _ in parts]))[::-1]
+    cutoff = NULL_TOL * (sigma[0] if sigma.size else 0.0)
+    null = [(cols, np.conj(vh[int(np.count_nonzero(s > cutoff)):])) for cols, s, vh in parts]
+    vectors = np.zeros((sum(len(v) for _, v in null), m.shape[1]), dtype=complex)
+    row = 0
+    for cols, v in null:
+        vectors[row : row + len(v), cols] = v
+        row += len(v)
+    return vectors, sigma
+
+
+# every system pinned in this file: the system_and_basis keys, and ("gauss",
+# ...) for i d0 + Laplacian, whose matrix has Gaussian-integer entries
+PINNED_SYSTEMS = [
+    (op, degree, p, zeta_degree)
+    for (op, zeta_degree), by_degree in NULL_DIMENSIONS.items()
+    for degree in by_degree
+    for p in (1, 2, 3)
+] + [
+    ("box", 4, 3, 2), ("schrod", 4, 3, 2), ("box", 2, 1, 1), ("schrod", 2, 1, 1),
+    ("poly", 1, 1, 1), ("poly", 2, 2, 0), ("poly", 1, 3, 0),
+    ("gauss", 2, 1, 1), ("gauss", 3, 2, 2), ("gauss", 2, 3, 0),
+]
+
+
+@pytest.mark.parametrize("operator, degree, p, zeta_degree", PINNED_SYSTEMS)
+def test_batched_svds_match_one_call_per_component(operator, degree, p, zeta_degree):
+    if operator == "gauss":
+        L = 1j * LinDiffOp.partial(0) + laplacian()
+        system = build_determining_system(L, AnsatzSpec(degree, p, zeta_degree))
+        basis = solve_null_space(system)
+    else:
+        system, basis = system_and_basis(operator, degree, p, zeta_degree)
+    vectors, sigma = per_component_null_space(system.matrix)
+    assert basis.vectors.shape == vectors.shape
+    assert basis.vectors.tobytes() == vectors.tobytes()
+    assert basis.singular_values.shape == sigma.shape
+    assert basis.singular_values.tobytes() == sigma.tobytes()
+
+
+def test_components_of_one_shape_share_one_svd_call(monkeypatch):
+    system, _ = system_and_basis("box", 3, 2, 2)
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
+    basis = solve_null_space(system)
+    assert len(basis.components) > len(set(basis.components))
+    assert len(calls) == len(set(basis.components))
+
+
 def test_components_of_a_permuted_block_matrix():
     m = np.zeros((4, 5))
     m[2, 0] = m[2, 3] = m[0, 3] = 1.0  # rows {0, 2} x columns {0, 3}
@@ -293,6 +353,23 @@ def test_schrodinger_p2_null_space_contains_t_times_projective_generator(params)
     vec = encode(system, tK, zeta)
     assert approx_eq(system.decode(vec).Q, tK, 1e-14)
     assert solve_null_space(system).projection_residual(vec / np.linalg.norm(vec)) <= 1e-8
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(degree=1, p=2.0),
+    dict(degree=1, p=2, zeta_degree=0.5),
+    dict(degree=True, p=1),
+    dict(degree=1, p=True),
+    dict(degree=1.0, p=1),
+], ids=["float_p", "float_zeta_degree", "bool_degree", "bool_p", "float_degree"])
+def test_ansatz_rejects_values_that_are_not_ints(kwargs):
+    with pytest.raises(ValueError, match="must be an integer"):
+        AnsatzSpec(**kwargs)
+
+
+def test_ansatz_takes_numpy_integers():
+    spec = AnsatzSpec(degree=np.int64(1), p=np.int32(2), zeta_degree=np.uint8(0))
+    assert len(build_determining_system(wave_operator(), spec).unknowns) == 26
 
 
 def test_exponential_coefficients_rejected():

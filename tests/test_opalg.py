@@ -1,6 +1,7 @@
 """Operator algebra: composition, commutators, p-fold brackets, matrices."""
 
 import math
+from collections import Counter, defaultdict
 from itertools import product
 
 import numpy as np
@@ -17,7 +18,8 @@ from randgen import (
     term_lists,
 )
 
-from commsym.expcore import ExpPoly, ExpTerm
+from commsym import opalg
+from commsym.expcore import ExpPoly, ExpTerm, _add_products
 from commsym.opalg import (
     LinDiffOp,
     MatrixDiffOp,
@@ -28,6 +30,8 @@ from commsym.opalg import (
     residual_vs_multiple,
 )
 from commsym.scenarios import (
+    IGL_GENERATORS,
+    SEARCH_OPERATORS,
     DalembertParams,
     SchrodingerParams,
     boost_generator,
@@ -250,6 +254,16 @@ def test_ad_power_rejects_bad_p():
         ad_power(wave_operator(), h1_generator(), 0)
 
 
+@pytest.mark.parametrize("p", [2.0, True], ids=["float", "bool"])
+def test_ad_power_rejects_a_p_that_is_not_an_int(p):
+    with pytest.raises(ValueError, match="positive integer"):
+        ad_power(wave_operator(), h1_generator(), p)
+
+
+def test_ad_power_takes_a_numpy_integer_p():
+    assert ad_power(wave_operator(), h1_generator(), np.int64(2)).is_zero()
+
+
 def test_antisymmetry():
     rng = np.random.default_rng(31)
     for _ in range(50):
@@ -339,6 +353,120 @@ def test_degree_bookkeeping():
         L = rand_op(rng)
         if L.order >= 1:
             assert commutator(L, Q).order <= L.order + Q.order - 1
+
+
+# -- the full Leibniz expansion as the reference -----------------------------------
+
+
+def reference_leibniz(products, with_zero):
+    """sum of sign * a.b over (sign, a, b) in products, expanded in full: every
+    beta <= delta (beta = 0 only if with_zero) and every product, zero
+    derivatives and all, gathered per multi-index in the order compose and
+    commutator add them, and passed through LinDiffOp's constructor."""
+    collected = defaultdict(dict)
+    for sign, a, b in products:
+        for delta, coeff in a.terms:
+            for beta in product(*(range(n + 1) for n in delta)):
+                if not (with_zero or any(beta)):
+                    continue
+                weight = sign * math.prod(math.comb(n, m) for n, m in zip(delta, beta))
+                for gamma, c in b.terms:
+                    target = tuple(n - m + g for n, m, g in zip(delta, beta, gamma))
+                    derived = _derived_axis_by_axis(c, beta)
+                    _add_products(collected[target], coeff.terms, derived.terms, weight)
+    return LinDiffOp((d, ExpPoly._from(acc)) for d, acc in collected.items())
+
+
+def reference_commutator(a, b):
+    return reference_leibniz(((1, a, b), (-1, b, a)), with_zero=False)
+
+
+_SCALARS = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=False,
+                              allow_infinity=False)
+_ALPHAS = st.sampled_from([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (2, 0, 0, 0), (1, 0, 1, 1)])
+_COVECTORS = st.sampled_from([(0.5j, -1 + 0j, 0j, 2 + 0j), (1 + 0j, 0j, 0.25j, 0j),
+                              (-0.5 + 0j, 0.5j, 0j, 0j)])
+# constant, polynomial and exponential coefficients, the last also with
+# covectors nudged within merge reach of each other
+_COEFFICIENTS = st.one_of(
+    _SCALARS.map(ExpPoly.constant),
+    st.lists(st.tuples(_SCALARS, _ALPHAS), min_size=1, max_size=3)
+    .map(lambda terms: ExpPoly(ExpTerm(c, alpha) for c, alpha in terms)),
+    st.lists(st.tuples(_SCALARS, _ALPHAS, _COVECTORS), min_size=1, max_size=3)
+    .map(lambda terms: ExpPoly(ExpTerm(*t) for t in terms)),
+    term_lists(max_terms=2).map(ExpPoly),
+)
+_ORDERS = st.sampled_from([(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 2, 0, 0), (1, 0, 0, 1),
+                           (2, 1, 0, 0)])
+
+
+def _operators(max_terms):
+    return st.lists(st.tuples(_ORDERS, _COEFFICIENTS), min_size=1, max_size=max_terms).map(LinDiffOp)
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=_operators(3), b=_operators(3))
+def test_compose_and_commutator_equal_the_full_expansion(a, b):
+    """Skipping the products of zero derivatives changes no coefficient: the
+    results equal the full expansion's bit for bit, in the same order."""
+    assert a.compose(b) == reference_leibniz(((1, a, b),), with_zero=True)
+    assert commutator(a, b) == reference_commutator(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=_operators(2), Q=_operators(3))
+def test_ad_power_equals_the_full_expansion(L, Q):
+    expected = Q
+    for p in (1, 2, 3):
+        expected = reference_commutator(L, expected)
+        assert ad_power(L, Q, p) == expected, p
+
+
+@pytest.mark.parametrize("operator", SEARCH_OPERATORS)
+def test_linear_group_brackets_equal_the_full_expansion(operator):
+    L = SEARCH_OPERATORS[operator]()
+    for name, (delta, alpha) in IGL_GENERATORS.items():
+        g = LinDiffOp([(delta, ExpPoly([ExpTerm(1 + 0j, alpha)]))])
+        expected = g
+        for p in (1, 2, 3):
+            expected = reference_commutator(L, expected)
+            assert ad_power(L, g, p) == expected, (name, p)
+
+
+@pytest.mark.parametrize("Q", [
+    LinDiffOp.partial(2),
+    h1_generator(),
+    boost_generator(),
+    LinDiffOp.first_order([ExpPoly.coordinate(1), ExpPoly.constant(2),
+                           ExpPoly.coordinate(0) * ExpPoly.coordinate(2), ExpPoly.zero()],
+                          ExpPoly.constant(3)),
+], ids=["translation", "shear", "boost", "mixed_degrees"])
+def test_commutator_with_box_derives_only_what_can_be_nonzero(monkeypatch, Q):
+    """[Q, box] derives each coefficient of box at most once per axis, never
+    derives a zero polynomial and multiplies by no zero derivative."""
+    L = wave_operator()
+    expected = reference_commutator(Q, L)
+    box_coeffs = {id(c): c for _, c in L.terms}
+    assert len(box_coeffs) == len(L.terms)
+    derived, empty_products = [], []
+    derive, add_products = ExpPoly.derive, opalg._add_products
+
+    def counted_derive(f, a):
+        derived.append((f, a))
+        return derive(f, a)
+
+    def counted_add_products(acc, left, right, weight):
+        if not right:
+            empty_products.append((left, weight))
+        add_products(acc, left, right, weight)
+
+    monkeypatch.setattr(ExpPoly, "derive", counted_derive)
+    monkeypatch.setattr(opalg, "_add_products", counted_add_products)
+    assert commutator(Q, L) == expected
+    on_box = Counter((id(f), a) for f, a in derived if box_coeffs.get(id(f)) is f)
+    assert max(on_box.values(), default=0) <= 1
+    assert all(f.terms for f, _ in derived)
+    assert not empty_products
 
 
 # -- residual_vs_multiple --------------------------------------------------------
