@@ -12,6 +12,7 @@ through affine coordinate maps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -88,6 +89,13 @@ class DeterminingSystem:
     L: LinDiffOp
     spec: AnsatzSpec
 
+    @functools.cached_property
+    def components(self) -> list[tuple[list[int], list[int]]]:
+        """The (rows, columns) of each sparsity component of the matrix
+        (:func:`_components`), found once per system; the solver and the
+        probe oracle both read them."""
+        return _components(self.matrix)
+
     def decode(self, vec: Sequence[complex]) -> SymmetryCandidate:
         """Turn a coefficient vector back into a symmetry candidate."""
         if len(vec) != len(self.unknowns):
@@ -137,75 +145,103 @@ def monomials_up_to(degree: int) -> list[Index4]:
 
 Key = tuple[Index4, Index4]  # (derivative delta, monomial alpha) of x^alpha d^delta
 
+# Sparse columns travel as entry arrays (cols, keys, vals): entry e is the
+# term vals[e] x^alpha d^delta of column cols[e], with keys[e] = (delta, alpha)
+# as one row of an (n, 8) int64 array.
+Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-def _add(a: Index4, b: Index4) -> Index4:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _sub(a: Index4, b: Index4) -> Index4:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
+def _entries(triples: Sequence[tuple[int, Sequence[int], complex]]) -> Entries:
+    """The entry arrays of (column, (*delta, *alpha), value) triples."""
+    cols, keys, vals = zip(*triples) if triples else ((), (), ())
+    return (np.array(cols, dtype=np.int64), np.array(keys, dtype=np.int64).reshape(-1, 8),
+            np.array(vals, dtype=complex))
 
 
-def _leibniz(order: Index4, alpha: Index4) -> list[tuple[Index4, int, Index4]]:
-    """(beta, binom(order, beta) * alpha! / (alpha - beta)!, alpha - beta) for
-    every nonzero beta <= order with d^beta x^alpha != 0."""
-    out = []
-    for beta in itertools.product(*(range(min(n, a) + 1) for n, a in zip(order, alpha))):
-        if any(beta):
-            weight = math.prod(math.comb(n, b) * math.perm(a, b) for n, a, b in zip(order, alpha, beta))
-            out.append((beta, weight, _sub(alpha, beta)))
-    return out
+def _pack(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """One int64 code per (delta, alpha) row of keys, and the radix used.
+
+    The eight indices are the digits of the code in base radix, one more
+    than the largest index present, most significant first; so the codes
+    sort as the key tuples do.  OverflowError if radix**8 exceeds int64.
+    """
+    radix = int(keys.max(initial=0)) + 1
+    if radix**8 > _INT64_MAX:
+        raise OverflowError(f"index {radix - 1} too large for an int64 key code")
+    return keys @ radix ** np.arange(7, -1, -1, dtype=np.int64), radix
+
+
+def _unpack(codes: np.ndarray, radix: int) -> np.ndarray:
+    """The (n, 8) keys of codes packed in base radix: the inverse of _pack."""
+    return codes[:, None] // radix ** np.arange(7, -1, -1, dtype=np.int64) % radix
+
+
+def _merge(entries: Entries, n_cols: int) -> Entries:
+    """Entries summed per (column, key) in their input order, exact zeros
+    dropped, sorted by key and then column."""
+    cols, keys, vals = entries
+    codes, radix = _pack(keys)
+    uniq, at = np.unique(codes, return_inverse=True)
+    pairs, group = np.unique(at * n_cols + cols, return_inverse=True)
+    sums = np.zeros(len(pairs), dtype=complex)
+    sums.real = np.bincount(group, vals.real, len(pairs))
+    sums.imag = np.bincount(group, vals.imag, len(pairs))
+    keep = sums != 0
+    pairs = pairs[keep]
+    return pairs % n_cols, _unpack(uniq[pairs // n_cols], radix), sums[keep]
 
 
 class _AdMap:
-    """ad_L = [L, .] as a sparse linear map on the basis x^alpha d^delta.
+    """ad_L = [L, .] as a linear map on entry arrays over the basis x^alpha d^delta.
 
-    A vector is a dict from (delta, alpha) keys to coefficients, as in
-    sympy's SDM.  For a term c x^a d^gamma of L the Leibniz rule gives
+    For a term c x^a d^gamma of L the Leibniz rule gives
 
         [c x^a d^gamma, x^alpha d^delta]
             = sum_beta binom(gamma, beta) c x^a (d^beta x^alpha) d^(gamma - beta + delta)
             - sum_beta binom(delta, beta) c x^alpha (d^beta x^a) d^(delta - beta + gamma),
 
-    where the beta = 0 terms of the two sums cancel.  The image of each key,
-    and the Leibniz weights of each (order, alpha) pair, are computed once
-    per map.
+    where the beta = 0 terms of the two sums cancel.  Both sums send the key
+    (delta, alpha) to (delta, alpha) + (gamma - beta, a - beta), with the
+    integer weight
+
+        binom(gamma, beta) alpha!/(alpha - beta)! - a!/(a - beta)! binom(delta, beta),
+
+    each factor zero unless beta lies below its multi-index.  The map holds
+    one pass per (term of L, nonzero beta <= max(gamma, a)); a call weighs
+    every entry in every pass at once from tables of binomial coefficients
+    and falling factorials.
     """
 
     def __init__(self, L: LinDiffOp):
-        # (gamma, a, c) for every term c x^a d^gamma of L (polynomial coefficients)
-        self.terms = [(gamma, t.alpha, t.coeff) for gamma, coeff in L.terms for t in coeff.terms]
-        self._images: dict[Key, dict[Key, complex]] = {}
-        self._weights: dict[tuple[Index4, Index4], list[tuple[Index4, int, Index4]]] = {}
+        passes = [
+            (gamma, t.alpha, t.coeff, beta)
+            for gamma, coeff in L.terms for t in coeff.terms
+            for beta in itertools.product(*(range(max(g, e) + 1) for g, e in zip(gamma, t.alpha)))
+            if any(beta)
+        ]
+        self.beta = np.array([beta for *_, beta in passes], dtype=np.int64).reshape(-1, 4)
+        # binom(gamma, beta) and a!/(a - beta)!: math.comb and math.perm give 0 past the top
+        self.on_alpha = np.array([math.prod(map(math.comb, gamma, beta)) for gamma, _, _, beta in passes],
+                                 dtype=float)
+        self.on_a = np.array([math.prod(map(math.perm, a, beta)) for _, a, _, beta in passes], dtype=float)
+        self.shift = np.array([(*gamma, *a) for gamma, a, _, _ in passes], dtype=np.int64).reshape(-1, 8)
+        self.shift -= np.hstack([self.beta, self.beta])
+        self.coeff = np.array([c for _, _, c, _ in passes], dtype=complex)
 
-    def _leibniz(self, order: Index4, alpha: Index4) -> list[tuple[Index4, int, Index4]]:
-        """The module's _leibniz(order, alpha), computed once per map."""
-        weights = self._weights.get((order, alpha))
-        if weights is None:
-            weights = self._weights[(order, alpha)] = _leibniz(order, alpha)
-        return weights
-
-    def _image(self, key: Key) -> dict[Key, complex]:
-        delta, alpha = key
-        out: dict[Key, complex] = defaultdict(complex)
-        for gamma, a, c in self.terms:
-            top = _add(gamma, delta)
-            for beta, weight, lowered in self._leibniz(gamma, alpha):
-                out[(_sub(top, beta), _add(a, lowered))] += c * weight
-            for beta, weight, lowered in self._leibniz(delta, a):
-                out[(_sub(top, beta), _add(alpha, lowered))] -= c * weight
-        return {k: v for k, v in out.items() if v != 0}
-
-    def __call__(self, vec: dict[Key, complex]) -> dict[Key, complex]:
-        """ad_L of the operator sum_key vec[key] x^alpha d^delta; exact zeros dropped."""
-        out: dict[Key, complex] = defaultdict(complex)
-        for key, v in vec.items():
-            image = self._images.get(key)
-            if image is None:
-                image = self._images[key] = self._image(key)
-            for k, w in image.items():
-                out[k] += v * w
-        return {k: w for k, w in out.items() if w != 0}
+    def __call__(self, entries: Entries, n_cols: int) -> Entries:
+        """The image of every entry, merged per (column, key) by _merge."""
+        cols, keys, vals = entries
+        size, reach = int(keys.max(initial=0)) + 1, int(self.beta.max(initial=0)) + 1
+        binom = np.array([[math.comb(n, b) for b in range(reach)] for n in range(size)], dtype=float)
+        falling = np.array([[math.perm(n, b) for b in range(reach)] for n in range(size)], dtype=float)
+        # weight[e, t]: the weight of pass t on entry e, in floats: exact up to
+        # 2**53, and rounded, not wrapped around, beyond
+        weight = (self.on_alpha * falling[keys[:, None, 4:], self.beta].prod(axis=2)
+                  - self.on_a * binom[keys[:, None, :4], self.beta].prod(axis=2))
+        e, t = np.nonzero(weight)
+        return _merge((cols[e], keys[e] + self.shift[t], vals[e] * (self.coeff[t] * weight[e, t])), n_cols)
 
 
 def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSystem:
@@ -214,40 +250,44 @@ def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSyste
     The unknowns are the keys (e_a, alpha) of xi^a, then (0, alpha) of eta,
     for |alpha| <= spec.degree, then (None, alpha) of zeta, for
     |alpha| <= spec.zeta_degree.  Each row equates the coefficient of one
-    (monomial x derivative) pair in the residual operator to zero.  The
-    column of a key (delta, alpha) of Q is x^alpha d^delta pushed p times
-    through one sparse ad_L map; that of a key (None, alpha) is -x^alpha L.
+    (monomial x derivative) pair in the residual operator to zero; the rows
+    are the keys that occur, in tuple order.  The columns of all Q keys
+    (delta, alpha) start as the unit terms x^alpha d^delta and are pushed
+    together p times through the array map ad_L (:class:`_AdMap`); the
+    column of a key (None, alpha) is -x^alpha L.  The keys travel as int64
+    codes (:func:`_pack`), so each merge and the row index are one
+    ``np.unique`` over a 1-D array.
     """
     if L.has_exponential_coefficients():
         raise UnsupportedCoefficient(
             "determining systems require polynomial operator coefficients"
         )
     monomials = monomials_up_to(spec.degree)
-    unknowns = tuple((delta, m) for delta in (*_UNIT, ZERO_ALPHA) for m in monomials)
-    unknowns += tuple((None, m) for m in monomials_up_to(spec.zeta_degree))
+    q_keys = [(delta, m) for delta in (*_UNIT, ZERO_ALPHA) for m in monomials]
+    unknowns = (*q_keys, *((None, m) for m in monomials_up_to(spec.zeta_degree)))
     ad = _AdMap(L)
-    columns = []
-    for delta, alpha in unknowns:
-        if delta is None:
-            columns.append({(gamma, _add(a, alpha)): -c for gamma, a, c in ad.terms})
-            continue
-        col = {(delta, alpha): 1 + 0j}
-        for _ in range(spec.p):
-            col = ad(col)
-        columns.append(col)
-    row_keys, matrix = _fill(columns)
+    q = _entries([(j, (*delta, *alpha), 1) for j, (delta, alpha) in enumerate(q_keys)])
+    for _ in range(spec.p):
+        q = ad(q, len(unknowns))
+    zeta = _entries([
+        (j, (*gamma, *(x + y for x, y in zip(t.alpha, alpha))), -t.coeff)
+        for j, (_, alpha) in enumerate(unknowns[len(q_keys):], len(q_keys))
+        for gamma, coeff in L.terms for t in coeff.terms
+    ])
+    row_keys, matrix = _fill(tuple(map(np.concatenate, zip(q, zeta))), len(unknowns))
     return DeterminingSystem(matrix, unknowns, row_keys, L, spec)
 
 
-def _fill(columns: Sequence[dict[Key, complex]]) -> tuple[tuple[Key, ...], np.ndarray]:
-    """Sorted keys of all columns, and the matrix with one column per dict."""
-    keys = tuple(sorted(set().union(*columns)))
-    index = {k: i for i, k in enumerate(keys)}
-    matrix = np.zeros((len(keys), len(columns)), dtype=complex)
-    for j, col in enumerate(columns):
-        for k, v in col.items():
-            matrix[index[k], j] += v  # adding to +0.0 stores a signed zero part as +0.0
-    return keys, matrix
+def _fill(entries: Entries, n_cols: int) -> tuple[tuple[Key, ...], np.ndarray]:
+    """The sorted keys that occur in entries with at most one entry per
+    (column, key), and the matrix of n_cols columns that holds them."""
+    cols, keys, vals = entries
+    codes, radix = _pack(keys)
+    uniq, row = np.unique(codes, return_inverse=True)
+    matrix = np.zeros((len(uniq), n_cols), dtype=complex)
+    matrix[row, cols] += vals  # adding to +0.0 stores a signed zero part as +0.0
+    row_keys = tuple((tuple(k[:4]), tuple(k[4:])) for k in _unpack(uniq, radix).tolist())
+    return row_keys, matrix
 
 
 def null_rank(sigma: np.ndarray, tol: float) -> int:
@@ -298,11 +338,28 @@ def _components(m: np.ndarray) -> list[tuple[list[int], list[int]]]:
     return list(groups.values())
 
 
+def _block_stacks(
+    m: np.ndarray, blocks: Sequence[tuple[list[int], list[int]]]
+) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """The blocks m[rows, cols] grouped by shape, in order of first
+    appearance: per (r, c) shape, the positions of its blocks in blocks,
+    their (k, r) row indices and the (k, r, c) stack of the blocks."""
+    by_shape: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for i, (rows, cols) in enumerate(blocks):
+        by_shape[len(rows), len(cols)].append(i)
+    out = []
+    for members in by_shape.values():
+        rows = np.array([blocks[i][0] for i in members])
+        cols = np.array([blocks[i][1] for i in members])
+        out.append((members, rows, m[rows[:, :, None], cols[:, None, :]]))
+    return out
+
+
 def solve_null_space(system: DeterminingSystem) -> GeneratorBasis:
     """Orthonormal null-space basis of the determining system.
 
     The matrix is solved one connected component of its row/column sparsity
-    graph at a time (:func:`_components`): one SVD per component with rows,
+    graph at a time (``system.components``): one SVD per component with rows,
     the components of one shape stacked into one batched call, and a unit
     null vector for each column that touches no row.  The component spectra
     merge into one descending spectrum; its rank at
@@ -324,17 +381,13 @@ def solve_null_space(system: DeterminingSystem) -> GeneratorBasis:
     m = system.matrix
     if not np.all(np.isfinite(m)):
         raise ValueError("determining system contains non-finite entries")
-    components = _components(m)
+    components = system.components
     blocks = [(rows, cols) for rows, cols in components if rows]
     # one batched SVD per block shape; numpy runs the same LAPACK call on
     # each matrix of a stack, so each result is that of its own call
-    by_shape: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for i, (rows, cols) in enumerate(blocks):
-        by_shape[len(rows), len(cols)].append(i)
     svds = {}  # block index -> (singular values, vh)
-    for members in by_shape.values():
-        _, s, vh = np.linalg.svd(np.stack([m[np.ix_(*blocks[i])] for i in members]),
-                                 full_matrices=True)
+    for members, _, stack in _block_stacks(m, blocks):
+        _, s, vh = np.linalg.svd(stack, full_matrices=True)
         svds.update(zip(members, zip(s, vh)))
     # (columns, singular values, vh): the identity on the columns that touch
     # no row, then each block in component order
@@ -398,10 +451,10 @@ def structure_constants(ops: Sequence[LinDiffOp]) -> tuple[np.ndarray, float]:
 
     pairs = list(itertools.combinations(range(n), 2))
     brackets = [commutator(ops[a], ops[b]) for a, b in pairs]
-    _, matrix = _fill([
-        {(delta, t.alpha): t.coeff for delta, coeff in op.terms for t in coeff.terms}
-        for op in [*ops, *brackets]
-    ])
+    _, matrix = _fill(_entries([
+        (j, (*delta, *t.alpha), t.coeff)
+        for j, op in enumerate([*ops, *brackets]) for delta, coeff in op.terms for t in coeff.terms
+    ]), len(ops) + len(brackets))
     basis, targets = matrix[:, :n], matrix[:, n:]
     scale = max(1.0, float(np.abs(basis).max(initial=0.0)))
     if np.linalg.matrix_rank(basis, tol=_CLOSURE_TOL * scale) < n:
@@ -541,30 +594,37 @@ def pullback(Lp: LinDiffOp, amap: AffineMap) -> LinDiffOp:
     return LinDiffOp(collected)
 
 
+def _powers(base: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """out[i, r] = prod_a base[i, a] ** exponents[r, a], the powers taken
+    once each into a table and gathered."""
+    table = base[:, :, None] ** np.arange(exponents.max(initial=0) + 1)
+    return np.prod(table[:, np.arange(4), exponents], axis=2)
+
+
 def probe_sample(
     system: DeterminingSystem, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Random exponential probes f_i = exp(kappa_i . x), random points x_k,
-    and the sample matrix S[(i, k), j] = (R_j f_i)(x_k).
+    and the probe matrix
 
-    R_j is the residual operator of unknown j, the column j of the system's
-    matrix M on its (delta, alpha) row keys, so S = P @ M with
-    P[(i, k), (delta, alpha)] = x_k^alpha kappa_i^delta exp(kappa_i . x_k).
-    There is one probe per derivative index and one point per monomial in the
-    row keys; rows run over i, then k.
+        P[(i, k), (delta, alpha)] = x_k^alpha kappa_i^delta exp(kappa_i . x_k)
+
+    over the system's row keys, with rows running over i, then k.  P @ M is
+    the sample S[(i, k), j] = (R_j f_i)(x_k) of the residual operator R_j of
+    unknown j, the column j of the matrix M.  There is one probe per
+    derivative index and one point per monomial in the row keys; a system
+    without rows has neither, and P has no rows and no columns.
     """
+    keys = np.array(system.row_keys, dtype=np.int64).reshape(-1, 8)
     n_probes = len({delta for delta, _ in system.row_keys})
     points = rng.uniform(-1.0, 1.0, size=(len({alpha for _, alpha in system.row_keys}), 4))
-    kappas = np.array(
-        [rng.normal(0, 1, 4) + 1j * rng.normal(0, 1, 4) for _ in range(n_probes)]
-    ).reshape(-1, 4)
-    deltas = np.array([delta for delta, _ in system.row_keys], dtype=int).reshape(-1, 4)
-    alphas = np.array([alpha for _, alpha in system.row_keys], dtype=int).reshape(-1, 4)
-    derivs = np.prod(kappas[:, None, :] ** deltas, axis=2)  # kappa_i^delta
-    monos = np.prod(points[:, None, :] ** alphas, axis=2)  # x_k^alpha
+    draws = rng.normal(0, 1, (n_probes, 2, 4))  # each probe's real part, then its imaginary part
+    kappas = draws[:, 0] + 1j * draws[:, 1]
+    derivs = _powers(kappas, keys[:, :4])  # kappa_i^delta
+    monos = _powers(points, keys[:, 4:])  # x_k^alpha
     waves = np.exp(kappas @ points.T)  # f_i(x_k)
-    P = (waves[:, :, None] * derivs[:, None, :] * monos[None, :, :]).reshape(-1, len(deltas))
-    return kappas, points, P @ system.matrix
+    P = waves[:, :, None] * derivs[:, None, :] * monos[None, :, :]
+    return kappas, points, P.reshape(n_probes * len(points), len(keys))
 
 
 def apply_probe_null_dimension(system: DeterminingSystem, rng: np.random.Generator) -> int:
@@ -577,12 +637,34 @@ def apply_probe_null_dimension(system: DeterminingSystem, rng: np.random.Generat
     At one point, that many generic probes give an invertible matrix
     (d^delta f_i)(x), so a combination that kills every probe has
     c_delta(x) = 0 for every delta; and a polynomial on that many monomials
-    that vanishes at as many generic points is zero.  The sampled matrix
-    therefore has the rank of the map; its singular values are counted above
-    1e-8 times its largest entry.  It counts the rank of a sampled map, so it
-    catches a wrong SVD cutoff, not a wrong assembly; re-verification in
+    that vanishes at as many generic points is zero.  So P is injective, and
+    the sample S = P @ M has the rank of the map.
+
+    The rank is taken per sparsity block, the ``system.components`` the
+    solver splits M by.  First every nonzero of M must lie in a diagonal
+    block, or RuntimeError is raised: a split that cuts a component is
+    refused, not counted.  Then M is block-diagonal, S[:, cols] is
+    P[:, rows] @ M[rows, cols] for each block, and, P being injective, the
+    ranks of these column blocks add up to the rank of S.  They are sampled
+    and ranked as one stack per block shape; singular values count above
+    1e-8 times the largest entry of S.  The count catches a wrong SVD cutoff
+    and a wrong split, not a wrong assembly; re-verification in
     :func:`solve_null_space` checks the assembly.
     """
-    _, _, matrix = probe_sample(system, rng)
-    scale = float(np.abs(matrix).max(initial=0.0)) or 1.0
-    return matrix.shape[1] - int(np.linalg.matrix_rank(matrix, tol=1e-8 * scale))
+    _, _, P = probe_sample(system, rng)
+    m = system.matrix
+    blocks = [(rows, cols) for rows, cols in system.components if rows]
+    # rows and columns outside every block keep different marks, so that a
+    # nonzero there fails the check too
+    row_block = np.full(m.shape[0], -1)
+    col_block = np.full(m.shape[1], -2)
+    for marks, part in ((row_block, 0), (col_block, 1)):
+        marks[[k for block in blocks for k in block[part]]] = [
+            b for b, block in enumerate(blocks) for _ in block[part]]
+    i, j = np.nonzero(m)
+    if not np.array_equal(row_block[i], col_block[j]):
+        raise RuntimeError("the sparsity split leaves a nonzero of the matrix outside its diagonal blocks")
+    # per block shape, the (blocks, samples, columns) stack of S[:, cols] = P[:, rows] @ M[rows, cols]
+    samples = [np.moveaxis(P[:, rows], 1, 0) @ stack for _, rows, stack in _block_stacks(m, blocks)]
+    tol = 1e-8 * (max((float(np.abs(s).max()) for s in samples), default=0.0) or 1.0)
+    return m.shape[1] - sum(int(np.linalg.matrix_rank(s, tol=tol).sum()) for s in samples)

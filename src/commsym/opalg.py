@@ -139,14 +139,22 @@ def _apply_into(acc: Accumulator, op: LinDiffOp, derived: dict[Index4, ExpPoly])
 def _derivative(derived: dict[Index4, ExpPoly], delta: Index4) -> ExpPoly:
     """d^delta f, memoized in derived; each d^delta f is derived once, from
     d^(delta - e_k) f with k the last nonzero axis of delta, so axis 0 is
-    always derived first.  Once d^(delta - e_k) f is zero, so is d^delta f,
-    and nothing is derived."""
+    always derived first.  Once d^(delta - e_k) f is zero or a constant (one
+    term with alpha = 0 and kappa = 0), d^delta f is zero, and nothing is
+    derived."""
     g = derived.get(delta)
     if g is None:
         k = max(a for a in range(4) if delta[a])
         lower = _derivative(derived, delta[:k] + (delta[k] - 1,) + delta[k + 1:])
-        g = derived[delta] = lower.derive(k) if lower.terms else lower
+        terms = lower.terms
+        constant = len(terms) < 2 and (
+            not terms or (terms[0].alpha == ZERO_ALPHA and not any(terms[0].kappa)))
+        g = derived[delta] = _ZERO if constant else lower.derive(k)
     return g
+
+
+# the derivative of every constant: one shared zero, so a skipped derive allocates nothing
+_ZERO = ExpPoly.zero()
 
 
 def _sum(polys: list[ExpPoly]) -> ExpPoly:

@@ -2,13 +2,16 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 import warnings
+from collections import defaultdict
 
 import numpy as np
 import pytest
 from randgen import approx_eq
 
+from commsym import detsolve
 from commsym.detsolve import (
     NULL_TOL,
     AffineMap,
@@ -21,9 +24,12 @@ from commsym.detsolve import (
     UnsupportedDegree,
     _components,
     _freivalds_combination,
+    _pack,
+    _unpack,
     apply_probe_null_dimension,
     build_determining_system,
     flow,
+    monomials_up_to,
     null_rank,
     probe_sample,
     pullback,
@@ -31,7 +37,7 @@ from commsym.detsolve import (
     structure_constants,
 )
 from commsym.expcore import _UNIT, ZERO_ALPHA, ExpPoly, ExpTerm, NonFinite
-from commsym.opalg import LinDiffOp, ad_power, residual_vs_multiple
+from commsym.opalg import LinDiffOp, ad_power, commutator, residual_vs_multiple
 from commsym.scenarios import (
     SchrodingerParams,
     boost_generator,
@@ -89,15 +95,126 @@ def polynomial_operator():
     ])
 
 
+OPERATORS = {
+    "box": wave_operator,
+    "schrod": lambda: schrodinger_operator(SchrodingerParams()),
+    "poly": polynomial_operator,
+}
+
+
 @functools.lru_cache(maxsize=None)
 def system_and_basis(operator, degree, p, zeta_degree):
-    L = {
-        "box": wave_operator,
-        "schrod": lambda: schrodinger_operator(SchrodingerParams()),
-        "poly": polynomial_operator,
-    }[operator]()
-    system = build_determining_system(L, AnsatzSpec(degree, p, zeta_degree))
+    system = build_determining_system(OPERATORS[operator](), AnsatzSpec(degree, p, zeta_degree))
     return system, solve_null_space(system)
+
+
+# -- the dict-based ad_L map as the reference of the array assembly -------------------
+
+
+def _reference_leibniz(order, alpha):
+    """(beta, binom(order, beta) * alpha! / (alpha - beta)!, alpha - beta) for
+    every nonzero beta <= order with d^beta x^alpha != 0."""
+    out = []
+    for beta in itertools.product(*(range(min(n, a) + 1) for n, a in zip(order, alpha))):
+        if any(beta):
+            weight = math.prod(math.comb(n, b) * math.perm(a, b) for n, a, b in zip(order, alpha, beta))
+            out.append((beta, weight, tuple(a - b for a, b in zip(alpha, beta))))
+    return out
+
+
+def reference_determining_system(L, spec):
+    """(matrix, row_keys, unknowns) of the determining system, assembled key by
+    key: each column a dict from (delta, alpha) keys to coefficients, pushed p
+    times through the Leibniz images of its keys, and the sorted union of the
+    keys as rows."""
+    def add(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    terms = [(gamma, t.alpha, t.coeff) for gamma, coeff in L.terms for t in coeff.terms]
+
+    def image(delta, alpha):
+        out = defaultdict(complex)
+        for gamma, a, c in terms:
+            top = add(gamma, delta)
+            for beta, weight, lowered in _reference_leibniz(gamma, alpha):
+                out[(sub(top, beta), add(a, lowered))] += c * weight
+            for beta, weight, lowered in _reference_leibniz(delta, a):
+                out[(sub(top, beta), add(alpha, lowered))] -= c * weight
+        return {k: v for k, v in out.items() if v != 0}
+
+    def ad(vec):
+        out = defaultdict(complex)
+        for (delta, alpha), v in vec.items():
+            for k, w in image(delta, alpha).items():
+                out[k] += v * w
+        return {k: w for k, w in out.items() if w != 0}
+
+    monomials = monomials_up_to(spec.degree)
+    unknowns = tuple((delta, m) for delta in (*_UNIT, ZERO_ALPHA) for m in monomials)
+    unknowns += tuple((None, m) for m in monomials_up_to(spec.zeta_degree))
+    columns = []
+    for delta, alpha in unknowns:
+        if delta is None:
+            columns.append({(gamma, add(a, alpha)): -c for gamma, a, c in terms})
+            continue
+        col = {(delta, alpha): 1 + 0j}
+        for _ in range(spec.p):
+            col = ad(col)
+        columns.append(col)
+    row_keys = tuple(sorted(set().union(*columns)))
+    index = {k: i for i, k in enumerate(row_keys)}
+    matrix = np.zeros((len(row_keys), len(columns)), dtype=complex)
+    for j, col in enumerate(columns):
+        for k, v in col.items():
+            matrix[index[k], j] += v
+    return matrix, row_keys, unknowns
+
+
+@pytest.mark.parametrize("degree, p, zeta_degree", [
+    (1, 2, 0), (2, 2, 0), (3, 2, 0), (3, 2, 2), (2, 1, 1), (3, 3, 0),
+])
+@pytest.mark.parametrize("operator", ["box", "schrod", "poly"])
+def test_array_assembly_equals_the_dict_reference(operator, degree, p, zeta_degree):
+    # every coefficient here is a dyadic rational, so no sum rounds and the
+    # order in which the two assemblies add is invisible
+    L = OPERATORS[operator]()
+    spec = AnsatzSpec(degree, p, zeta_degree)
+    system = build_determining_system(L, spec)
+    matrix, row_keys, unknowns = reference_determining_system(L, spec)
+    assert np.array_equal(system.matrix, matrix)
+    assert system.row_keys == row_keys
+    assert system.unknowns == unknowns
+
+
+def test_ad_map_weights_beyond_int64_round_instead_of_wrapping():
+    # [x0^20 d0^20, x0^19 d0^20] has Leibniz weights up to about 1e24
+    L = LinDiffOp([((20, 0, 0, 0), ExpPoly([ExpTerm(1, (20, 0, 0, 0))]))])
+    Q = LinDiffOp([((20, 0, 0, 0), ExpPoly([ExpTerm(1, (19, 0, 0, 0))]))])
+    _, keys, vals = detsolve._AdMap(L)(detsolve._entries([(0, (20, 0, 0, 0, 19, 0, 0, 0), 1)]), 1)
+    got = {(tuple(k[:4]), tuple(k[4:])): v for k, v in zip(keys.tolist(), vals)}
+    expected = {(delta, t.alpha): t.coeff for delta, c in commutator(L, Q).terms for t in c.terms}
+    assert got.keys() == expected.keys()
+    assert max(abs(got[k] - expected[k]) / abs(expected[k]) for k in got) <= 1e-12
+    assert max(map(abs, got.values())) > 2.0**63
+
+
+def test_key_codes_round_trip_and_sort_as_the_keys():
+    keys = np.random.default_rng(0).integers(0, 12, size=(300, 8))
+    codes, radix = _pack(keys)
+    assert radix == keys.max() + 1
+    assert np.array_equal(_unpack(codes, radix), keys)
+    by_code = keys[np.argsort(codes, kind="stable")].tolist()
+    assert by_code == sorted(keys.tolist())
+    # the radix is 1 + the largest index: 234**8 fits in int64, 235**8 does not
+    top = np.array([[233] * 8, [0] * 8])
+    assert np.array_equal(_unpack(*_pack(top)), top)
+    with pytest.raises(OverflowError):
+        _pack(np.array([[0] * 7 + [234]]))
+    codes, radix = _pack(np.zeros((0, 8), dtype=np.int64))
+    assert codes.shape == (0,) and _unpack(codes, radix).shape == (0, 8)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -123,8 +240,9 @@ def test_probe_sample_applies_residual_operators():
     # the oracle's P @ M is (R_j f_i)(x_k), with R_j built by ad_power, not by the sparse map
     for p in (1, 2):
         system, basis = system_and_basis("box", 1, p, 0)
-        kappas, points, sample = probe_sample(system, np.random.default_rng(0))
-        assert sample.shape == (len(kappas) * len(points), len(system.unknowns))
+        kappas, points, P = probe_sample(system, np.random.default_rng(0))
+        assert P.shape == (len(kappas) * len(points), len(system.row_keys))
+        sample = P @ system.matrix
         for j, op in enumerate(unit_residuals(system)):
             for i, kappa in enumerate(kappas):
                 applied = op.apply(ExpPoly.exponential(1.0, kappa))
@@ -157,6 +275,61 @@ NULL_DIMENSIONS = {
     ("box", 2): {1: (12, 25, 25), 2: (16, 46, 75), 3: (16, 46, 120)},
     ("schrod", 2): {1: (12, 25, 25), 2: (13, 46, 75), 3: (13, 47, 121)},
 }
+
+
+def whole_sample_null_dimension(system, rng):
+    """The probe oracle's count from one rank of the whole sample P @ M, at
+    the same cutoff: the reference of the per-block ranks."""
+    _, _, P = probe_sample(system, rng)
+    sample = P @ system.matrix
+    tol = 1e-8 * (float(np.abs(sample).max(initial=0.0)) or 1.0)
+    return sample.shape[1] - int(np.linalg.matrix_rank(sample, tol=tol))
+
+
+@pytest.mark.parametrize("operator, degree, p, zeta_degree", [
+    (op, degree, p, zeta_degree)
+    for (op, zeta_degree), by_degree in NULL_DIMENSIONS.items()
+    for degree in by_degree
+    for p in (1, 2, 3)
+])
+def test_block_ranks_add_up_to_the_whole_sample_rank(operator, degree, p, zeta_degree):
+    system, basis = system_and_basis(operator, degree, p, zeta_degree)
+    for seed in range(5):
+        whole = whole_sample_null_dimension(system, np.random.default_rng(seed))
+        blocks = apply_probe_null_dimension(system, np.random.default_rng(seed))
+        assert blocks == whole == basis.dimension, seed
+
+
+def _cut(mode):
+    """A wrong split of the first multi-column component: its last column
+    moved into a group of its own, with no rows or with the rows it touches,
+    or the whole component left out."""
+    def split(m):
+        components = _components(m)
+        k = next(k for k, (_, cols) in enumerate(components) if len(cols) > 1)
+        rows, cols = components[k]
+        moved = [int(i) for i in np.flatnonzero(m[:, cols[-1]])] if mode == "its_rows" else []
+        cut = [] if mode == "dropped" else [(rows, cols[:-1]), (moved, cols[-1:])]
+        return components[:k] + cut + components[k + 1:]
+    return split
+
+
+@pytest.mark.parametrize("mode", ["no_rows", "its_rows", "dropped"])
+def test_probe_oracle_refuses_a_split_that_cuts_a_component(monkeypatch, mode):
+    system, _ = system_and_basis("box", 2, 2, 0)
+    monkeypatch.setattr(detsolve, "_components", _cut(mode))
+    fresh = dataclasses.replace(system)  # the split is cached per system
+    assert fresh.components != _components(system.matrix)
+    with pytest.raises(RuntimeError, match="outside its diagonal blocks"):
+        apply_probe_null_dimension(fresh, np.random.default_rng(0))
+
+
+def test_probe_oracle_counts_a_system_without_rows():
+    # the zero operator: every unknown solves the system, which has no rows
+    system = build_determining_system(LinDiffOp(), AnsatzSpec(1, 1))
+    assert system.matrix.shape == (0, 26) and system.row_keys == ()
+    assert solve_null_space(system).dimension == 26
+    assert apply_probe_null_dimension(system, np.random.default_rng(0)) == 26
 
 
 @pytest.mark.parametrize("operator, degree, p, zeta_degree, expected", [
