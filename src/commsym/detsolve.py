@@ -126,11 +126,12 @@ class GeneratorBasis:
     def dimension(self) -> int:
         return len(self.vectors)
 
-    def projection_residual(self, vec: Sequence[complex]) -> float:
-        """2-norm distance of a coefficient vector from the null span."""
+    def projection_residual(self, vec: Sequence[complex] | np.ndarray) -> float:
+        """2-norm distance of a coefficient vector from the null span; for a
+        stack of vectors, one per row, the largest distance (0.0 for none)."""
         v = np.asarray(vec, dtype=complex)
-        coeffs = self.vectors.conj() @ v
-        return float(np.linalg.norm(v - self.vectors.T @ coeffs))
+        coeffs = v @ self.vectors.T.conj()
+        return float(np.linalg.norm(v - coeffs @ self.vectors, axis=-1).max(initial=0.0))
 
 
 def monomials_up_to(degree: int) -> list[Index4]:

@@ -161,7 +161,13 @@ class ExpPoly(_Sum):
 
     @classmethod
     def constant(cls, c: complex) -> "ExpPoly":
-        return cls([ExpTerm(complex(c))])
+        """The constant c, already canonical: the gate's coefficient check
+        and zero drop are made here, without the gate."""
+        c = complex(c)
+        m = abs(c)
+        if not m < math.inf:  # NaN or inf
+            raise NonFinite(f"non-finite coefficient {c!r}")
+        return cls._raw((ExpTerm(c),) if m else ())
 
     @classmethod
     def coordinate(cls, a: int) -> "ExpPoly":
@@ -191,6 +197,12 @@ class ExpPoly(_Sum):
 
     def has_exponential(self) -> bool:
         return any(k != 0 for t in self.terms for k in t.kappa)
+
+    def is_constant(self) -> bool:
+        """Whether the sum is one term with alpha = 0 and kappa = 0, so that
+        every derivative of it is zero."""
+        terms = self.terms
+        return len(terms) == 1 and terms[0].alpha == ZERO_ALPHA and not any(terms[0].kappa)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -236,8 +248,18 @@ class ExpPoly(_Sum):
             with np.errstate(over="raise", invalid="raise", under="ignore"):
                 # kappa . x is summed before exp, so exp overflows only where
                 # exp(kappa . x) does, not where one exp(kappa_a x_a) would
-                mono = (rows[:, None, :] ** alpha).prod(axis=2)
-                values = (mono * np.exp(rows @ kappa.T)) @ coeff
+                expo = rows @ kappa.T
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mono = (rows[:, None, :] ** alpha).prod(axis=2)
+                far = ~np.isfinite(mono)  # x^alpha alone leaves the float range
+                if far.any():
+                    near = ~far
+                    products = np.empty_like(expo)
+                    products[near] = mono[near] * np.exp(expo[near])
+                    products[far] = _in_logs(rows, alpha, expo, far)
+                else:
+                    products = mono * np.exp(expo)
+                values = products @ coeff
         except FloatingPointError as exc:
             raise NonFinite("evaluation overflowed") from exc
         if not np.all(np.isfinite(values)):
@@ -288,6 +310,20 @@ class ExpPoly(_Sum):
             bits.append(f"({t.coeff:.6g}){mono}{expo}")
         more = "" if len(self.terms) <= 4 else f" ... {len(self.terms)} terms"
         return "ExpPoly(" + " + ".join(bits) + more + ")"
+
+
+def _in_logs(rows: np.ndarray, alpha: np.ndarray, expo: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """x^alpha exp(kappa . x) at the (point, term) entries marked far, taken
+    as exp(alpha . log|x| + kappa . x) with the sign of x^alpha, so that a
+    term the exponential brings back into range has its value; expo holds
+    kappa . x per entry.  A value still beyond the float range overflows in
+    exp."""
+    point, term = np.nonzero(far)
+    x, a = rows[point], alpha[term]
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf, and 0 * -inf
+        logs = np.where(a > 0, a * np.log(np.abs(x)), 0.0).sum(axis=1)
+    negative = (a % 2 * (x < 0)).sum(axis=1) % 2
+    return np.where(negative, -1.0, 1.0) * np.exp(logs + expo[point, term])
 
 
 def _as_kappa(kappa: Sequence[complex]) -> CVec4:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expcore import ZERO_ALPHA, ZERO_KAPPA, ExpPoly
+from .expcore import ExpPoly
 from .opalg import LinDiffOp
 
 
@@ -134,10 +134,9 @@ def _fd_apply_values(
         for a in range(4):
             for _ in range(delta[a]):
                 part = _central_diff(part, a, grid.h)
-        terms = coeff.terms
-        if len(terms) == 1 and terms[0].alpha == ZERO_ALPHA and terms[0].kappa == ZERO_KAPPA:
+        if coeff.is_constant():
             # a constant is its own value at every point
-            out += terms[0].coeff * part
+            out += coeff.terms[0].coeff * part
         else:
             out += _eval_on_axes(coeff, axes) * part
     return out, new_pad

@@ -59,12 +59,16 @@ class LinDiffOp(_Sum):
 
     @classmethod
     def identity(cls) -> "LinDiffOp":
-        return cls._raw(((ZERO_ALPHA, ExpPoly.constant(1)),))
+        return cls._raw(((ZERO_ALPHA, _ONE),))
 
     @classmethod
     def partial(cls, a: int, power: int = 1) -> "LinDiffOp":
-        """The operator d^power / d(x^a)^power."""
-        return cls([(tuple(int(power) * v for v in _unit_index(a)), ExpPoly.constant(1))])
+        """The operator d^power / d(x^a)^power, built canonical; power 0
+        gives the identity."""
+        unit, n = _unit_index(a), int(power)
+        if n < 0:
+            raise ValueError("derivative multi-index must be four non-negative ints")
+        return cls._raw(((tuple(n * v for v in unit), _ONE),))
 
     @classmethod
     def first_order(cls, xi: Sequence[ExpPoly], eta: ExpPoly) -> "LinDiffOp":
@@ -139,22 +143,21 @@ def _apply_into(acc: Accumulator, op: LinDiffOp, derived: dict[Index4, ExpPoly])
 def _derivative(derived: dict[Index4, ExpPoly], delta: Index4) -> ExpPoly:
     """d^delta f, memoized in derived; each d^delta f is derived once, from
     d^(delta - e_k) f with k the last nonzero axis of delta, so axis 0 is
-    always derived first.  Once d^(delta - e_k) f is zero or a constant (one
-    term with alpha = 0 and kappa = 0), d^delta f is zero, and nothing is
-    derived."""
+    always derived first.  Once d^(delta - e_k) f is zero or a constant,
+    d^delta f is zero, and nothing is derived."""
     g = derived.get(delta)
     if g is None:
         k = max(a for a in range(4) if delta[a])
         lower = _derivative(derived, delta[:k] + (delta[k] - 1,) + delta[k + 1:])
-        terms = lower.terms
-        constant = len(terms) < 2 and (
-            not terms or (terms[0].alpha == ZERO_ALPHA and not any(terms[0].kappa)))
+        constant = not lower.terms or lower.is_constant()
         g = derived[delta] = _ZERO if constant else lower.derive(k)
     return g
 
 
 # the derivative of every constant: one shared zero, so a skipped derive allocates nothing
 _ZERO = ExpPoly.zero()
+# the coefficient of identity and partial: one shared one
+_ONE = ExpPoly.constant(1)
 
 
 def _sum(polys: list[ExpPoly]) -> ExpPoly:
@@ -182,18 +185,24 @@ def _leibniz(products: Sequence[tuple[int, LinDiffOp, LinDiffOp]], with_zero: bo
     gathered in one accumulator per multi-index until the one gate at the end.
     Each d^beta c' is derived once per product, in the order of apply
     (see _derivative).  A zero d^beta c' adds no term, so its products are
-    skipped, and a multi-index that no product reaches has no accumulator.
-    The multi-indices are distinct, so the result is built sorted, without
-    the regrouping of LinDiffOp's constructor.
+    skipped: a constant c' takes part only at beta = 0, and a product whose
+    b has only constant coefficients adds nothing at all without beta = 0
+    (the b.a half of a commutator with a constant-coefficient b).  A
+    multi-index that no product reaches has no accumulator.  The
+    multi-indices are distinct, so the result is built sorted, without the
+    regrouping of LinDiffOp's constructor.
     """
     collected: dict[Index4, Accumulator] = defaultdict(dict)
     first = 0 if with_zero else 1  # beta = 0 comes first
     for sign, a, b in products:
-        memos = [{ZERO_ALPHA: c} for _, c in b.terms]
+        every = [(gamma, {ZERO_ALPHA: c}) for gamma, c in b.terms]
+        varying = [(gamma, memo) for gamma, memo in every if not memo[ZERO_ALPHA].is_constant()]
+        if not (varying or with_zero):
+            continue
         for delta, coeff in a.terms:
             for beta, binom, (r0, r1, r2, r3) in _betas(delta)[first:]:
                 weight = sign * binom
-                for (gamma, _), memo in zip(b.terms, memos):
+                for gamma, memo in (varying if beta != ZERO_ALPHA else every):
                     derived = memo.get(beta) or _derivative(memo, beta)
                     if derived.terms:
                         target = (r0 + gamma[0], r1 + gamma[1], r2 + gamma[2], r3 + gamma[3])

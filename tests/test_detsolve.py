@@ -39,6 +39,7 @@ from commsym.detsolve import (
 from commsym.expcore import _UNIT, ZERO_ALPHA, ExpPoly, ExpTerm, NonFinite
 from commsym.opalg import LinDiffOp, ad_power, commutator, residual_vs_multiple
 from commsym.scenarios import (
+    SEARCH_OPERATORS,
     SchrodingerParams,
     boost_generator,
     h1_generator,
@@ -594,6 +595,28 @@ def test_full_rank_system_empty_basis():
     assert basis.dimension == 0
     v = np.array([3.0, 4.0j, 0.0])
     assert basis.projection_residual(v) == np.linalg.norm(v) == 5.0
+
+
+@pytest.mark.parametrize("operator", SEARCH_OPERATORS)
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_projection_residual_of_a_stack_is_its_largest_row_distance(operator, degree):
+    """A stack takes all its distances with one matrix product; BLAS may sum
+    that product in another order than the vector product of a single row,
+    so the rows agree to rounding (a bound set from complex128's epsilon and
+    the length of the sums), and exactly where the distance is 0."""
+    system = build_determining_system(SEARCH_OPERATORS[operator](), AnsatzSpec(degree=degree, p=2))
+    basis = solve_null_space(system)
+    n = len(system.unknowns)
+    rng = np.random.default_rng(degree)
+    stack = rng.normal(size=(7, n)) + 1j * rng.normal(size=(7, n))
+    stack[:3] = rng.normal(size=(3, 1)) * basis.vectors[:3]  # in the span, up to rounding
+    per_row = [basis.projection_residual(v) for v in stack]
+    bound = 16 * n * np.finfo(float).eps * np.abs(stack).sum(axis=1).max()
+    assert abs(basis.projection_residual(stack) - max(per_row)) <= bound
+    units = np.stack(list(igl_generator_vectors(system).values()))
+    assert units.shape == (20, n) and np.array_equal(np.abs(units).sum(axis=1), np.ones(20))
+    assert basis.projection_residual(units) == max(map(basis.projection_residual, units)) == 0.0
+    assert basis.projection_residual(np.zeros((0, n))) == 0.0
 
 
 def test_rank_ambiguity_guard_fires():

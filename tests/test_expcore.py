@@ -199,10 +199,22 @@ def test_infinite_covector_is_not_merged_away():
 def test_constant_rejects_non_finite(c):
     with pytest.raises(NonFinite):
         ExpPoly.constant(c)
+    with pytest.raises(NonFinite):
+        ExpPoly([ExpTerm(complex(c))])
 
 
 def test_constant_zero_is_zero_poly():
-    assert ExpPoly.constant(0) == ExpPoly.zero()
+    for c in (0, -0.0, complex(-0.0, -0.0)):
+        assert ExpPoly.constant(c) == ExpPoly.zero() == ExpPoly([ExpTerm(complex(c))]), c
+
+
+@pytest.mark.parametrize("c", [1, -2.5, 1j, 3 - 4j, complex(2, -0.0), 1e-300, -1e308,
+                               complex(1e308, 1e308), np.float64(0.25)])
+def test_constant_equals_the_gate_built_constant(c):
+    built = ExpPoly.constant(c)
+    gated = ExpPoly([ExpTerm(complex(c))])
+    assert built == gated and repr(built.terms) == repr(gated.terms)  # signed zeros too
+    assert built.is_constant() and not ExpPoly.zero().is_constant()
 
 
 @pytest.mark.parametrize("a", [-1, 4])
@@ -333,6 +345,38 @@ def test_evaluate_cancelling_exponent_is_finite(s):
     f = ExpPoly.exponential(1, (s, -s, 0, 0))
     assert f.evaluate((1, 1, 0, 0)) == 1
     assert np.array_equal(f.evaluate(np.ones((3, 4)) * (1, 1, 0, 0)), np.ones(3))
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_evaluate_takes_an_overflowing_monomial_with_its_exponential(action):
+    # x0^2 e^(-x0) at x0 = 1e200 is 0, although x0^2 alone overflows
+    f = ExpPoly([ExpTerm(1, (2, 0, 0, 0), (-1, 0, 0, 0))])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        assert f.evaluate((1e200, 0, 0, 0)) == 0
+        # x0^3 e^(k x0) = -1e30 at x0 = -1e110, with the sign of x0^3
+        g = ExpPoly([ExpTerm(1, (3, 0, 0, 0), (300 * math.log(10) / 1e110, 0, 0, 0))])
+        assert g.evaluate((-1e110, 0, 0, 0)) == pytest.approx(-1e30, rel=1e-12)
+        # and x0^2 x1 overflows on the way to 1e250
+        h = ExpPoly([ExpTerm(1, (2, 1, 0, 0))])
+        assert h.evaluate((1e200, 1e-150, 0, 0)) == pytest.approx(1e250, rel=1e-12)
+    assert not seen
+    # points whose monomials stay in range are evaluated as before, bit for bit
+    points = np.array([[1e200, 0, 0, 0], [2.0, 0, 0, 0], [-3.5, 1, 0, 0]])
+    values = f.evaluate(points)
+    assert values[0] == 0
+    assert values[1:].tolist() == [(x[0] ** 2 * np.exp(-x[0] + 0j)) * (1 + 0j) for x in points[1:]]
+
+
+@pytest.mark.parametrize("f", [
+    ExpPoly([ExpTerm(1, (2, 0, 0, 0))]),  # x0^2
+    ExpPoly([ExpTerm(1, (3, 0, 0, 0), (-1e-300, 0, 0, 0))]),  # the exponential does not bring it back
+])
+def test_evaluate_overflowing_monomial_still_raises(f):
+    with pytest.raises(NonFinite):
+        f.evaluate((1e200, 0, 0, 0))
+    with pytest.raises(NonFinite):
+        f.evaluate(np.array([[1.0, 0, 0, 0], [1e200, 0, 0, 0]]))
 
 
 def test_evaluate_rows_match_term_by_term_sum():

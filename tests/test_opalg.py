@@ -19,6 +19,7 @@ from randgen import (
 )
 
 from commsym import opalg
+from commsym.detsolve import AnsatzSpec, _freivalds_combination, build_determining_system, solve_null_space
 from commsym.expcore import ExpPoly, ExpTerm, _add_products
 from commsym.opalg import (
     LinDiffOp,
@@ -40,6 +41,7 @@ from commsym.scenarios import (
     plane_fields,
     plane_wave,
     polarization,
+    run_igl_sweep,
     schrodinger_operator,
     wave_operator,
 )
@@ -54,10 +56,19 @@ def test_apply_box_annihilates_lightcone_wave():
     assert wave_operator().apply(wave).max_coeff() < 1e-15
 
 
-@pytest.mark.parametrize("a, power", [(-1, 1), (4, 1), (2, -1)])
+@pytest.mark.parametrize("a, power", [(-1, 1), (4, 1), (2, -1), (0, -2)])
 def test_partial_rejects_bad_index_or_power(a, power):
     with pytest.raises(ValueError):
         LinDiffOp.partial(a, power)
+
+
+@pytest.mark.parametrize("a", range(4))
+@pytest.mark.parametrize("power", range(4))
+def test_partial_equals_the_constructor_built_operator(a, power):
+    delta = tuple(power if b == a else 0 for b in range(4))
+    assert LinDiffOp.partial(a, power) == LinDiffOp([(delta, ExpPoly([ExpTerm(1 + 0j)]))])
+    if power == 0:
+        assert LinDiffOp.partial(a, power) == LinDiffOp.identity()
 
 
 def test_apply_partial_to_constant():
@@ -467,6 +478,29 @@ def test_commutator_with_box_derives_only_what_can_be_nonzero(monkeypatch, Q):
     # every polynomial derived has a term of positive degree: none is zero or constant
     assert all(any(t.alpha != (0, 0, 0, 0) for t in f.terms) for f, _ in derived)
     assert not empty_products
+
+
+def test_brackets_with_a_constant_coefficient_operator_derive_no_constant(monkeypatch):
+    """A constant coefficient of the right operand takes part only at beta = 0:
+    the igl sweep and re-verification's ad_power never call _derivative on a
+    constant."""
+    system = build_determining_system(wave_operator(), AnsatzSpec(degree=2, p=2))
+    candidate = system.decode(_freivalds_combination(solve_null_space(system).vectors))
+    expected = ad_power(wave_operator(), candidate.Q, 2)
+    calls, on_constants = [], []
+    derivative = opalg._derivative
+
+    def counted(derived, delta):
+        calls.append(delta)
+        base = derived[(0, 0, 0, 0)].terms
+        if len(base) == 1 and base[0].alpha == (0, 0, 0, 0) and not any(base[0].kappa):
+            on_constants.append(delta)
+        return derivative(derived, delta)
+
+    monkeypatch.setattr(opalg, "_derivative", counted)
+    assert run_igl_sweep().passed
+    assert ad_power(wave_operator(), candidate.Q, 2) == expected
+    assert calls and not on_constants
 
 
 # -- residual_vs_multiple --------------------------------------------------------
