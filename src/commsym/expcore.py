@@ -250,15 +250,11 @@ class ExpPoly(_Sum):
                 # exp(kappa . x) does, not where one exp(kappa_a x_a) would
                 expo = rows @ kappa.T
                 with np.errstate(over="ignore", invalid="ignore"):
-                    mono = (rows[:, None, :] ** alpha).prod(axis=2)
-                far = ~np.isfinite(mono)  # x^alpha alone leaves the float range
-                if far.any():
-                    near = ~far
-                    products = np.empty_like(expo)
-                    products[near] = mono[near] * np.exp(expo[near])
-                    products[far] = _in_logs(rows, alpha, expo, far)
-                else:
-                    products = mono * np.exp(expo)
+                    products = (rows[:, None, :] ** alpha).prod(axis=2) * np.exp(expo)
+                # x^alpha or exp(kappa . x) alone may leave the float range
+                # while their product is in it
+                far = ~np.isfinite(products)
+                products[far] = _in_logs(rows, alpha, expo, far)
                 values = products @ coeff
         except FloatingPointError as exc:
             raise NonFinite("evaluation overflowed") from exc
@@ -315,9 +311,9 @@ class ExpPoly(_Sum):
 def _in_logs(rows: np.ndarray, alpha: np.ndarray, expo: np.ndarray, far: np.ndarray) -> np.ndarray:
     """x^alpha exp(kappa . x) at the (point, term) entries marked far, taken
     as exp(alpha . log|x| + kappa . x) with the sign of x^alpha, so that a
-    term the exponential brings back into range has its value; expo holds
-    kappa . x per entry.  A value still beyond the float range overflows in
-    exp."""
+    term whose monomial and exponential bring each other back into range has
+    its value; expo holds kappa . x per entry.  A value still beyond the float
+    range overflows in exp."""
     point, term = np.nonzero(far)
     x, a = rows[point], alpha[term]
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf, and 0 * -inf

@@ -956,13 +956,13 @@ def run_igl_sweep() -> ScenarioReport:
 # generator search
 
 
-def igl_generator_vectors(system) -> dict[str, np.ndarray]:
+def igl_generator_vectors(system) -> np.ndarray:
     """The unit vectors of the 20 linear-group generators over a system's
-    unknowns, by name; each is a row of one (20, unknowns) array."""
+    unknowns: one row each, in the order of IGL_GENERATORS."""
     index = {key: i for i, key in enumerate(system.unknowns)}
     rows = np.zeros((len(IGL_GENERATORS), len(index)), dtype=complex)
     rows[range(len(rows)), [index[key] for key in IGL_GENERATORS.values()]] = 1
-    return dict(zip(IGL_GENERATORS, rows))
+    return rows
 
 
 # the operators a generator search runs on, by the name the CLI offers
@@ -997,7 +997,7 @@ def run_generator_search(
                          abs(basis.dimension - oracle_dim), 0.5))
 
     if degree >= 1 and p == 2:
-        worst = basis.projection_residual(np.stack(list(igl_generator_vectors(system).values())))
+        worst = basis.projection_residual(igl_generator_vectors(system))
         checks.append(_check("detsolve_igl_generators_in_span", "eq31,sec4", worst, 1e-8))
 
     checks.append(_check("detsolve_candidates_reverify", "eq5,eq6",

@@ -368,6 +368,23 @@ def test_evaluate_takes_an_overflowing_monomial_with_its_exponential(action):
     assert values[1:].tolist() == [(x[0] ** 2 * np.exp(-x[0] + 0j)) * (1 + 0j) for x in points[1:]]
 
 
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_evaluate_takes_an_overflowing_exponential_with_its_monomial(action):
+    # x0^2 e^(8e202 x0) at x0 = 1e-200 is e^800 / 1e400, about 2.7e-53,
+    # although x0^2 alone underflows to 0 and e^800 alone overflows
+    f = ExpPoly([ExpTerm(1, (2, 0, 0, 0), (8e202, 0, 0, 0))])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        value = f.evaluate((1e-200, 0, 0, 0))
+        assert value == pytest.approx(math.exp(800 - 400 * math.log(10)), rel=1e-12)
+        # x0 e^(800 x1) at x0 = 0 is 0, although e^800 alone overflows
+        g = ExpPoly([ExpTerm(1, (1, 0, 0, 0), (0, 800, 0, 0))])
+        assert g.evaluate((0, 1, 0, 0)) == 0
+        assert g.evaluate(np.array([[0.0, 1, 0, 0], [-1e-300, 1, 0, 0]])).tolist() == [
+            0, pytest.approx(-math.exp(800 - 300 * math.log(10)), rel=1e-12)]
+    assert not seen
+
+
 @pytest.mark.parametrize("f", [
     ExpPoly([ExpTerm(1, (2, 0, 0, 0))]),  # x0^2
     ExpPoly([ExpTerm(1, (3, 0, 0, 0), (-1e-300, 0, 0, 0))]),  # the exponential does not bring it back
