@@ -26,7 +26,6 @@ from .detsolve import (
     AnsatzSpec,
     GeneratorBasis,
     NotClosed,
-    RankDeficiencyAmbiguous,
     SingularMap,
     UnsupportedCoefficient,
     UnsupportedDegree,
@@ -78,7 +77,6 @@ __all__ = [
     "AnsatzSpec",
     "GeneratorBasis",
     "NotClosed",
-    "RankDeficiencyAmbiguous",
     "SingularMap",
     "UnsupportedCoefficient",
     "UnsupportedDegree",

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from . import scenarios as sc
-from .detsolve import RankDeficiencyAmbiguous
 from .expcore import NonFinite
 
 EXIT_PASS = 0
@@ -230,9 +229,9 @@ def run(cfg: RunConfig) -> tuple[int, bytes]:
                 params=dict(report.params, seed=cfg.seed, sweeps=cfg.sweeps),
                 checks=report.checks + tuple(_sweep_summary(s, cfg)),
             )
-    except (ValueError, RankDeficiencyAmbiguous, NonFinite) as exc:
-        # InvalidParams, DegenerateDirection, bad ansatz degrees, an ambiguous
-        # null cutoff or overflowing parameters: configuration problems, exit 2
+    except (ValueError, NonFinite) as exc:
+        # InvalidParams, DegenerateDirection, bad ansatz degrees or
+        # overflowing parameters: configuration problems, exit 2
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
     payload = report_emit(report, cfg.fmt)

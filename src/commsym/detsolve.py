@@ -37,10 +37,6 @@ class SingularMap(ValueError):
     """The affine map is not invertible."""
 
 
-class RankDeficiencyAmbiguous(RuntimeError):
-    """Singular values cluster across the null cutoff; the tolerance must move."""
-
-
 class NotClosed(RuntimeError):
     """Commutators leave the span of the candidate basis."""
 
@@ -49,9 +45,7 @@ class NotClosed(RuntimeError):
 NULL_TOL = 1e-8
 # largest coefficient of ad_L^p(Q) - zeta L a re-verified candidate may leave
 REVERIFY_TOL = 1e-8
-# gap ratio below which the null cutoff is declared ambiguous
-_GAP_GUARD = 10.0
-# structure constants: rank cutoff (relative) and largest closure residual
+# structure constants: rank cutoff and largest closure residual, both relative
 _CLOSURE_TOL = 1e-8
 
 
@@ -292,22 +286,13 @@ def _fill(entries: Entries, n_cols: int) -> tuple[tuple[Key, ...], np.ndarray]:
 
 
 def null_rank(sigma: np.ndarray, tol: float) -> int:
-    """Rank of a spectrum: the singular values above tol * sigma_max.
+    """Rank of a descending spectrum: the singular values above tol * sigma_max.
 
-    If the spectrum clusters across that cutoff (gap ratio below 10) the
-    rank is ambiguous and RankDeficiencyAmbiguous is raised instead of
-    silently picking a dimension.
+    A spectrum that clusters across the cutoff is not refused here: the
+    generator search reads the rank again at tol * 10 and tol / 10, and its
+    stability check fails on such a spectrum.
     """
-    cutoff = tol * (sigma[0] if sigma.size else 0.0)
-    rank = int(np.sum(sigma > cutoff))
-    if 0 < rank < sigma.size and sigma[rank] > 0:
-        gap = sigma[rank - 1] / sigma[rank]
-        if gap < _GAP_GUARD:
-            raise RankDeficiencyAmbiguous(
-                f"singular values {sigma[rank - 1]:.3e} and {sigma[rank]:.3e} "
-                f"straddle the cutoff {cutoff:.3e} with gap ratio {gap:.2f} < {_GAP_GUARD}"
-            )
-    return rank
+    return int(np.count_nonzero(sigma > tol * (sigma[0] if sigma.size else 0.0)))
 
 
 def _components(m: np.ndarray) -> list[tuple[list[int], list[int]]]:
@@ -363,12 +348,12 @@ def solve_null_space(system: DeterminingSystem) -> GeneratorBasis:
     graph at a time (``system.components``): one SVD per component with rows,
     the components of one shape stacked into one batched call, and a unit
     null vector for each column that touches no row.  The component spectra
-    merge into one descending spectrum; its rank at
-    NULL_TOL, with the gap guard of :func:`null_rank`, is read once, and each
-    component keeps the vectors whose singular values lie at or below
-    NULL_TOL times the global sigma_max.  Each null vector is a dense row
-    supported on one component: first the unit vectors, then the vectors of
-    each component in the order of their first columns.
+    merge into one descending spectrum; its rank at NULL_TOL
+    (:func:`null_rank`) is read once, and each component keeps the vectors
+    whose singular values lie at or below NULL_TOL times the global
+    sigma_max.  Each null vector is a dense row supported on one component:
+    first the unit vectors, then the vectors of each component in the order
+    of their first columns.
 
     The null vectors are re-verified through the operator algebra, which
     shares nothing with the assembly of the matrix: one ``ad_power`` of
@@ -435,7 +420,9 @@ def structure_constants(ops: Sequence[LinDiffOp]) -> tuple[np.ndarray, float]:
     The n operators and their n(n-1)/2 commutators, expanded exactly, are
     vectorized on one key set and the brackets regressed onto the operators
     by one least-squares solve.  Returns C and the closure residual: the
-    largest fit error or imaginary part of a constant.  C is real and
+    largest fit error relative to the largest bracket coefficient, or the
+    largest imaginary part of a constant relative to the largest |C|, so
+    that it does not change when the operators are rescaled.  C is real and
     antisymmetric in (a, b) by construction; a closure residual above
     _CLOSURE_TOL means the set does not close into a Lie algebra and raises
     NotClosed.
@@ -457,13 +444,12 @@ def structure_constants(ops: Sequence[LinDiffOp]) -> tuple[np.ndarray, float]:
         for j, op in enumerate([*ops, *brackets]) for delta, coeff in op.terms for t in coeff.terms
     ]), len(ops) + len(brackets))
     basis, targets = matrix[:, :n], matrix[:, n:]
-    scale = max(1.0, float(np.abs(basis).max(initial=0.0)))
-    if np.linalg.matrix_rank(basis, tol=_CLOSURE_TOL * scale) < n:
+    if np.linalg.matrix_rank(basis, tol=_CLOSURE_TOL * np.abs(basis).max(initial=0.0)) < n:
         raise ValueError("generators are not linearly independent")
     coeffs, *_ = np.linalg.lstsq(basis, targets, rcond=None)  # n x pairs
     worst = max(
-        float(np.abs(basis @ coeffs - targets).max(initial=0.0)),
-        float(np.abs(coeffs.imag).max(initial=0.0)),
+        _relative(np.abs(basis @ coeffs - targets).max(initial=0.0), np.abs(targets).max(initial=0.0)),
+        _relative(np.abs(coeffs.imag).max(initial=0.0), np.abs(coeffs).max(initial=0.0)),
     )
     for (a, b), c in zip(pairs, coeffs.real.T):
         C[a, b, :] = c
@@ -471,6 +457,11 @@ def structure_constants(ops: Sequence[LinDiffOp]) -> tuple[np.ndarray, float]:
     if worst > _CLOSURE_TOL:
         raise NotClosed(f"closure residual {worst:.3e} exceeds {_CLOSURE_TOL:.1e}")
     return C, worst
+
+
+def _relative(size: float, scale: float) -> float:
+    """size / scale, and 0 where both are 0 (a zero fit of zero brackets)."""
+    return float(size / scale) if scale else float(size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,9 +489,12 @@ class AffineMap:
         return AffineMap(self.A @ other.A, self.A @ other.b + self.b)
 
     def inverse(self) -> "AffineMap":
-        det = float(np.linalg.det(self.A))
-        if abs(det) <= 1e-12:
-            raise SingularMap(f"|det A| = {abs(det):.3e} <= 1e-12")
+        # |det A| is at most the product of A's row norms (Hadamard), so their
+        # ratio lies in [0, 1] whatever the scale of A; a zero row gives det 0
+        sign, logdet = np.linalg.slogdet(self.A)
+        ratio = math.exp(logdet - np.log(np.linalg.norm(self.A, axis=1)).sum()) if sign else 0.0
+        if ratio <= 1e-12:
+            raise SingularMap(f"|det A| / (product of row norms) = {ratio:.3e} <= 1e-12")
         inv = np.linalg.inv(self.A)
         return AffineMap(inv, -inv @ self.b)
 

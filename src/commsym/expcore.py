@@ -12,9 +12,9 @@ checked coefficient-wise instead of numerically.
 
 Coefficients and covectors are floating complex numbers: the frame parameters
 feeding the scenarios (square roots of quadratic forms) are irrational, so
-exact rational arithmetic is not an option.  All zero tests are therefore
-tolerance-based, with the dropping threshold taken relative to the largest
-coefficient present.
+exact rational arithmetic is not an option.  The canonical form drops only
+coefficients that are exactly zero; whether a rounding residue counts as
+zero is for the caller's check to decide, against its own bound.
 
 Every sum, product and derivative is gathered in one accumulator,
 {kappa: {alpha: coeff}}, whose keys are exact: terms with the same key are
@@ -22,9 +22,9 @@ added as they arrive, and a product adds the covectors once per pair of
 covectors, not per pair of terms.  One gate, ``_canonical``, then brings the
 gathered sum into canonical form: it sorts the distinct covectors, merges
 covectors of one alpha that lie within MERGE_TOL of each other, checks each
-covector and each merged coefficient once for NaN and inf, drops terms below
-ZERO_TOL times the largest coefficient, and emits the terms sorted by alpha,
-then by covector.
+covector and each merged coefficient once for NaN and inf, drops the terms
+whose coefficient is exactly zero, and emits the terms sorted by alpha, then
+by covector.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ class NonFinite(FloatingPointError):
     """A coefficient, exponent or value overflowed or turned into NaN."""
 
 
-# drop a term whose coefficient is below ZERO_TOL * (largest coefficient)
-ZERO_TOL = 1e-10
 # two covectors are one exponential when every component differs by at most
 # MERGE_TOL * max(1, largest component magnitude of the later covector)
 MERGE_TOL = 1e-12
@@ -113,7 +111,7 @@ class _Sum:
 
     def is_zero(self) -> bool:
         """Whether the sum has no terms: the gate has already dropped every
-        term below ZERO_TOL times the largest coefficient."""
+        term whose coefficient is exactly zero."""
         return not self.terms
 
     def __add__(self, other):
@@ -250,10 +248,14 @@ class ExpPoly(_Sum):
                 # exp(kappa . x) does, not where one exp(kappa_a x_a) would
                 expo = rows @ kappa.T
                 with np.errstate(over="ignore", invalid="ignore"):
-                    products = (rows[:, None, :] ** alpha).prod(axis=2) * np.exp(expo)
-                # x^alpha or exp(kappa . x) alone may leave the float range
-                # while their product is in it
-                far = ~np.isfinite(products)
+                    monomials = np.cumprod(rows[:, None, :] ** alpha, axis=2)
+                    exponentials = np.exp(expo)
+                    products = monomials[:, :, 3] * exponentials
+                # a power, a partial product of x^alpha or exp(kappa . x) may
+                # overflow or underflow while the term is in range: an entry
+                # with any factor that is not a finite normal float is taken
+                # again in logs, and the others keep their bits
+                far = ~(_normal(monomials).all(axis=2) & _normal(exponentials) & _normal(products))
                 products[far] = _in_logs(rows, alpha, expo, far)
                 values = products @ coeff
         except FloatingPointError as exc:
@@ -306,6 +308,16 @@ class ExpPoly(_Sum):
             bits.append(f"({t.coeff:.6g}){mono}{expo}")
         more = "" if len(self.terms) <= 4 else f" ... {len(self.terms)} terms"
         return "ExpPoly(" + " + ".join(bits) + more + ")"
+
+
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
+
+def _normal(values: np.ndarray) -> np.ndarray:
+    """Where the values are finite and of magnitude at least the smallest
+    normal float: NaN, inf, zero and subnormals are not."""
+    magnitude = np.abs(values)
+    return (magnitude >= _TINY) & (magnitude < np.inf)
 
 
 def _in_logs(rows: np.ndarray, alpha: np.ndarray, expo: np.ndarray, far: np.ndarray) -> np.ndarray:
@@ -399,8 +411,7 @@ def _canonical(acc: Accumulator) -> tuple[ExpTerm, ...]:
     merged term keeps the earliest covector that its own alpha brought, and
     the result does not depend on the input order.  Each covector and each
     merged coefficient is checked once for NaN and inf, so any non-finite
-    input raises NonFinite, before the drop threshold is taken from the
-    coefficients.
+    input raises NonFinite, in the same pass that drops the exact zeros.
     """
     if not acc:
         return ()
@@ -418,20 +429,15 @@ def _canonical(acc: Accumulator) -> tuple[ExpTerm, ...]:
     rows.sort(key=_alpha)  # stable: rank order within an alpha
     if len(groups) > 1:
         rows = _merge(rows, groups)
-    scale, least = 0.0, math.inf
-    for row in rows:
-        m = abs(row[2])
-        if not m < math.inf:  # NaN or inf
-            raise NonFinite(f"non-finite coefficient {row[2]!r}")
-        if m > scale:
-            scale = m
-        if m < least:
-            least = m
-    floor = ZERO_TOL * scale
-    if least <= floor:  # some term is dropped
-        rows = [row for row in rows if abs(row[2]) > floor]
     new = tuple.__new__  # ExpTerm's own __new__, without its Python frame
-    return tuple([new(ExpTerm, (c, alpha, k)) for alpha, _, c, k in rows])
+    out = []
+    for alpha, _, c, k in rows:
+        m = abs(c)
+        if not m < math.inf:  # NaN or inf
+            raise NonFinite(f"non-finite coefficient {c!r}")
+        if m:
+            out.append(new(ExpTerm, (c, alpha, k)))
+    return tuple(out)
 
 
 def _merge(rows: list, groups: list) -> list:

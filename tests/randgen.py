@@ -10,7 +10,7 @@ import math
 
 from hypothesis import strategies as st
 
-from commsym.expcore import MERGE_TOL, ZERO_TOL, ExpPoly, ExpTerm, NonFinite
+from commsym.expcore import MERGE_TOL, ExpPoly, ExpTerm, NonFinite
 from commsym.opalg import LinDiffOp
 
 
@@ -74,7 +74,7 @@ def reference_normalize(terms):
     MERGE_TOL * max(1, max_j |kappa_j|) of its own in every component, the
     scan stopping at the first Re kappa0 below that reach; a merged term keeps
     the earlier covector.  Any non-finite coefficient or covector raises;
-    terms below ZERO_TOL times the largest coefficient are dropped.
+    terms whose coefficient is exactly zero are dropped.
     """
     def sort_key(t):
         k = t.kappa
@@ -108,10 +108,7 @@ def reference_normalize(terms):
     for c, _, k in merged:
         if not (cmath.isfinite(c) and all(cmath.isfinite(v) for v in k)):
             raise NonFinite(f"non-finite coefficient {c!r} or covector {k!r}")
-    scale = max((abs(t.coeff) for t in merged), default=0.0)
-    if scale == 0.0:
-        return ()
-    return tuple(t for t in merged if abs(t.coeff) > ZERO_TOL * scale)
+    return tuple(t for t in merged if t.coeff != 0)
 
 
 def assert_same_terms(terms, reference, size):

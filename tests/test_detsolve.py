@@ -3,22 +3,24 @@
 import dataclasses
 import functools
 import itertools
+import json
 import math
 import warnings
 from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from randgen import approx_eq
 
-from commsym import detsolve
+from commsym import cli, detsolve
 from commsym.detsolve import (
     NULL_TOL,
     AffineMap,
     AnsatzSpec,
     DeterminingSystem,
     NotClosed,
-    RankDeficiencyAmbiguous,
     SingularMap,
     UnsupportedCoefficient,
     UnsupportedDegree,
@@ -620,16 +622,64 @@ def test_projection_residual_of_a_stack_is_its_largest_row_distance(operator, de
     assert basis.projection_residual(np.zeros((0, n))) == 0.0
 
 
-def test_rank_ambiguity_guard_fires():
-    dummy = DeterminingSystem(
-        matrix=np.diag([1.0, 3e-8, 5e-9]).astype(complex),
-        unknowns=tuple((_UNIT[a], ZERO_ALPHA) for a in range(3)),
-        row_keys=(),
-        L=wave_operator(),
-        spec=AnsatzSpec(degree=0, p=1),
-    )
-    with pytest.raises(RankDeficiencyAmbiguous):
-        solve_null_space(dummy)
+@settings(max_examples=300, deadline=None)
+@given(
+    scale=st.floats(1e-6, 1e6),
+    tol=st.sampled_from([NULL_TOL, 1e-12, 1e-4]),
+    up=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    down=st.floats(0.0, 1.0, exclude_max=True),
+    above=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    below=st.lists(st.floats(0.0, 1.0), max_size=4),
+)
+def test_a_spectrum_straddling_the_cutoff_moves_the_rank_at_tol_x10_or_div10(
+    scale, tol, up, down, above, below
+):
+    """Two neighbours sigma[r-1] > c >= sigma[r] around the cutoff
+    c = tol * sigma_max, at ratio 10^(up + down (1 - up)) below 10: sigma[r-1]
+    lies in (c, 10c), so the rank read at 10 tol or at tol / 10 differs from
+    the rank at tol, and the generator search's detsolve_dim_stable_under_tol
+    row fails on every such spectrum."""
+    cutoff = tol * scale
+    upper = cutoff * 10.0**up
+    lower = cutoff * 10.0 ** (-down * (1.0 - up))
+    sigma = np.array(sorted(
+        [scale, *(upper + f * (scale - upper) for f in above), upper, lower,
+         *(f * lower for f in below)],
+        reverse=True,
+    ))
+    rank = 2 + len(above)
+    assume(sigma[rank - 1] > tol * sigma[0] >= sigma[rank])
+    assume(sigma[rank - 1] < 10 * sigma[rank])
+    assert null_rank(sigma, tol) == rank
+    assert null_rank(sigma, tol * 10.0) != rank or null_rank(sigma, tol * 0.1) != rank
+
+
+def test_ambiguous_null_cutoff_fails_the_stability_row(monkeypatch):
+    """The spectrum [1, 3e-8, 5e-9] straddles the cutoff 1e-8 at ratio 6: a
+    generator search whose solver meets it reports a failing
+    detsolve_dim_stable_under_tol row, and the CLI exits 1 with the report,
+    not with an error."""
+    solve = detsolve.solve_null_space
+
+    def solve_ambiguous(system):
+        # box at degree 1 has one block, one column wide; scaled to sigma 1, it
+        # is joined by two rows 3e-8 and 5e-9 on columns of true symmetries
+        m = system.matrix / np.linalg.norm(system.matrix)
+        free = [j for j in range(m.shape[1]) if not m[:, j].any()]
+        extra = np.zeros((2, m.shape[1]), dtype=complex)
+        extra[0, free[0]], extra[1, free[1]] = 3e-8, 5e-9
+        return solve(dataclasses.replace(system, matrix=np.vstack([m, extra])))
+
+    monkeypatch.setattr(detsolve, "solve_null_space", solve_ambiguous)
+    status, payload = cli.run(cli.parse_config(["detsolve", "--degree", "1", "--format", "json"]))
+    report = json.loads(payload)
+    rows = {c["name"]: c for c in report["checks"]}
+    assert status == cli.EXIT_FAIL and report["pass"] is False
+    # 24 vectors at 1e-8; the dimensions read at 1e-7 and 1e-9 are 25 and 23
+    assert report["params"]["null_dimension"] == 24
+    assert rows["detsolve_dim_stable_under_tol"]["residual"] == 1
+    assert rows["detsolve_dim_stable_under_tol"]["pass"] is False
+    assert rows["detsolve_candidates_reverify"]["pass"] is True
 
 
 def test_null_cutoff_is_relative_to_the_global_sigma_max():
@@ -766,6 +816,28 @@ def test_structure_constants_not_closed():
     x1d0 = LinDiffOp([((1, 0, 0, 0), ExpPoly.coordinate(1))])
     with pytest.raises(NotClosed):
         structure_constants([x0d1, x1d0])
+
+
+def generic_poincare_basis():
+    """Ten fixed random real combinations of the Poincare generators."""
+    ops = poincare_generators()
+    weights = np.random.default_rng(5).normal(size=(10, 10))
+    return [sum((w * op for w, op in zip(row, ops)), LinDiffOp.zero()) for row in weights]
+
+
+@pytest.mark.parametrize("basis", [poincare_generators, generic_poincare_basis])
+def test_structure_constants_do_not_depend_on_the_scale_of_the_operators(basis):
+    """[s Q_a, s Q_b] = (s C_abg) (s Q_g): every rescaled basis closes with C
+    scaled by s, and the non-closing pair [x0 d1, x1 d0] raises at every s."""
+    ops = basis()
+    C, closure = structure_constants(ops)
+    x1d0 = LinDiffOp([((1, 0, 0, 0), ExpPoly.coordinate(1))])
+    for s in (1e-5, 1e-3, 1.0, 1e3, 1e4, 1e6):
+        Cs, closure_s = structure_constants([s * op for op in ops])
+        assert closure_s <= 1e-12
+        assert np.abs(Cs - s * C).max() <= 1e-12 * s * np.abs(C).max()
+        with pytest.raises(NotClosed):
+            structure_constants([s * op_x0d1(), s * x1d0])
 
 
 def test_structure_constants_rejects_dependent_basis():
@@ -945,6 +1017,21 @@ def test_affine_map_rejects_non_finite_entries():
         AffineMap(np.full((4, 4), math.nan), np.zeros(4))
     with pytest.raises(ValueError):
         AffineMap(np.eye(4), np.array([0, math.inf, 0, 0]))
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-4, 1e-2, 1.0, 1e3, 1e6])
+def test_affine_map_inverse_does_not_depend_on_scale(s):
+    inverse = AffineMap(s * np.eye(4), np.ones(4)).inverse()
+    assert np.allclose(inverse.A, np.eye(4) / s, rtol=1e-15, atol=0)
+    assert np.allclose(inverse.b, -np.ones(4) / s, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("s", [1e-6, 1.0, 1e6])
+def test_affine_map_inverse_rejects_a_rank_3_matrix(s):
+    A = np.random.default_rng(11).normal(size=(4, 4))
+    A[3] = A[0] - 2 * A[1]
+    with pytest.raises(SingularMap):
+        AffineMap(s * A, np.zeros(4)).inverse()
 
 
 def test_affine_map_inverse_roundtrip():

@@ -159,7 +159,7 @@ def test_gate_accepts_finite_terms_up_to_1e308(terms):
 
 _POOL_ALPHA = [(0, 0, 0, 0), (1, 0, 0, 0)]
 _POOL_KAPPA = [(0j, 0j, 0j, 0j), (0.5j, -1 + 0j, 0j, 2 + 0j)]
-# 1 and -1 cancel when merged; 1e-20 beside 1 is dropped
+# 1 and -1 cancel when merged; 1e-20 beside 1 is a term of its own
 _POOL_COEFF = [1 + 0j, -1 + 0j, 1e-20 + 0j, 2.5 - 1j]
 
 
@@ -385,6 +385,24 @@ def test_evaluate_takes_an_overflowing_exponential_with_its_monomial(action):
     assert not seen
 
 
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_evaluate_takes_an_underflowing_monomial_with_its_exponential(action):
+    # x0^2 e^(700 x1) at (1e-200, 1) is (1e-200 e^350)^2, about 1.01e-96,
+    # although x0^2 alone underflows to 0 (abs=0: approx would take 0 for it)
+    f = ExpPoly([ExpTerm(1, (2, 0, 0, 0), (0, 700, 0, 0))])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        assert f.evaluate((1e-200, 1, 0, 0)) == pytest.approx((1e-200 * math.exp(350)) ** 2, rel=1e-12, abs=0)
+        # at x0 = 1e-160, x0^2 is subnormal and keeps only a few digits
+        assert f.evaluate((1e-160, 1, 0, 0)) == pytest.approx((1e-160 * math.exp(350)) ** 2, rel=1e-12, abs=0)
+        # a subnormal x0: the monomial x0 at 1e-310, alone and with e^(700 x1)
+        x0 = ExpPoly.coordinate(0)
+        assert x0.evaluate((1e-310, 1, 0, 0)) == pytest.approx(1e-310, rel=1e-12, abs=0)
+        g = ExpPoly([ExpTerm(1, (1, 0, 0, 0), (0, 700, 0, 0))])
+        assert g.evaluate((1e-310, 1, 0, 0)) == pytest.approx(1e-310 * math.exp(700), rel=1e-12, abs=0)
+    assert not seen
+
+
 @pytest.mark.parametrize("f", [
     ExpPoly([ExpTerm(1, (2, 0, 0, 0))]),  # x0^2
     ExpPoly([ExpTerm(1, (3, 0, 0, 0), (-1e-300, 0, 0, 0))]),  # the exponential does not bring it back
@@ -493,6 +511,20 @@ def test_is_zero_means_no_terms():
     # a cancellation leaves its rounding residue as a term; only an exact one is zero
     assert not (ExpPoly.constant(1.0) + ExpPoly.constant(-1.0 + 2**-52)).is_zero()
     assert (tiny - tiny).is_zero() and (tiny - tiny).terms == ()
+
+
+def test_gate_keeps_a_small_term_beside_a_large_one():
+    """The gate drops exact zeros only: no term is lost because a larger one
+    sits beside it, whatever their scales."""
+    x0 = (1, 0, 0, 0)
+    assert ExpPoly([ExpTerm(1e11), ExpTerm(1.0, x0)]).terms == (ExpTerm(1e11), ExpTerm(1.0, x0))
+    # x0 * (1 + 1e11 exp(1e-3 x0)) keeps its x0 term
+    f = ExpPoly.coordinate(0) * (ExpPoly.constant(1) + ExpPoly.exponential(1e11, (1e-3, 0, 0, 0)))
+    assert f.terms == (ExpTerm(1.0, x0), ExpTerm(1e11, x0, (1e-3, 0j, 0j, 0j)))
+    # a sum that cancels exactly is still the zero polynomial
+    g = ExpPoly([ExpTerm(1e11), ExpTerm(1.0, x0), ExpTerm(-1e11), ExpTerm(-1.0, x0)])
+    assert g.is_zero() and g == ExpPoly.zero()
+    assert (f - f).is_zero()
 
 
 # -- affine substitution -------------------------------------------------------
