@@ -24,7 +24,10 @@ gathered sum into canonical form: it sorts the distinct covectors, merges
 covectors of one alpha that lie within MERGE_TOL of each other, checks each
 covector and each merged coefficient once for NaN and inf, drops the terms
 whose coefficient is exactly zero, and emits the terms sorted by alpha, then
-by covector.
+by covector.  Results that have nothing to sort or merge (a scalar multiple,
+a derivative of one term or along an axis that no covector touches) are
+built in that order directly, with the gate's coefficient check and zero
+drop.
 """
 
 from __future__ import annotations
@@ -138,11 +141,12 @@ class ExpPoly(_Sum):
     Invariants: no zero-coefficient terms, no non-finite coefficient or
     covector component, no two terms sharing the same alpha and a kappa
     within merge tolerance, terms sorted by alpha, then by (Re kappa0,
-    Im kappa0, ..., Im kappa3).  Every instance comes out of the one gate,
-    ``_canonical``: ``ExpPoly(terms)`` gathers the terms in an accumulator and
-    passes it through the gate, and products, derivatives and operator
-    applications fill an accumulator directly.  An instance is never
-    normalized again.
+    Im kappa0, ..., Im kappa3).  Every instance is in the form of the one
+    gate, ``_canonical``: ``ExpPoly(terms)`` gathers the terms in an
+    accumulator and passes it through the gate, and products, derivatives
+    and operator applications fill an accumulator directly; scalar multiples
+    and derivatives that cannot merge are built in canonical order (see
+    ``_kept``).  An instance is never normalized again.
     """
 
     __slots__ = ()
@@ -161,11 +165,7 @@ class ExpPoly(_Sum):
     def constant(cls, c: complex) -> "ExpPoly":
         """The constant c, already canonical: the gate's coefficient check
         and zero drop are made here, without the gate."""
-        c = complex(c)
-        m = abs(c)
-        if not m < math.inf:  # NaN or inf
-            raise NonFinite(f"non-finite coefficient {c!r}")
-        return cls._raw((ExpTerm(c),) if m else ())
+        return cls._raw(_kept(((complex(c), ZERO_ALPHA, ZERO_KAPPA),)))
 
     @classmethod
     def coordinate(cls, a: int) -> "ExpPoly":
@@ -212,14 +212,29 @@ class ExpPoly(_Sum):
             acc: Accumulator = {}
             _add_products(acc, self.terms, other.terms, 1)
             return ExpPoly._from(acc)
+        # a scalar multiple keeps every key and the order of the terms, so
+        # only the gate's coefficient check and zero drop are left to make
         c = complex(other)
-        return ExpPoly(ExpTerm(t.coeff * c, t.alpha, t.kappa) for t in self.terms)
+        return ExpPoly._raw(_kept((t.coeff * c, t.alpha, t.kappa) for t in self.terms))
 
     def derive(self, a: int) -> "ExpPoly":
         """Exact partial derivative with respect to coordinate ``a``."""
         _unit_index(a)  # rejects a outside 0..3
+        terms = self.terms
+        if len(terms) == 1 or not any(t.kappa[a] for t in terms):
+            # one term gives (alpha - e_a, then alpha), in canonical order; with
+            # no kappa_a, the lowered terms keep the input's (alpha, covector)
+            # order and meet no new key, so nothing sorts or merges
+            out = []
+            for c, alpha, kappa in terms:
+                n, k = alpha[a], kappa[a]
+                if n:
+                    out.append((_START + c * n, alpha[:a] + (n - 1,) + alpha[a + 1:], kappa))
+                if k:
+                    out.append((_START + c * k, alpha, kappa))
+            return ExpPoly._raw(_kept(out))
         acc: Accumulator = {}
-        for c, alpha, kappa in self.terms:
+        for c, alpha, kappa in terms:
             n, k = alpha[a], kappa[a]
             if n or k:
                 group = acc.get(kappa)
@@ -254,8 +269,11 @@ class ExpPoly(_Sum):
                 # a power, a partial product of x^alpha or exp(kappa . x) may
                 # overflow or underflow while the term is in range: an entry
                 # with any factor that is not a finite normal float is taken
-                # again in logs, and the others keep their bits
-                far = ~(_normal(monomials).all(axis=2) & _normal(exponentials) & _normal(products))
+                # again in logs, and the others keep their bits.  A partial
+                # product of degree at most 1 is 1 or one x_a, exact as it is
+                exact = np.cumsum(alpha, axis=1) <= 1
+                far = ~((_normal(monomials) | exact).all(axis=2) & _normal(exponentials)
+                        & _normal(products))
                 products[far] = _in_logs(rows, alpha, expo, far)
                 values = products @ coeff
         except FloatingPointError as exc:
@@ -365,7 +383,15 @@ def _add_products(acc: Accumulator, left: Sequence[ExpTerm], right: Sequence[Exp
                   weight: int) -> None:
     """Add weight * s * o to acc for every term s of left and o of right, in
     the order of s, then of o.  The covector sum and its group in acc are
-    found once per pair of covectors, not per pair of terms."""
+    found once per pair of covectors, not per pair of terms; one term times
+    one term is one update."""
+    if len(left) == 1 and len(right) == 1:
+        (sc, sa, sk), = left
+        (oc, oa, ok), = right
+        group = acc.setdefault((sk[0] + ok[0], sk[1] + ok[1], sk[2] + ok[2], sk[3] + ok[3]), {})
+        alpha = (sa[0] + oa[0], sa[1] + oa[1], sa[2] + oa[2], sa[3] + oa[3])
+        group[alpha] = group.get(alpha, _START) + weight * sc * oc
+        return
     index: dict = {}  # covector of o -> its place in groups
     others = []
     for oc, oa, ok in right:
@@ -416,6 +442,16 @@ def _canonical(acc: Accumulator) -> tuple[ExpTerm, ...]:
     if not acc:
         return ()
     isfinite = cmath.isfinite
+    if len(acc) == 1:
+        (k, group), = acc.items()
+        if len(group) == 1:  # one term: nothing to sort or merge
+            if not (isfinite(k[0]) and isfinite(k[1]) and isfinite(k[2]) and isfinite(k[3])):
+                raise NonFinite(f"non-finite covector {k!r}")
+            (alpha, c), = group.items()
+            m = abs(c)
+            if not m < math.inf:  # NaN or inf
+                raise NonFinite(f"non-finite coefficient {c!r}")
+            return (tuple.__new__(ExpTerm, (c, alpha, k)),) if m else ()
     groups = list(acc.items())
     for k, _ in groups:
         if not (isfinite(k[0]) and isfinite(k[1]) and isfinite(k[2]) and isfinite(k[3])):
@@ -437,6 +473,21 @@ def _canonical(acc: Accumulator) -> tuple[ExpTerm, ...]:
             raise NonFinite(f"non-finite coefficient {c!r}")
         if m:
             out.append(new(ExpTerm, (c, alpha, k)))
+    return tuple(out)
+
+
+def _kept(rows: Iterable[tuple]) -> tuple[ExpTerm, ...]:
+    """The (coeff, alpha, kappa) rows, already in canonical order with finite
+    covectors, as the gate emits them: each coefficient checked for NaN and
+    inf, and the exactly zero ones dropped."""
+    new = tuple.__new__
+    out = []
+    for row in rows:
+        m = abs(row[0])
+        if not m < math.inf:  # NaN or inf
+            raise NonFinite(f"non-finite coefficient {row[0]!r}")
+        if m:
+            out.append(new(ExpTerm, row))
     return tuple(out)
 
 

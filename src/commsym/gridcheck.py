@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expcore import ExpPoly
+from .expcore import _TINY, ExpPoly
 from .opalg import LinDiffOp
 
 
@@ -68,20 +68,39 @@ def _eval_on_axes(f: ExpPoly, axes: Sequence[np.ndarray]) -> np.ndarray:
     factors F_a[t, i] = x_ai^alpha_ta exp(kappa_ta x_ai) the grid is one
     matrix product, (c F_0 (x) F_1)^T @ (F_2 (x) F_3), over the terms t.
     Overflow and NaN raise FloatingPointError whatever the warning filters,
-    also where a factor overflows and the product would not; underflow
-    gives 0 silently.
+    also where a factor overflows and the product would not.  When a factor
+    underflows, the terms with a factor below the smallest normal float at a
+    point other than x_a = 0 (where a factor is exactly 1 or 0) are left out
+    of the product and evaluated by ExpPoly.evaluate, which takes them in
+    logs; every other term keeps its bits.
     """
     n = [len(x) for x in axes]
     coeff = np.array([t.coeff for t in f.terms], dtype=complex)
     alpha = np.array([t.alpha for t in f.terms], dtype=int).reshape(-1, 4)
     kappa = np.array([t.kappa for t in f.terms], dtype=complex).reshape(-1, 4)
+
+    def factors() -> list[np.ndarray]:
+        return [x ** alpha[:, a, None] * np.exp(kappa[:, a, None] * x) for a, x in enumerate(axes)]
+
+    rest = None  # the terms taken in logs
     with np.errstate(over="raise", invalid="raise", under="ignore"):
-        F0, F1, F2, F3 = (
-            x ** alpha[:, a, None] * np.exp(kappa[:, a, None] * x) for a, x in enumerate(axes)
-        )
+        try:
+            with np.errstate(under="raise"):
+                F = factors()
+        except FloatingPointError:
+            F = factors()  # an overflow raises again here
+            far = np.zeros(len(coeff), dtype=bool)
+            for x, Fa in zip(axes, F):
+                far |= ((np.abs(Fa) < _TINY) & (x != 0)).any(axis=1)
+            rest = ExpPoly._raw(tuple(t for t, is_far in zip(f.terms, far) if is_far))
+            coeff, F = coeff[~far], [Fa[~far] for Fa in F]
+        F0, F1, F2, F3 = F
         left = (coeff[:, None, None] * F0[:, :, None] * F1[:, None, :]).reshape(-1, n[0] * n[1])
         right = (F2[:, :, None] * F3[:, None, :]).reshape(-1, n[2] * n[3])
         out = (left.T @ right).reshape(n)
+    if rest is not None:
+        points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+        out += rest.evaluate(points).reshape(n)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("grid evaluation overflowed")
     return out

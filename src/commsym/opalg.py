@@ -97,8 +97,11 @@ class LinDiffOp(_Sum):
         return LinDiffOp._raw(tuple((d, -c) for d, c in self.terms))
 
     def __mul__(self, scalar) -> "LinDiffOp":
+        """Each coefficient times the scalar, in the same order; the ones that
+        become zero are dropped, and nothing is regrouped."""
         c = complex(scalar)
-        return LinDiffOp((d, coeff * c) for d, coeff in self.terms)
+        scaled = ((d, coeff * c) for d, coeff in self.terms)
+        return LinDiffOp._raw(tuple((d, p) for d, p in scaled if p.terms))
 
     def apply(self, f: ExpPoly) -> ExpPoly:
         """Apply the operator to a function."""

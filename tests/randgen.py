@@ -165,3 +165,23 @@ def term_lists(draw, max_terms=8):
         elif partner == "cancel nudged":
             out.append(ExpTerm(-t.coeff, alpha, nudged(base)))
     return draw(st.permutations(out))
+
+
+def bits(terms):
+    """The terms with every float written in hex: two lists are equal when
+    every coefficient and covector is equal bit for bit, signed zeros
+    included, and every coefficient has the same type."""
+    def h(z):
+        return (type(z).__name__, float(z.real).hex(), float(z.imag).hex())
+
+    return [(h(c), alpha, tuple(h(k) for k in kappa)) for c, alpha, kappa in terms]
+
+
+# coefficients and covector components at the edges of the float range: signed
+# zeros, NaN, inf, a subnormal and values whose products underflow or overflow
+_EDGE = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-200, 1e308])
+edge_complexes = st.one_of(
+    st.complex_numbers(max_magnitude=10),
+    st.builds(complex, _EDGE, _EDGE),
+    st.builds(complex, st.floats(-10, 10), _EDGE),
+)

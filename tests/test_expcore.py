@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from randgen import approx_eq, assert_same_terms, rand_poly, reference_normalize, term_lists
+from randgen import (
+    approx_eq, assert_same_terms, bits, edge_complexes, rand_poly, reference_normalize, term_lists,
+)
 
 from commsym.expcore import MERGE_TOL, ExpPoly, ExpTerm, NonFinite
 
@@ -120,6 +122,116 @@ def test_product_is_the_gate_of_the_flat_product_list(left, right):
     assert_same_terms((p * q).terms, reference_normalize(flat), size)
 
 
+# -- sums that cannot sort or merge --------------------------------------------
+# A one-term sum, a one-term product, a scalar multiple and a derivative with
+# one term or along an axis no covector touches are built without the gate's
+# sort and merge.  Each gives the terms of the gate applied to the flat term
+# list bit for bit, or raises as the gate does; and as no merge happens in
+# these sums, the terms kept are also the reference's, bit for bit.
+
+
+def _same_as_gate(build, flat):
+    try:
+        expected = ExpPoly(flat).terms
+    except ArithmeticError as exc:
+        # NonFinite, or OverflowError from abs() of a finite coefficient
+        # whose magnitude is beyond the float range
+        with pytest.raises(type(exc)):
+            build()
+        return
+    assert bits(build().terms) == bits(expected) == bits(reference_normalize(flat))
+
+
+_ALPHA = st.tuples(*[st.integers(0, 3)] * 4)
+_SMALL = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=10))
+# finite coefficients whose products and derivatives may underflow or overflow
+_FINITE_TERMS = st.builds(ExpTerm, edge_complexes.filter(cmath.isfinite), _ALPHA,
+                          st.tuples(*[_SMALL] * 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=edge_complexes, alpha=_ALPHA, kappa=st.tuples(*[st.one_of(_SMALL, edge_complexes)] * 4),
+       copies=st.integers(1, 2))
+def test_one_term_sum_is_the_reference_bit_for_bit(c, alpha, kappa, copies):
+    flat = [ExpTerm(c, alpha, kappa)] * copies
+    try:
+        expected = reference_normalize(flat)
+    except NonFinite:
+        with pytest.raises(NonFinite):
+            ExpPoly(flat)
+        return
+    assert bits(ExpPoly(flat).terms) == bits(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=_FINITE_TERMS, o=_FINITE_TERMS)
+def test_one_term_product_is_the_gate_bit_for_bit(s, o):
+    p, q = ExpPoly([s]), ExpPoly([o])
+    flat = [
+        ExpTerm(1 * u.coeff * v.coeff,  # the product's own arithmetic: weight * s * o
+                tuple(a + b for a, b in zip(u.alpha, v.alpha)),
+                tuple(a + b for a, b in zip(u.kappa, v.kappa)))
+        for u in p.terms
+        for v in q.terms
+    ]
+    _same_as_gate(lambda: p * q, flat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=term_lists(), c=edge_complexes)
+def test_scalar_multiple_is_the_gate_bit_for_bit(raw, c):
+    p = ExpPoly(raw)
+    flat = [ExpTerm(t.coeff * complex(c), t.alpha, t.kappa) for t in p.terms]
+    _same_as_gate(lambda: p * c, flat)
+    _same_as_gate(lambda: c * p, flat)
+
+
+@pytest.mark.parametrize("scale", [1e-200, complex(0, 1e-200)])
+def test_product_that_underflows_is_zero_and_one_that_overflows_raises(scale):
+    tiny, big = ExpPoly.constant(1e-200), ExpPoly.exponential(1e308, (1j, 0, 0, 0))
+    assert (tiny * ExpPoly.constant(scale)).is_zero() and (tiny * scale).is_zero()
+    with pytest.raises(NonFinite):
+        big * ExpPoly.constant(10)
+    with pytest.raises(NonFinite):
+        big * 10
+
+
+def _flat_derivative(p, a):
+    out = []
+    for c, alpha, kappa in p.terms:
+        if alpha[a]:
+            out.append(ExpTerm(c * alpha[a], alpha[:a] + (alpha[a] - 1,) + alpha[a + 1:], kappa))
+        if kappa[a]:
+            out.append(ExpTerm(c * kappa[a], alpha, kappa))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=_FINITE_TERMS, a=st.integers(0, 3))
+def test_one_term_derivative_is_the_gate_bit_for_bit(t, a):
+    p = ExpPoly([t])
+    _same_as_gate(lambda: p.derive(a), _flat_derivative(p, a))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=term_lists(), a=st.integers(0, 3))
+def test_derivative_along_a_polynomial_axis_is_the_gate_bit_for_bit(raw, a):
+    p = ExpPoly(ExpTerm(t.coeff, t.alpha, t.kappa[:a] + (0j,) + t.kappa[a + 1:]) for t in raw)
+    _same_as_gate(lambda: p.derive(a), _flat_derivative(p, a))
+
+
+def test_derivative_along_a_polynomial_axis_keeps_the_input_order():
+    # three covectors, none with a kappa_0: d/dx0 lowers each power of x0 in
+    # place, and the term without x0 goes
+    k1, k2 = (0j, 1j, 0j, 0j), (0j, 0j, 2 + 0j, -1j)
+    p = ExpPoly([ExpTerm(1 + 0j, (2, 0, 0, 0), k1), ExpTerm(3 + 0j, (1, 0, 0, 0), k2),
+                 ExpTerm(5 + 0j, (1, 1, 0, 0)), ExpTerm(7 + 0j, (1, 1, 0, 0), k1),
+                 ExpTerm(9 + 0j, (0, 1, 0, 0), k2)])
+    expected = (ExpTerm(3 + 0j, (0, 0, 0, 0), k2), ExpTerm(5 + 0j, (0, 1, 0, 0)),
+                ExpTerm(7 + 0j, (0, 1, 0, 0), k1), ExpTerm(2 + 0j, (1, 0, 0, 0), k1))
+    assert p.derive(0).terms == expected == ExpPoly(expected).terms
+
+
 def test_merged_term_keeps_a_covector_its_own_alpha_brought():
     # within reach of each other (|0.25 - 0| <= 1e-12 * 2.5e11), the second
     # covector sorts first; a merge across alphas would give alpha0 kappa_b
@@ -144,7 +256,6 @@ def test_normalize_rejects_non_finite():
 
 
 _HUGE = st.complex_numbers(max_magnitude=1e308, allow_nan=False, allow_infinity=False)
-_ALPHA = st.tuples(*[st.integers(0, 3)] * 4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -398,8 +509,9 @@ def test_evaluate_takes_an_underflowing_monomial_with_its_exponential(action):
         # a subnormal x0: the monomial x0 at 1e-310, alone and with e^(700 x1)
         x0 = ExpPoly.coordinate(0)
         assert x0.evaluate((1e-310, 1, 0, 0)) == pytest.approx(1e-310, rel=1e-12, abs=0)
+        # x0 itself is exact: the entry is the direct product, bit for bit
         g = ExpPoly([ExpTerm(1, (1, 0, 0, 0), (0, 700, 0, 0))])
-        assert g.evaluate((1e-310, 1, 0, 0)) == pytest.approx(1e-310 * math.exp(700), rel=1e-12, abs=0)
+        assert g.evaluate((1e-310, 1, 0, 0)) == 1e-310 * math.exp(700)
     assert not seen
 
 

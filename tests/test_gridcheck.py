@@ -146,6 +146,21 @@ def test_eval_on_grid_underflow_is_silent_zero():
     assert values.shape == (5,) * 4 and not np.any(values)
 
 
+def test_eval_on_grid_takes_an_underflowing_factor_with_its_partner():
+    # x0^2 underflows on every x0 near 1e-200, while x0^2 e^(700 x1) is about
+    # 1.01e-96; the term beside it has only normal factors
+    f = ExpPoly([ExpTerm(1, (2, 0, 0, 0), (0, 700, 0, 0)), ExpTerm(1e-96j, (0, 0, 1, 0))])
+    grid = GridSpec(origin=(1e-200, 1, 0.5, 0), h=1e-210, extent=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = eval_on_grid(f, grid)
+    axes = grid.axes()
+    for idx in np.ndindex(values.shape):
+        exact = f.evaluate(tuple(axes[a][i] for a, i in enumerate(idx)))
+        assert abs(values[idx] - exact) <= 1e-12 * abs(exact)
+    assert values[2, 2, 2, 2] == pytest.approx(1.0142320547349596e-96 + 0.5e-96j, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("action", ["error", "default", "always", "ignore"])
 def test_coefficient_overflow_raises_only_where_values_are_used(action):
     # x0 runs over -2..2 and the stencil of d0 keeps -1..1: exp(800 x0)

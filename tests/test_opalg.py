@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from randgen import (
     approx_eq,
     assert_same_terms,
+    bits,
+    edge_complexes,
     rand_generator,
     rand_op,
     rand_poly,
@@ -20,7 +22,7 @@ from randgen import (
 
 from commsym import opalg
 from commsym.detsolve import AnsatzSpec, _freivalds_combination, build_determining_system, solve_null_space
-from commsym.expcore import ExpPoly, ExpTerm, _add_products
+from commsym.expcore import ExpPoly, ExpTerm, NonFinite, _add_products
 from commsym.opalg import (
     LinDiffOp,
     MatrixDiffOp,
@@ -69,6 +71,35 @@ def test_partial_equals_the_constructor_built_operator(a, power):
     assert LinDiffOp.partial(a, power) == LinDiffOp([(delta, ExpPoly([ExpTerm(1 + 0j)]))])
     if power == 0:
         assert LinDiffOp.partial(a, power) == LinDiffOp.identity()
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=st.lists(term_lists(max_terms=3), min_size=1, max_size=3), c=edge_complexes)
+def test_scalar_multiple_of_an_operator_is_the_constructor_bit_for_bit(coeffs, c):
+    """Each coefficient is scaled in place and the zero ones are dropped:
+    the terms of the constructor applied to the scaled coefficients, bit for
+    bit, or the same error."""
+    op = LinDiffOp(zip([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 1, 0)], map(ExpPoly, coeffs)))
+    try:
+        expected = LinDiffOp((d, p * c) for d, p in op.terms)
+    except ArithmeticError as exc:
+        with pytest.raises(type(exc)):
+            op * c
+        return
+    for scaled in (op * c, c * op):
+        assert [(d, bits(p.terms)) for d, p in scaled.terms] == [
+            (d, bits(p.terms)) for d, p in expected.terms]
+
+
+@pytest.mark.parametrize("c, kept", [(0, 0), (-0.0, 0), (complex(-0.0, 0.0), 0), (1e-200, 1), (1, 2)])
+def test_scalar_multiple_of_an_operator_drops_the_coefficients_that_become_zero(c, kept):
+    # 1e-200 * 1e-200 underflows to 0; 0 and -0.0 make every coefficient zero
+    op = LinDiffOp([((0, 0, 0, 0), ExpPoly.constant(1e-200)), ((1, 0, 0, 0), 2 * ExpPoly.coordinate(1))])
+    assert [d for d, _ in (op * c).terms] == [d for d, _ in op.terms][2 - kept:]
+    with pytest.raises(NonFinite):
+        op * 1e308 * 1e308
+    with pytest.raises(NonFinite):
+        op * math.nan
 
 
 def test_apply_partial_to_constant():
