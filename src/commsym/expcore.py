@@ -185,13 +185,18 @@ class ExpPoly(_Sum):
     # -- queries -----------------------------------------------------------
 
     def max_coeff(self) -> float:
-        return max((abs(t.coeff) for t in self.terms), default=0.0)
+        """The largest coefficient modulus; inf when a finite coefficient's
+        modulus is beyond the float range."""
+        try:
+            return max((abs(t.coeff) for t in self.terms), default=0.0)
+        except OverflowError:
+            return math.inf
 
     def witness(self) -> ExpTerm | None:
         """The largest-coefficient term, or None for the zero polynomial."""
         if not self.terms:
             return None
-        return max(self.terms, key=lambda t: abs(t.coeff))
+        return max(self.terms, key=lambda t: _modulus(t.coeff))
 
     def has_exponential(self) -> bool:
         return any(k != 0 for t in self.terms for k in t.kappa)
@@ -328,6 +333,14 @@ class ExpPoly(_Sum):
         return "ExpPoly(" + " + ".join(bits) + more + ")"
 
 
+def _modulus(c: complex) -> float:
+    """|c|, or inf where it is beyond the float range and abs would raise."""
+    try:
+        return abs(c)
+    except OverflowError:
+        return math.inf
+
+
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
@@ -448,10 +461,9 @@ def _canonical(acc: Accumulator) -> tuple[ExpTerm, ...]:
             if not (isfinite(k[0]) and isfinite(k[1]) and isfinite(k[2]) and isfinite(k[3])):
                 raise NonFinite(f"non-finite covector {k!r}")
             (alpha, c), = group.items()
-            m = abs(c)
-            if not m < math.inf:  # NaN or inf
+            if not isfinite(c):
                 raise NonFinite(f"non-finite coefficient {c!r}")
-            return (tuple.__new__(ExpTerm, (c, alpha, k)),) if m else ()
+            return (tuple.__new__(ExpTerm, (c, alpha, k)),) if c else ()
     groups = list(acc.items())
     for k, _ in groups:
         if not (isfinite(k[0]) and isfinite(k[1]) and isfinite(k[2]) and isfinite(k[3])):
@@ -468,10 +480,9 @@ def _canonical(acc: Accumulator) -> tuple[ExpTerm, ...]:
     new = tuple.__new__  # ExpTerm's own __new__, without its Python frame
     out = []
     for alpha, _, c, k in rows:
-        m = abs(c)
-        if not m < math.inf:  # NaN or inf
+        if not isfinite(c):
             raise NonFinite(f"non-finite coefficient {c!r}")
-        if m:
+        if c:
             out.append(new(ExpTerm, (c, alpha, k)))
     return tuple(out)
 
@@ -481,12 +492,12 @@ def _kept(rows: Iterable[tuple]) -> tuple[ExpTerm, ...]:
     covectors, as the gate emits them: each coefficient checked for NaN and
     inf, and the exactly zero ones dropped."""
     new = tuple.__new__
+    isfinite = cmath.isfinite
     out = []
     for row in rows:
-        m = abs(row[0])
-        if not m < math.inf:  # NaN or inf
+        if not isfinite(row[0]):
             raise NonFinite(f"non-finite coefficient {row[0]!r}")
-        if m:
+        if row[0]:
             out.append(new(ExpTerm, row))
     return tuple(out)
 
@@ -523,9 +534,14 @@ def _merge(rows: list, groups: list) -> list:
 def _within_reach(groups: list, r: int) -> set[int]:
     """The ranks q < r whose covector is within MERGE_TOL * max(1, max_j |k_j|)
     of k = groups[r][0] in every component.  Re kappa0 grows with the rank,
-    so the scan stops at the first Re kappa0 below that reach."""
+    so the scan stops at the first Re kappa0 below that reach.  A component
+    with finite parts whose modulus is beyond the float range scales before
+    its modulus is taken."""
     k = groups[r][0]
-    reach = MERGE_TOL * max(1.0, abs(k[0]), abs(k[1]), abs(k[2]), abs(k[3]))
+    try:
+        reach = MERGE_TOL * max(1.0, abs(k[0]), abs(k[1]), abs(k[2]), abs(k[3]))
+    except OverflowError:
+        reach = max(abs(MERGE_TOL * v) for v in k)
     lowest = k[0].real - reach
     near = set()
     for q in range(r - 1, -1, -1):

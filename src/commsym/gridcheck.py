@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,11 @@ class DegenerateResiduals(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A centered uniform grid: ``extent`` points per axis, spacing ``h``."""
+    """A centered uniform grid: ``extent`` points per axis, spacing ``h``.
+
+    The axes are built once per instance and kept read-only; ``axes()``
+    hands out copies, so a caller cannot change them.
+    """
 
     origin: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
     h: float = 1e-2
@@ -49,16 +54,23 @@ class GridSpec:
             raise ValueError("extent must be an odd integer, at least 5")
 
     def axes(self) -> list[np.ndarray]:
+        return [x.copy() for x in self._axes]
+
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, ...]:
+        """The four axes, computed on first use; instance state outside the
+        fields, so equality and hashing do not see it."""
         half = (self.extent - 1) / 2.0
-        return [
-            o + self.h * (np.arange(self.extent) - half) for o in self.origin
-        ]
+        axes = tuple(o + self.h * (np.arange(self.extent) - half) for o in self.origin)
+        for x in axes:
+            x.flags.writeable = False
+        return axes
 
 
 def eval_on_grid(f: ExpPoly, grid: GridSpec) -> np.ndarray:
     """Values of f on the full 4D grid, indexed [i0, i1, i2, i3]: the kernel
     _eval_on_axes on all of the grid's axes."""
-    return _eval_on_axes(f, grid.axes())
+    return _eval_on_axes(f, grid._axes)
 
 
 def _eval_on_axes(f: ExpPoly, axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -101,24 +113,31 @@ def _eval_on_axes(f: ExpPoly, axes: Sequence[np.ndarray]) -> np.ndarray:
     if rest is not None:
         points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
         out += rest.evaluate(points).reshape(n)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out.view(float)).all():  # the real and imaginary parts
         raise FloatingPointError("grid evaluation overflowed")
     return out
 
 
 def _interior_axes(grid: GridSpec, pad: Sequence[int]) -> list[np.ndarray]:
     """The grid's axes without pad[a] points at each end of axis a."""
-    return [x[q : grid.extent - q] for x, q in zip(grid.axes(), pad)]
+    return [x[q : grid.extent - q] for x, q in zip(grid._axes, pad)]
 
 
 def _central_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Second-order central first derivative; shrinks the axis by one point
-    on each side."""
+    on each side.
+
+    The difference is multiplied by 1 / (2h) in place: numpy divides a
+    complex number by the real c as (a + b*0) * (1/c), so this gives the
+    quotient's values (up to the sign of a zero) without complex division.
+    """
     upper = [slice(None)] * 4
     lower = [slice(None)] * 4
     upper[axis] = slice(2, None)
     lower[axis] = slice(None, -2)
-    return (values[tuple(upper)] - values[tuple(lower)]) / (2.0 * h)
+    diff = values[tuple(upper)] - values[tuple(lower)]
+    diff *= 1.0 / (2.0 * h)
+    return diff
 
 
 def _crop(values: np.ndarray, pad: Sequence[int]) -> np.ndarray:
@@ -138,7 +157,8 @@ def _fd_apply_values(
     A: LinDiffOp, values: np.ndarray, pad: Sequence[int], grid: GridSpec
 ) -> tuple[np.ndarray, list[int]]:
     """Stencil-apply A to grid values that already sit pad points inside the
-    full grid; returns the new values and their pad."""
+    full grid; returns the new values and their pad.  Overflow and NaN raise
+    FloatingPointError whatever the warning filters."""
     shrink = _operator_shrink(A)
     new_pad = [p + s for p, s in zip(pad, shrink)]
     if any(grid.extent - 2 * q < 1 for q in new_pad):
@@ -146,18 +166,25 @@ def _fd_apply_values(
             f"stencil needs {max(new_pad)} points per side; extent {grid.extent} too small"
         )
     axes = _interior_axes(grid, new_pad)
-    out = np.zeros(tuple(len(x) for x in axes), dtype=complex)
-    for delta, coeff in A.terms:
-        # keep only the delta_a points per side that the stencil consumes
-        part = _crop(values, [s - d for s, d in zip(shrink, delta)])
-        for a in range(4):
-            for _ in range(delta[a]):
-                part = _central_diff(part, a, grid.h)
-        if coeff.is_constant():
-            # a constant is its own value at every point
-            out += coeff.terms[0].coeff * part
-        else:
-            out += _eval_on_axes(coeff, axes) * part
+    out = None  # the sum starts from the first term's product
+    with np.errstate(over="raise", invalid="raise"):
+        for delta, coeff in A.terms:
+            # keep only the delta_a points per side that the stencil consumes
+            part = _crop(values, [s - d for s, d in zip(shrink, delta)])
+            for a in range(4):
+                for _ in range(delta[a]):
+                    part = _central_diff(part, a, grid.h)
+            if coeff.is_constant():
+                # a constant is its own value at every point
+                term = coeff.terms[0].coeff * part
+            else:
+                term = _eval_on_axes(coeff, axes) * part
+            if out is None:
+                out = term
+            else:
+                out += term
+    if out is None:  # the zero operator
+        out = np.zeros(tuple(len(x) for x in axes), dtype=complex)
     return out, new_pad
 
 

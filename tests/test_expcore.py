@@ -133,10 +133,8 @@ def test_product_is_the_gate_of_the_flat_product_list(left, right):
 def _same_as_gate(build, flat):
     try:
         expected = ExpPoly(flat).terms
-    except ArithmeticError as exc:
-        # NonFinite, or OverflowError from abs() of a finite coefficient
-        # whose magnitude is beyond the float range
-        with pytest.raises(type(exc)):
+    except NonFinite:
+        with pytest.raises(NonFinite):
             build()
         return
     assert bits(build().terms) == bits(expected) == bits(reference_normalize(flat))
@@ -304,6 +302,38 @@ def test_infinite_covector_is_not_merged_away():
     raw = [ExpTerm(1 + 0j), ExpTerm(1 + 0j, kappa=(0j, complex(math.inf, 0), 0j, 0j))]
     with pytest.raises(NonFinite):
         ExpPoly(raw)
+
+
+# finite parts whose modulus is beyond the float range, where abs() raises
+_BEYOND = complex(1.5e308, 1e308)
+
+
+def test_coefficient_beyond_the_modulus_range_is_kept():
+    term = ExpTerm(_BEYOND)
+    scaled = ExpTerm(complex(1e308 * 1.5, 1e308))
+    for p, kept in [
+        (ExpPoly([term]), term),
+        (ExpPoly.constant(1e308) * (1.5 + 1j), scaled),
+        (ExpPoly([ExpTerm(2j, (1, 0, 0, 0)), term]), term),
+    ]:
+        assert kept in p.terms
+        assert p.max_coeff() == math.inf and p.witness() == kept
+    with pytest.raises(NonFinite):  # the sum overflows
+        ExpPoly([term, term])
+
+
+def test_covector_beyond_the_modulus_range_has_a_window():
+    big = (_BEYOND, 0j, 0j, 0j)
+    assert ExpPoly([ExpTerm(1 + 0j, kappa=big), ExpTerm(1 + 0j)]).terms == (
+        ExpTerm(1 + 0j), ExpTerm(1 + 0j, kappa=big))
+    # the reach is MERGE_TOL * |1.5e308 + 1e308 i|, about 1.8e296: a covector
+    # 1e-13 of its size away merges into it, one 1e-11 away does not
+    near = (complex(1.5e308 * (1 + 1e-13), 1e308), 0j, 0j, 0j)
+    far = (complex(1.5e308 * (1 - 1e-11), 1e308), 0j, 0j, 0j)
+    assert ExpPoly([ExpTerm(2 + 0j, kappa=near), ExpTerm(1 + 0j, kappa=big)]).terms == (
+        ExpTerm(3 + 0j, kappa=big),)
+    assert ExpPoly([ExpTerm(2 + 0j, kappa=far), ExpTerm(1 + 0j, kappa=big)]).terms == (
+        ExpTerm(2 + 0j, kappa=far), ExpTerm(1 + 0j, kappa=big))
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, complex(0, -math.inf)])

@@ -204,21 +204,90 @@ def _reference_chain(ops, f, grid):
     return values, tuple(pad)
 
 
+def _physics_case():
+    """The boosted-wave weight times its plane wave, and the chains of box,
+    the engaging operator A and Q = x^1 d_2 that the stencil oracle runs."""
+    p = sc.DalembertParams(beta=0.3, n=(0.36, 0.48, 0.8), omega=1.7)
+    f = sc.dalembert_weight(p) * sc.plane_wave(p)
+    box, A = sc.wave_operator(), sc.dalembert_engaging_operator(p)
+    Q = LinDiffOp([((0, 0, 1, 0), ExpPoly.coordinate(1))])  # x^1 d_2
+    singles = [(box,), (A,), (Q,)]
+    pairs = [(box, Q), (Q, box), (A, Q)]
+    triples = [(box, box, Q), (box, Q, box), (Q, box, box)]
+    return f, singles, pairs, triples
+
+
 @pytest.mark.parametrize("extent", [9, 13])
 def test_fd_chain_equals_full_grid_reference_on_physics_operators(extent):
     # constant and one-term coefficients: the interior route is bit-identical
-    p = sc.DalembertParams(beta=0.3, n=(0.36, 0.48, 0.8), omega=1.7)
-    f = sc.dalembert_weight(p) * sc.plane_wave(p)
+    f, singles, pairs, triples = _physics_case()
     grid = GridSpec(h=1e-2, extent=extent)
-    box, A = sc.wave_operator(), sc.dalembert_engaging_operator(p)
-    Q = LinDiffOp([((0, 0, 1, 0), ExpPoly.coordinate(1))])  # x^1 d_2
-    chains = [(box,), (A,), (Q,), (box, Q), (Q, box), (A, Q)]
-    if extent == 13:
-        chains += [(box, box, Q), (box, Q, box), (Q, box, box)]
+    chains = singles + pairs + (triples if extent == 13 else [])
     for ops in chains:
         values, pad = fd_chain_values(ops, f, grid)
         ref, ref_pad = _reference_chain(ops, f, grid)
         assert pad == ref_pad and np.array_equal(values, ref)
+
+
+@pytest.mark.parametrize("h", [1e-6, 1e-2, 0.37, 1e3, 1e-300])
+def test_fd_chain_equals_full_grid_reference_at_any_step(h):
+    # the stencil multiplies by 1 / (2h) where the reference divides by 2h:
+    # the values are equal at every step, from coarse grids to differences
+    # of rounding noise (at 1e-300 two passes amplify it to about 2e285)
+    f, singles, pairs, triples = _physics_case()
+    grid = GridSpec(h=h, extent=13)
+    for ops in singles if h == 1e-300 else singles + pairs + triples:
+        values, pad = fd_chain_values(ops, f, grid)
+        ref, ref_pad = _reference_chain(ops, f, grid)
+        assert pad == ref_pad and np.array_equal(values, ref)
+
+
+@pytest.mark.parametrize("action", ["error", "default", "always", "ignore"])
+def test_stencil_overflow_raises_under_any_warning_filter(action):
+    # at h = 1e-150 each pass multiplies by 5e149, so the rounding noise of
+    # the differences overflows within the chain, where the values of f and
+    # of every coefficient are finite
+    f, _, _, triples = _physics_case()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        with pytest.raises(FloatingPointError):
+            fd_chain_values(triples[0], f, GridSpec(h=1e-150, extent=13))
+    assert not seen
+
+
+def test_zero_operator_gives_a_zero_grid_of_the_interior_shape():
+    f, _, _, triples = _physics_case()
+    box, _, Q = triples[0]
+    grid = GridSpec(h=1e-2, extent=9)
+    zero = LinDiffOp.zero()
+    values, pad = fd_chain_values((zero,), f, grid)
+    assert pad == (0, 0, 0, 0) and values.shape == (9,) * 4 and values.dtype == complex
+    assert not np.any(values)
+    values, pad = fd_chain_values((zero, box), f, grid)
+    assert pad == (2, 2, 2, 2) and values.shape == (5,) * 4 and not np.any(values)
+    values, pad = fd_chain_values((Q, zero), f, grid)
+    assert pad == (0, 0, 1, 0) and values.shape == (9, 9, 7, 9) and not np.any(values)
+    assert fd_apply_residual(zero, f, grid) == 0.0
+
+
+def test_axes_are_built_once_and_handed_out_as_copies():
+    f, singles, pairs, _ = _physics_case()
+    chains = singles + pairs
+    grid = GridSpec(h=1e-2, extent=9)
+    before = [fd_chain_values(ops, f, grid)[0] for ops in chains]
+    built = grid._axes
+    assert all(not x.flags.writeable for x in built)
+    for x in grid.axes():
+        x[:] = 1e3  # a caller's copy: the grid's own axes are not touched
+    assert np.array_equal(grid.axes()[0], GridSpec(h=1e-2, extent=9).axes()[0])
+    for ops, old in zip(chains, before):
+        assert np.array_equal(fd_chain_values(ops, f, grid)[0], old)
+    assert np.array_equal(eval_on_grid(f, grid), eval_on_grid(f, GridSpec(h=1e-2, extent=9)))
+    assert grid._axes is built
+    # the cached axes are not fields: equality and hashing see only the fields
+    fresh = GridSpec(h=1e-2, extent=9)
+    assert grid == fresh and hash(grid) == hash(fresh)
+    assert grid != GridSpec(h=1e-2, extent=11) and {grid, fresh} == {fresh}
 
 
 def test_fd_chain_matches_full_grid_reference_on_random_operators():
