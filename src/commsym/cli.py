@@ -159,11 +159,13 @@ SCENARIOS = {s.name: s for s in (
 )}
 
 
-def build_parser() -> _Parser:
+def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and each scenario's own parser, by name."""
     parser = _Parser(prog="commsym", description=__doc__)
     sub = parser.add_subparsers(dest="scenario", required=True, metavar="SCENARIO")
+    scenario_parsers = {}
     for s in SCENARIOS.values():
-        sp = sub.add_parser(s.name, help=s.help)
+        sp = scenario_parsers[s.name] = sub.add_parser(s.name, help=s.help)
         for flag, kwargs in s.flags:
             sp.add_argument(flag, **kwargs)
         sp.add_argument("--format", choices=("text", "json"), default="text")
@@ -174,15 +176,22 @@ def build_parser() -> _Parser:
             sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--sweeps", type=int, default=0,
                             help="extra seeded random parameter draws")
-    return parser
+    return parser, scenario_parsers
 
 
-_PARSER = build_parser()
+_PARSER, _SCENARIO_PARSERS = build_parser()
 
 
 def parse_config(argv) -> RunConfig:
-    ns = _PARSER.parse_args(argv)
-    data = vars(ns)
+    # an argv that starts with a scenario name goes straight to that
+    # scenario's parser, which is what the top-level parser would hand it;
+    # help, usage errors and unknown scenarios go through the top level
+    sp = _SCENARIO_PARSERS.get(argv[0]) if argv else None
+    if sp is None:
+        data = vars(_PARSER.parse_args(argv))
+    else:
+        data = vars(sp.parse_args(argv[1:]))
+        data["scenario"] = argv[0]
     cfg = RunConfig(
         scenario=data.pop("scenario"),
         residual_tol=data.pop("residual_tol", None),
@@ -229,37 +238,86 @@ def run(cfg: RunConfig) -> tuple[int, bytes]:
                 params=dict(report.params, seed=cfg.seed, sweeps=cfg.sweeps),
                 checks=report.checks + tuple(_sweep_summary(s, cfg)),
             )
-    except (ValueError, NonFinite) as exc:
+    except (ValueError, NonFinite, OverflowError) as exc:
         # InvalidParams, DegenerateDirection, bad ansatz degrees or
-        # overflowing parameters: configuration problems, exit 2
+        # parameters so large that a value overflows: configuration
+        # problems, exit 2
         raise ConfigError(f"{type(exc).__name__}: {exc}") from exc
 
     payload = report_emit(report, cfg.fmt)
     return (EXIT_PASS if report.passed else EXIT_FAIL), payload
 
 
+# every scalar of a JSON report is encoded in one call of the C encoder, as
+# a list whose items are separated by NUL, which the encoder escapes inside
+# strings; the indent-2 layout of json.dumps is written around them
+_ENCODE_SCALARS = json.JSONEncoder(separators=("\0", ": ")).encode
+_CHECK_JSON = (
+    '{\n      "name": %s,\n      "paper_ref": %s,\n      "residual": %s,\n'
+    '      "tol": %s,\n      "pass": %s\n    }'
+)
+
+
+def _layout(value, newline: str, parts: list[str], scalars: list) -> None:
+    """Append the json.dumps(indent=2) layout of value, nested at the indent
+    that follows newline, to parts: one %s per scalar, which goes to scalars."""
+    if isinstance(value, (dict, list, tuple)):
+        if not value:
+            parts.append("{}" if isinstance(value, dict) else "[]")
+            return
+        inner = newline + "  "
+        if isinstance(value, dict):
+            sep = "{" + inner
+            for key, item in value.items():
+                scalars.append(key)
+                parts.append(sep + "%s: ")
+                _layout(item, inner, parts, scalars)
+                sep = "," + inner
+            parts.append(newline + "}")
+        else:
+            sep = "[" + inner
+            for item in value:
+                parts.append(sep)
+                _layout(item, inner, parts, scalars)
+                sep = "," + inner
+            parts.append(newline + "]")
+    else:
+        parts.append("%s")
+        scalars.append(value)
+
+
+def _sorted(d: dict) -> dict:
+    return {k: d[k] for k in sorted(d)}
+
+
 def report_emit(report: sc.ScenarioReport, fmt: str = "text") -> bytes:
-    """Serialize a report; 'json' follows the fixed schema, 'text' is a table."""
+    """Serialize a report; 'json' follows the fixed schema, 'text' is a table.
+
+    The JSON equals json.dumps(doc, indent=2) + "\n" for the schema's doc:
+    scenario, params (sorted by their string keys), checks (name,
+    paper_ref, residual, tol, pass), pass, engine_version, and info (sorted)
+    when there is any.
+    """
     if fmt == "json":
-        doc = {
-            "scenario": report.scenario,
-            "params": {k: report.params[k] for k in sorted(report.params)},
-            "checks": [
-                {
-                    "name": c.name,
-                    "paper_ref": c.paper_ref,
-                    "residual": c.residual,
-                    "tol": c.tol,
-                    "pass": c.passed,
-                }
-                for c in report.checks
-            ],
-            "pass": report.passed,
-            "engine_version": __version__,
-        }
+        parts = ['{\n  "scenario": %s,\n  "params": ']
+        scalars = [report.scenario]
+        _layout(_sorted(report.params), "\n  ", parts, scalars)
+        if report.checks:
+            parts.append(',\n  "checks": [\n    ')
+            parts.append(",\n    ".join([_CHECK_JSON] * len(report.checks)))
+            parts.append("\n  ]")
+            for c in report.checks:
+                scalars += (c.name, c.paper_ref, c.residual, c.tol, c.passed)
+        else:
+            parts.append(',\n  "checks": []')
+        parts.append(',\n  "pass": %s,\n  "engine_version": %s')
+        scalars += (report.passed, __version__)
         if report.info:
-            doc["info"] = {k: report.info[k] for k in sorted(report.info)}
-        return (json.dumps(doc, indent=2) + "\n").encode()
+            parts.append(',\n  "info": ')
+            _layout(_sorted(report.info), "\n  ", parts, scalars)
+        parts.append("\n}\n")
+        encoded = _ENCODE_SCALARS(scalars)[1:-1].split("\0")
+        return ("".join(parts) % tuple(encoded)).encode()
     if fmt != "text":
         raise ConfigError(f"unknown format {fmt!r}")
     width = max((len(c.name) for c in report.checks), default=4)

@@ -15,7 +15,9 @@ written in upper-index coordinates.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -113,14 +115,22 @@ class DalembertParams:
             raise InvalidParams(f"|beta| = {abs(self.beta)} must be < 1")
         if self.omega <= 0 or self.c <= 0:
             raise InvalidParams("omega and c must be positive")
-        norm = math.sqrt(sum(v * v for v in self.n))
-        if norm == 0:
-            raise InvalidParams("n must be a nonzero direction")
-        object.__setattr__(self, "n", tuple(v / norm for v in self.n))
+        n = self.n
+        square = sum(v * v for v in n)
+        if not sys.float_info.min <= square < math.inf:
+            # the sum of squares under- or overflowed: scale the largest
+            # component to magnitude 1 first
+            top = max(abs(v) for v in n)
+            if top == 0:
+                raise InvalidParams("n must be a nonzero direction")
+            n = tuple(v / top for v in n)
+            square = sum(v * v for v in n)
+        norm = math.sqrt(square)
+        object.__setattr__(self, "n", tuple(v / norm for v in n))
         if self.lam <= 1e-9:
             raise InvalidParams("frame ratio lambda vanishes for these parameters")
 
-    @property
+    @functools.cached_property
     def lam(self) -> float:
         nx = self.n[0]
         return math.sqrt(1.0 - 2.0 * self.beta * nx + self.beta * self.beta)
@@ -165,35 +175,35 @@ class SchrodingerParams:
         if vmag == 0:
             raise InvalidParams("a nonzero particle velocity is required")
 
-    @property
+    @functools.cached_property
     def beta(self) -> float:
         return self.V / self.c
 
-    @property
+    @functools.cached_property
     def beta_vec(self) -> tuple[float, float, float]:
         return tuple(u / self.c for u in self.v)
 
-    @property
+    @functools.cached_property
     def beta_v(self) -> float:
         return math.sqrt(sum(u * u for u in self.beta_vec))
 
-    @property
+    @functools.cached_property
     def gamma(self) -> float:
         return 1.0 / math.sqrt(1.0 - self.beta**2)
 
-    @property
+    @functools.cached_property
     def m(self) -> float:
         return self.m0 / math.sqrt(1.0 - self.beta_v**2)
 
-    @property
+    @functools.cached_property
     def W(self) -> float:
         return self.m * self.c**2
 
-    @property
+    @functools.cached_property
     def P(self) -> tuple[float, float, float]:
         return tuple(self.m * u for u in self.v)
 
-    @property
+    @functools.cached_property
     def beta_v_prime(self) -> float:
         b, bv = self.beta, self.beta_v
         bx = self.beta_vec[0]
@@ -240,9 +250,11 @@ class MaxwellTransform:
 
 
 # ---------------------------------------------------------------------------
-# wave-equation building blocks (x0 = c t)
+# wave-equation building blocks (x0 = c t); the operators that depend on no
+# parameter are built once and shared, which their immutability allows
 
 
+@functools.cache
 def wave_operator() -> LinDiffOp:
     """The d'Alembertian d0^2 - d1^2 - d2^2 - d3^2."""
     return (
@@ -253,15 +265,18 @@ def wave_operator() -> LinDiffOp:
     )
 
 
+@functools.cache
 def laplacian() -> LinDiffOp:
     return LinDiffOp.partial(1, 2) + LinDiffOp.partial(2, 2) + LinDiffOp.partial(3, 2)
 
 
+@functools.cache
 def h1_generator() -> LinDiffOp:
     """H1 = x0 d1, the shear generating the Galilei boost."""
     return LinDiffOp([((0, 1, 0, 0), ExpPoly.coordinate(0))])
 
 
+@functools.cache
 def boost_generator() -> LinDiffOp:
     """M01 = x0 d1 + x1 d0 in upper-index coordinates (cosh/sinh flow)."""
     return LinDiffOp(
@@ -657,8 +672,11 @@ def maxwell_operator(time_op: LinDiffOp | None = None) -> MatrixDiffOp:
     Row order: div E; (curl H - T E)_xyz; div H; (curl E + T H)_xyz, acting on
     fields (E1, E2, E3, H1, H2, H3).  T defaults to d0 (i.e. (1/c) d_t on
     x0 = c t); the boosted system passes T = (d0 + beta d1)/lam instead.
+    The default system is built once and shared.
     """
-    T = LinDiffOp.partial(0) if time_op is None else time_op
+    if time_op is None:
+        return _free_maxwell_operator()
+    T = time_op
     z = LinDiffOp.zero()
     d1, d2, d3 = (LinDiffOp.partial(a) for a in (1, 2, 3))
     mT = -1.0 * T
@@ -673,6 +691,11 @@ def maxwell_operator(time_op: LinDiffOp | None = None) -> MatrixDiffOp:
         [-1.0 * d2, d1, z, z, z, T],
     ]
     return MatrixDiffOp(rows)
+
+
+@functools.cache
+def _free_maxwell_operator() -> MatrixDiffOp:
+    return maxwell_operator(LinDiffOp.partial(0))
 
 
 MAXWELL_ROW_NAMES = (
@@ -965,10 +988,16 @@ def igl_generator_vectors(system) -> np.ndarray:
     return rows
 
 
-# the operators a generator search runs on, by the name the CLI offers
+@functools.cache
+def _default_schrodinger_operator() -> LinDiffOp:
+    return schrodinger_operator(SchrodingerParams())
+
+
+# the operators a generator search runs on, by the name the CLI offers; each
+# is built once and shared
 SEARCH_OPERATORS = {
     "box": wave_operator,
-    "schrod": lambda: schrodinger_operator(SchrodingerParams()),
+    "schrod": _default_schrodinger_operator,
 }
 
 

@@ -1,12 +1,15 @@
 """CLI contract: exit codes, JSON schema, determinism, formats."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import commsym
 from commsym import __version__, cli
@@ -57,7 +60,7 @@ def test_residual_tol_is_config_error_where_unused(scenario):
     assert cli.main([scenario, "--residual-tol", "1e-30"]) == cli.EXIT_CONFIG
 
 
-@pytest.mark.parametrize("argv", [
+NON_FINITE_ARGVS = [
     ["schrodinger-lorentz", "--V", "nan"],
     ["schrodinger-lorentz", "--v", "0.4,nan,0"],
     ["schrodinger-lorentz", "--c", "inf"],
@@ -70,11 +73,43 @@ def test_residual_tol_is_config_error_where_unused(scenario):
     ["schrodinger-lorentz", "--residual-tol", "inf"],
     # finite, but a second derivative of the plane wave overflows: omega^2 > 1e308
     ["dalembert-galilei", "--omega", "1e160"],
-], ids=lambda argv: " ".join(argv[1:]))
+    # finite, but hbar^2 overflows while the operator is built
+    ["schrodinger-lorentz", "--hbar", "1e200"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_ARGVS, ids=lambda argv: " ".join(argv[1:]))
 def test_non_finite_input_is_config_error(argv, capsys):
     assert cli.main(argv) == cli.EXIT_CONFIG
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+
+
+def test_overflow_error_is_named(capsys):
+    assert cli.main(["schrodinger-lorentz", "--hbar=1e200"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: OverflowError: ")
+
+
+# directions whose sum of squares under- or overflows, and the unit
+# directions they point along
+EXTREME_DIRECTIONS = [
+    ("dalembert-galilei", "1e-200,0,0", "1,0,0"),
+    ("dalembert-galilei", "1e200,1e200,0", "1,1,0"),
+    ("maxwell-galilei", "3e-170,4e-170,0", "0.6,0.8,0"),
+]
+
+
+@pytest.mark.parametrize("scenario, n, unit", EXTREME_DIRECTIONS)
+def test_extreme_direction_gives_the_verdicts_of_its_unit_direction(scenario, n, unit):
+    status, payload = run_cli([scenario, f"--n={n}", "--format", "json"])
+    unit_status, unit_payload = run_cli([scenario, f"--n={unit}", "--format", "json"])
+    doc, unit_doc = json.loads(payload), json.loads(unit_payload)
+    assert status == unit_status == cli.EXIT_PASS
+    for key in ("n_x", "n_y", "n_z"):
+        assert abs(doc["params"][key] - unit_doc["params"][key]) <= math.ulp(unit_doc["params"][key])
+    assert [(c["name"], c["pass"]) for c in doc["checks"]] == [
+        (c["name"], c["pass"]) for c in unit_doc["checks"]
+    ]
 
 
 @pytest.mark.parametrize("argv, check", [
@@ -236,7 +271,9 @@ def test_sweep_deterministic_and_seeded(scenario):
 
 def test_emit_empty_report():
     report = ScenarioReport("empty", {}, ())
-    doc = json.loads(cli.report_emit(report, "json"))
+    payload = cli.report_emit(report, "json")
+    assert payload == reference_json(report)
+    doc = json.loads(payload)
     assert doc["pass"] is True
     assert doc["checks"] == []
 
@@ -268,3 +305,152 @@ def test_text_format_alignment():
     text = payload.decode()
     assert "overall: PASS" in text
     assert "eq30_d_composition" in text
+
+
+# -- JSON bytes: the layout of json.dumps(indent=2) ------------------------------
+
+
+def reference_json(report):
+    """The report's schema document as json.dumps(indent=2) writes it."""
+    doc = {
+        "scenario": report.scenario,
+        "params": {k: report.params[k] for k in sorted(report.params)},
+        "checks": [
+            {"name": c.name, "paper_ref": c.paper_ref, "residual": c.residual,
+             "tol": c.tol, "pass": c.passed}
+            for c in report.checks
+        ],
+        "pass": report.passed,
+        "engine_version": __version__,
+    }
+    if report.info:
+        doc["info"] = {k: report.info[k] for k in sorted(report.info)}
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("argv", [
+    *([name] for name in cli.SCENARIOS),
+    *([name, "--sweeps", "3"] for name, s in cli.SCENARIOS.items() if s.draw is not None),
+    ["detsolve", "--operator", "schrod", "--degree", "2"],
+], ids=" ".join)
+def test_json_report_is_json_dumps_indent_2(argv, monkeypatch):
+    emitted = []
+    emit = cli.report_emit
+    monkeypatch.setattr(cli, "report_emit", lambda report, fmt: emitted.append(report) or emit(report, fmt))
+    _, payload = run_cli(argv + ["--format", "json"])
+    assert payload == reference_json(emitted[0])
+
+
+# names with the characters the layout must not misread: quotes, a backslash,
+# the % of the layout's placeholders, the NUL between encoded items, non-ASCII
+NAMES = st.text(st.sampled_from('"\\%\0s:,{}[] \n\té∂ab_') | st.characters(), max_size=8)
+RESIDUALS = st.sampled_from([0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan]) | st.floats()
+SCALARS = st.integers() | st.booleans() | NAMES | RESIDUALS | st.none()
+PARAM_VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(NAMES, inner, max_size=3),
+    max_leaves=6,
+)
+REPORTS = st.builds(
+    ScenarioReport,
+    NAMES,
+    st.dictionaries(NAMES, PARAM_VALUES, max_size=5),
+    st.lists(st.builds(CheckResult, NAMES, NAMES, RESIDUALS, RESIDUALS), max_size=4).map(tuple),
+    st.dictionaries(NAMES, RESIDUALS, max_size=3),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(REPORTS)
+def test_json_of_any_report_is_json_dumps_indent_2(report):
+    assert cli.report_emit(report, "json") == reference_json(report)
+
+
+# -- parsing: an argv that names a scenario skips the top-level parser -----------
+
+
+# a value for every flag that differs from its default
+FLAG_VALUES = {
+    "--beta": "0.25", "--n": "0.1,0.9,0.2", "--omega": "2.5", "--c": "1.5",
+    "--V": "0.1", "--v": "0.3,0.1,0", "--hbar": "2.0", "--m0": "3.0",
+    "--angle": "0.7", "--beta2": "0.1", "--operator": "schrod", "--degree": "2",
+    "--p": "3", "--zeta-degree": "1", "--seed": "5", "--format": "json",
+    "--output": "report.json", "--residual-tol": "1e-6", "--sweeps": "2",
+}
+
+
+def scenario_flags(s):
+    flags = [flag for flag, _ in s.flags] + ["--format", "--output"]
+    if s.draw is not None:
+        flags += ["--residual-tol", "--seed", "--sweeps"]
+    return flags
+
+
+def abbreviation(flag, flags):
+    """The shortest prefix of flag that names no other flag, if shorter than flag."""
+    for end in range(3, len(flag)):
+        if not any(f != flag and f.startswith(flag[:end]) for f in flags + ["--help"]):
+            return flag[:end]
+    return None
+
+
+def flag_argvs():
+    """Each scenario flag as --f=v, as --f v and, where one exists, as its
+    shortest abbreviation."""
+    argvs = []
+    for s in cli.SCENARIOS.values():
+        flags = scenario_flags(s)
+        for flag in flags:
+            value = FLAG_VALUES[flag]
+            argvs += [[s.name, f"{flag}={value}"], [s.name, flag, value]]
+            short = abbreviation(flag, flags)
+            if short:
+                argvs.append([s.name, short, value])
+    return argvs
+
+
+@pytest.mark.parametrize("argv", flag_argvs(), ids=" ".join)
+def test_scenario_parser_gives_the_top_level_config(argv, monkeypatch):
+    direct = cli.parse_config(argv)
+    assert direct != cli.parse_config(argv[:1])  # the flag took effect
+    monkeypatch.setattr(cli, "_SCENARIO_PARSERS", {})  # every argv to the top level
+    assert cli.parse_config(argv) == direct
+
+
+# every argv of this file that exits 2, and more usage errors
+ERROR_ARGVS = NON_FINITE_ARGVS + [
+    [], ["--format", "json"], ["heat-equation"], ["--", "igl-sweep"],
+    ["maxwell-galilei", "--n", "1,0,0"], ["maxwell-galilei", "--bogus", "1"],
+    ["igl-sweep", "--residual-tol", "1e-30"], ["detsolve", "--residual-tol", "1e-30"],
+    ["detsolve", "--degree", "-1"], ["detsolve", "--operator", "heat"],
+    ["dalembert-galilei", "--beta"], ["dalembert-galilei", "--beta", "x"],
+    ["dalembert-galilei", "--n", "1,0"], ["dalembert-galilei", "--format", "yaml"],
+    ["dalembert-galilei", "--sweeps", "-1"], ["dalembert-galilei", "--residual-tol", "0"],
+    ["composition", "--bet", "0.1"],
+    ["dalembert-galilei", "extra"], ["dalembert-galilei", "--", "--beta", "0.1"],
+]
+
+
+@pytest.mark.parametrize("argv", ERROR_ARGVS, ids=lambda argv: " ".join(argv) or "empty")
+def test_error_message_is_the_same_on_both_routes(argv, monkeypatch):
+    def message():
+        with pytest.raises(cli.ConfigError) as exc:
+            cli.run(cli.parse_config(argv))
+        return str(exc.value)
+
+    direct = message()
+    monkeypatch.setattr(cli, "_SCENARIO_PARSERS", {})
+    assert message() == direct
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([name, "--help"] for name in cli.SCENARIOS)], ids=" ".join)
+def test_help_exits_zero_on_both_routes(argv, monkeypatch, capsys):
+    def help_text():
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_config(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    direct = help_text()
+    assert direct.startswith("usage: commsym")
+    monkeypatch.setattr(cli, "_SCENARIO_PARSERS", {})
+    assert help_text() == direct

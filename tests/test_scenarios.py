@@ -99,6 +99,81 @@ def test_dalembert_invalid_params():
         sc.DalembertParams(beta=0.3, n=(0, 1, 0), omega=-1)
 
 
+@pytest.mark.parametrize("n", [(0.1, 0.9, 0.2), (3.0, -4.0, 12.0), (1e-150, 2e-150, 0.0), (1e150, 0.0, -1e150)])
+def test_direction_with_a_normal_sum_of_squares_keeps_its_bits(n):
+    norm = math.sqrt(sum(v * v for v in n))
+    assert sc.DalembertParams(beta=0.3, n=n).n == tuple(v / norm for v in n)
+
+
+@pytest.mark.parametrize("n, unit", [
+    ((1e-200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    ((5e-324, 0.0, -5e-324), (1.0, 0.0, -1.0)),
+    ((1e200, 1e200, 0.0), (1.0, 1.0, 0.0)),
+    ((3e-170, 4e-170, 0.0), (0.6, 0.8, 0.0)),
+    ((0.0, -1.5e308, 1.5e308), (0.0, -1.0, 1.0)),
+])
+def test_direction_whose_sum_of_squares_under_or_overflows_is_normalized(n, unit):
+    got = sc.DalembertParams(beta=0.3, n=n).n
+    expected = sc.DalembertParams(beta=0.3, n=unit).n
+    assert all(abs(a - b) <= math.ulp(b) for a, b in zip(got, expected))
+
+
+# -- values built once -------------------------------------------------------------
+
+
+def test_replace_gives_fresh_derived_values():
+    p = sc.DalembertParams(beta=0.3, n=(1.0, 0.0, 0.0))
+    q = dataclasses.replace(p, beta=0.5)
+    assert (p.lam, q.lam) == (sc.DalembertParams(beta=0.3, n=(1.0, 0.0, 0.0)).lam,
+                              sc.DalembertParams(beta=0.5, n=(1.0, 0.0, 0.0)).lam)
+    assert q.lam != p.lam
+    s = sc.SchrodingerParams()
+    gamma, W = s.gamma, s.W
+    t = dataclasses.replace(s, V=0.6, m0=2.0)
+    fresh = sc.SchrodingerParams(V=0.6, m0=2.0)
+    assert (t.gamma, t.W) == (fresh.gamma, fresh.W)
+    assert t.gamma != gamma and t.W != W
+    assert (s.gamma, s.W) == (gamma, W)
+
+
+def test_cached_values_stay_out_of_equality_hash_and_repr():
+    used, fresh = sc.SchrodingerParams(), sc.SchrodingerParams()
+    used.as_dict()  # computes and keeps every derived value
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh) == "SchrodingerParams(V=0.2, v=(0.4, 0.0, 0.0), c=1.0, hbar=1.0, m0=1.0)"
+    p = sc.DalembertParams(beta=0.3)
+    assert repr(p) == "DalembertParams(beta=0.3, n=(0.0, 1.0, 0.0), omega=1.0, c=1.0)"
+    assert p == sc.DalembertParams(beta=0.3) and hash(p) == hash(sc.DalembertParams(beta=0.3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.lam = 2.0
+
+
+CONSTANT_OPERATORS = {
+    "wave_operator": sc.wave_operator,
+    "laplacian": sc.laplacian,
+    "h1_generator": sc.h1_generator,
+    "boost_generator": sc.boost_generator,
+    **{f"search_{name}": build for name, build in sc.SEARCH_OPERATORS.items()},
+}
+
+
+@pytest.mark.parametrize("build", CONSTANT_OPERATORS.values(), ids=CONSTANT_OPERATORS)
+def test_constant_operators_are_shared_and_immutable(build):
+    op = build()
+    assert build() is op
+    assert build.__wrapped__() == op  # a fresh build is the same operator
+    with pytest.raises(AttributeError):
+        op.terms = ()
+
+
+def test_free_maxwell_system_is_shared_and_immutable():
+    system = sc.maxwell_operator()
+    assert sc.maxwell_operator() is system
+    assert system.rows == sc.maxwell_operator(LinDiffOp.partial(0)).rows
+    with pytest.raises(AttributeError):
+        system.rows = ()
+
+
 # -- weight inference ---------------------------------------------------------------
 
 
