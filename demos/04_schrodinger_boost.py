@@ -30,7 +30,7 @@ print("engaging residual, psi1 weight:", A.apply(psi11_weight(p) * psi1(p)).max_
 # reconstruction (transform the boosted-frame solution back and divide)
 # passes to rounding.
 printed = A.apply(psi22_weight_printed(p) * psi2(p)).max_coeff()
-via = A.apply(psi_weight_via_transform(p, 2) * psi2(p)).max_coeff()
+via = A.apply(psi_weight_via_transform(p, psi2) * psi2(p)).max_coeff()
 print("engaging residual, psi2 weight as catalogued:", printed)
 print("engaging residual, psi2 weight reconstructed:", via)
 

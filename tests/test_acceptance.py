@@ -314,7 +314,7 @@ def test_criterion_10_finite_difference_oracle():
         (ls, sc.psi1(sp)),
         (ls, sc.psi2(sp)),
         (sc.schrodinger_engaging_operator(sp), sc.psi11_weight(sp) * sc.psi1(sp)),
-        (sc.schrodinger_engaging_operator(sp), sc.psi_weight_via_transform(sp, 2) * sc.psi2(sp)),
+        (sc.schrodinger_engaging_operator(sp), sc.psi_weight_via_transform(sp, sc.psi2) * sc.psi2(sp)),
         (sc.nonrel_schrodinger_operator(sp), sc.psi1_nonrel_limit(sp)),
         (sc.nonrel_schrodinger_operator(sp), sc.psi2_nonrel_limit(sp)),
     ]

@@ -90,6 +90,20 @@ def test_overflow_error_is_named(capsys):
     assert capsys.readouterr().err.startswith("error: OverflowError: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    # |v| is 4e-171 < c, not zero, but c^2 underflows, so W = m c^2 = 0
+    (["schrodinger-lorentz", "--v=4e-171,0,0", "--V=2e-171", "--c=1e-170"],
+     "error: InvalidParams: W = m c^2 = 0.0 is outside the normal float range\n"),
+    # |v| is 4e170 < c, but c^2 overflows
+    (["schrodinger-lorentz", "--v=4e170,0,0", "--V=2e170", "--c=1e171"],
+     "error: InvalidParams: c^2 overflows for c = 1e+171\n"),
+])
+def test_w_out_of_float_range_is_named(argv, message, capsys):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", message)
+
+
 # directions whose sum of squares under- or overflows, and the unit
 # directions they point along
 EXTREME_DIRECTIONS = [
@@ -264,6 +278,92 @@ def test_sweep_deterministic_and_seeded(scenario):
     _, third = run_cli([scenario, "--sweeps", "20", "--seed", "8", "--format", "json"])
     failing = {c["name"] for c in json.loads(third)["checks"] if not c["pass"]}
     assert failing <= DOCUMENTED_FAILURES
+
+
+# -- check tables ------------------------------------------------------------------
+
+# (name, paper_ref, tol) of every check, in report order, for each suite's
+# default argv: a bound given to the wrong row, a renamed check or a moved
+# row changes the table
+_IGL_NAMES = ("p0", "p1", "p2", "p3", *(f"g{a}{b}" for a in range(4) for b in range(4)))
+CHECK_TABLES = {
+    ("dalembert-galilei",): [
+        ("eq16_ad2_H1", "eq16", 1e-12),
+        ("eq15_wave_on_shell", "eq14,eq15", 1e-12),
+        ("eq17_engaging_weighted_wave", "eq17,eq18", 1e-9),
+        ("eq19_weighted_wave_single_exponential", "eq19", 1e-12),
+        ("eq19_primed_covector_match", "eq13,eq18,eq19", 1e-10),
+        ("eq18_weight_limit_linear_scaling", "eq18 limit", 0.2),
+    ],
+    ("schrodinger-lorentz",): [
+        ("eq21_dispersion_psi1", "eq20,eq21", 1e-12),
+        ("eq21_dispersion_psi2", "eq20,eq21", 1e-12),
+        ("eq22_ad2_M01", "eq22", 1e-12),
+        ("eq23_engaging_psi11", "eq23,eq24", 1e-8),
+        ("eq23_engaging_psi22_as_printed", "eq23,eq24", 1e-8),
+        ("eq23_engaging_psi22_via_transform", "eq13,eq23", 1e-8),
+        ("eq24_cross_weight_psi12", "eq24,eq25", 1e-12),
+        ("eq24_cross_weight_psi21", "eq24,eq25", 1e-12),
+        ("eq20_nonrel_limit_psi1", "eq20 limit", 1e-10),
+        ("eq21_nonrel_limit_psi2", "eq21 limit", 1e-10),
+    ],
+    ("maxwell-galilei",): [
+        ("eq27_wave_solves_maxwell", "eq26,eq27", 1e-12),
+        ("eq29_sign_relations", "eq29", 1e-12),
+        ("eq26_engaging_div_e", "eq26,eq28,eq29", 1e-9),
+        ("eq26_engaging_ampere_x", "eq26,eq28,eq29", 1e-9),
+        ("eq26_engaging_ampere_y", "eq26,eq28,eq29", 1e-9),
+        ("eq26_engaging_ampere_z", "eq26,eq28,eq29", 1e-9),
+        ("eq26_engaging_div_h", "eq26,eq28,eq29", 1e-9),
+        ("eq26_engaging_faraday_x", "eq26,eq28,eq29", 1e-9),
+        ("eq26_engaging_faraday_y", "eq26,eq28,eq29", 1e-9),
+        ("eq26_engaging_faraday_z", "eq26,eq28,eq29", 1e-9),
+        ("eq28_invariant_e_dot_h", "eq28", 1e-12),
+        ("eq28_invariant_e2_minus_h2", "eq28", 1e-12),
+        ("eq28_nonrel_field_limit_scaling", "eq28 limit", 0.2),
+    ],
+    ("composition",): [
+        ("eq30_weight_composition", "eq30", 1e-10),
+        ("eq30_d_composition", "eq30", 1e-10),
+        ("eq30_kappa_composition", "eq30", 1e-10),
+    ],
+    ("igl-sweep",): [
+        (f"eq31_{op}_{name}", "eq31", 1e-12) for op in ("box", "schrod") for name in _IGL_NAMES
+    ],
+    ("detsolve", "--p", "2"): [
+        ("detsolve_nullspace_dim_matches_oracle", "sec2", 0.5),
+        ("detsolve_igl_generators_in_span", "eq31,sec4", 1e-8),
+        ("detsolve_candidates_reverify", "eq5,eq6", 1e-8),
+        ("detsolve_dim_stable_under_tol", "sec2", 0.5),
+    ],
+    ("detsolve", "--p", "1"): [
+        ("detsolve_nullspace_dim_matches_oracle", "sec2", 0.5),
+        ("detsolve_candidates_reverify", "eq5,eq6", 1e-8),
+        ("detsolve_dim_stable_under_tol", "sec2", 0.5),
+    ],
+}
+
+
+def _check_table(argv):
+    _, payload = run_cli([*argv, "--format", "json"])
+    return [(c["name"], c["paper_ref"], c["tol"]) for c in json.loads(payload)["checks"]]
+
+
+@pytest.mark.parametrize("argv", list(CHECK_TABLES), ids=" ".join)
+def test_check_table_is_pinned(argv):
+    assert _check_table(argv) == CHECK_TABLES[argv]
+
+
+@pytest.mark.parametrize("scenario", [s.name for s in cli.SCENARIOS.values() if s.draw])
+def test_residual_tol_moves_exactly_the_sweep_checks(scenario):
+    # --residual-tol sets the bound of the checks that --sweeps folds, and of
+    # no other check, so the two sets named in cli and in scenarios agree
+    default = _check_table([scenario])
+    moved = _check_table([scenario, "--residual-tol", "0.123"])
+    assert [row[:2] for row in moved] == [row[:2] for row in default]
+    changed = [name for (name, _, tol), (_, _, old) in zip(moved, default) if tol != old]
+    assert changed == list(cli.SCENARIOS[scenario].sweep_checks)
+    assert all(tol == 0.123 for name, _, tol in moved if name in changed)
 
 
 # -- report_emit -----------------------------------------------------------------

@@ -291,6 +291,16 @@ def test_schrodinger_invalid_params():
         sc.SchrodingerParams(v=(0.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("v, unit", [((1e-200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                                     ((3e-170, 4e-170, 0.0), (0.6, 0.8, 0.0))])
+def test_velocity_whose_sum_of_squares_underflows_is_not_zero(v, unit):
+    # |v| = scale * norm from the one overflow-safe norm that DalembertParams uses
+    p = sc.SchrodingerParams(v=v)
+    assert p.beta_v == pytest.approx(math.hypot(*v), rel=1e-15)
+    kappa = sc.psi2_nonrel_limit(p).terms[0].kappa
+    assert kappa[1:] == pytest.approx([1j * math.sqrt(2) * u for u in unit], rel=1e-15)
+
+
 # -- Maxwell ---------------------------------------------------------------
 
 
