@@ -8,6 +8,7 @@ seed produce byte-identical JSON reports.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -67,17 +68,34 @@ class Scenario:
     help: str
     flags: tuple[tuple[str, dict], ...]
     build: Callable[[RunConfig], Any]
-    run: Callable[[Any, float | None], sc.ScenarioReport]
+    run: Callable[[Any], sc.ScenarioReport]
     draw: Callable[[np.random.Generator], Any] | None = None
     sweep_checks: tuple[str, ...] = ()
+
+    def report(self, args, residual_tol: float | None) -> sc.ScenarioReport:
+        """The report on args, with residual_tol, if given, bounding the sweep_checks rows."""
+        report = self.run(args)
+        if residual_tol is not None:
+            report = replace(report, checks=tuple(
+                replace(c, tol=residual_tol) if c.name in self.sweep_checks else c
+                for c in report.checks))
+        return report
+
+
+# flag defaults are read from the library, which has none for --beta and --beta2
+def _defaults(fn: Callable) -> dict:
+    return {name: q.default for name, q in inspect.signature(fn).parameters.items()}
+
+
+_SEARCH = _defaults(sc.run_generator_search)
 
 
 def _wave_flags(beta: float) -> tuple[tuple[str, dict], ...]:
     return (
         ("--beta", dict(type=float, default=beta)),
-        ("--n", dict(type=_vector3, default=(0.0, 1.0, 0.0))),
-        ("--omega", dict(type=float, default=1.0)),
-        ("--c", dict(type=float, default=1.0)),
+        ("--n", dict(type=_vector3, default=sc.DalembertParams.n)),
+        ("--omega", dict(type=float, default=sc.DalembertParams.omega)),
+        ("--c", dict(type=float, default=sc.DalembertParams.c)),
     )
 
 
@@ -85,31 +103,26 @@ def _wave(ov: dict) -> sc.DalembertParams:
     return sc.DalembertParams(beta=ov["beta"], n=ov["n"], omega=ov["omega"], c=ov["c"])
 
 
-def _composition_pair(ov: dict) -> tuple[sc.DalembertParams, sc.DalembertParams]:
-    p1 = _wave(ov)
-    return p1, sc.boosted_params(p1, ov["beta2"])
-
-
 SCENARIOS = {s.name: s for s in (
     Scenario(
         "dalembert-galilei", "wave equation under a Galilei boost",
         _wave_flags(0.3),
         build=lambda cfg: _wave(cfg.overrides),
-        run=lambda p, tol: sc.run_dalembert(p, tol),
+        run=lambda p: sc.run_dalembert(p),
         draw=sc.random_dalembert_params,
         sweep_checks=("eq17_engaging_weighted_wave",),
     ),
     Scenario(
         "schrodinger-lorentz", "Schrodinger operator under a Lorentz boost",
         (
-            ("--V", dict(type=float, default=0.2)),
-            ("--v", dict(type=_vector3, default=(0.4, 0.0, 0.0))),
-            ("--c", dict(type=float, default=1.0)),
-            ("--hbar", dict(type=float, default=1.0)),
-            ("--m0", dict(type=float, default=1.0)),
+            ("--V", dict(type=float, default=sc.SchrodingerParams.V)),
+            ("--v", dict(type=_vector3, default=sc.SchrodingerParams.v)),
+            ("--c", dict(type=float, default=sc.SchrodingerParams.c)),
+            ("--hbar", dict(type=float, default=sc.SchrodingerParams.hbar)),
+            ("--m0", dict(type=float, default=sc.SchrodingerParams.m0)),
         ),
         build=lambda cfg: sc.SchrodingerParams(**cfg.overrides),
-        run=lambda p, tol: sc.run_schrodinger(p, tol),
+        run=lambda p: sc.run_schrodinger(p),
         draw=sc.random_schrodinger_params,
         sweep_checks=("eq23_engaging_psi11", "eq23_engaging_psi22_as_printed",
                       "eq23_engaging_psi22_via_transform"),
@@ -117,10 +130,11 @@ SCENARIOS = {s.name: s for s in (
     Scenario(
         "maxwell-galilei", "free Maxwell system under a Galilei boost",
         _wave_flags(0.3) + (
-            ("--angle", dict(type=float, default=0.0, help="polarization angle about n")),
+            ("--angle", dict(type=float, default=_defaults(sc.run_maxwell)["angle"],
+                             help="polarization angle about n")),
         ),
         build=lambda cfg: (_wave(cfg.overrides), cfg.overrides["angle"]),
-        run=lambda pa, tol: sc.run_maxwell(pa[0], tol, angle=pa[1]),
+        run=lambda args: sc.run_maxwell(*args),
         draw=lambda rng: (
             sc.random_dalembert_params(rng, max_nx=0.95),
             float(rng.uniform(0.0, 2.0 * np.pi)),
@@ -131,15 +145,15 @@ SCENARIOS = {s.name: s for s in (
         "igl-sweep", "all 40 linear-group commutator identities",
         (),
         build=lambda cfg: None,
-        run=lambda _, tol: sc.run_igl_sweep(),
+        run=lambda _: sc.run_igl_sweep(),
     ),
     Scenario(
         "composition", "composition laws for two successive boosts",
         _wave_flags(0.2) + (
             ("--beta2", dict(type=float, default=0.3, help="second boost, in boosted-frame units")),
         ),
-        build=lambda cfg: _composition_pair(cfg.overrides),
-        run=lambda pair, tol: sc.check_composition(*pair, tol),
+        build=lambda cfg: (_wave(cfg.overrides), cfg.overrides["beta2"]),
+        run=lambda args: sc.check_composition(*args),
         draw=sc.random_composition_pair,
         sweep_checks=("eq30_weight_composition", "eq30_d_composition",
                       "eq30_kappa_composition"),
@@ -147,14 +161,15 @@ SCENARIOS = {s.name: s for s in (
     Scenario(
         "detsolve", "rediscover generators from the determining system",
         (
-            ("--operator", dict(choices=tuple(sc.SEARCH_OPERATORS), default="box")),
-            ("--degree", dict(type=int, default=1)),
-            ("--p", dict(type=int, default=2)),
-            ("--zeta-degree", dict(type=int, default=0)),
-            ("--seed", dict(type=int, default=0, help="seed of the apply-probe oracle")),
+            ("--operator", dict(choices=tuple(sc.SEARCH_OPERATORS), default=_SEARCH["operator"])),
+            ("--degree", dict(type=int, default=_SEARCH["degree"])),
+            ("--p", dict(type=int, default=_SEARCH["p"])),
+            ("--zeta-degree", dict(type=int, default=_SEARCH["zeta_degree"])),
+            ("--seed", dict(type=int, default=_SEARCH["seed"],
+                            help="seed of the apply-probe oracle")),
         ),
         build=lambda cfg: dict(cfg.overrides, seed=cfg.seed),
-        run=lambda kwargs, tol: sc.run_generator_search(**kwargs),
+        run=lambda kwargs: sc.run_generator_search(**kwargs),
     ),
 )}
 
@@ -192,14 +207,9 @@ def parse_config(argv) -> RunConfig:
     else:
         data = vars(sp.parse_args(argv[1:]))
         data["scenario"] = argv[0]
-    cfg = RunConfig(
-        scenario=data.pop("scenario"),
-        residual_tol=data.pop("residual_tol", None),
-        seed=data.pop("seed", 0),
-        sweeps=data.pop("sweeps", 0),
-        output=data.pop("output", None),
-        fmt=data.pop("format", "text"),
-    )
+    # a scenario without --residual-tol, --seed or --sweeps gets RunConfig's default
+    cfg = RunConfig(data.pop("scenario"), output=data.pop("output"), fmt=data.pop("format"),
+                    **{k: data.pop(k) for k in ("residual_tol", "seed", "sweeps") if k in data})
     cfg.overrides = data
     if cfg.sweeps < 0:
         raise ConfigError("--sweeps must be non-negative")
@@ -213,11 +223,10 @@ def _sweep_summary(s: Scenario, cfg: RunConfig) -> list[sc.CheckResult]:
     rng = np.random.default_rng(cfg.seed)
     rows: dict[str, sc.CheckResult] = {}
     for _ in range(cfg.sweeps):
-        report = s.run(s.draw(rng), cfg.residual_tol)
+        report = s.report(s.draw(rng), cfg.residual_tol)
         for name in s.sweep_checks:
             c = report.check(name)
-            prev = rows.get(name)
-            if prev is None or c.residual > prev.residual:
+            if name not in rows or c.residual > rows[name].residual:
                 rows[name] = c
     return [
         sc.CheckResult(f"sweep_max_{c.name}", c.paper_ref, c.residual, c.tol)
@@ -231,13 +240,10 @@ def run(cfg: RunConfig) -> tuple[int, bytes]:
     if s is None:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
     try:
-        report = s.run(s.build(cfg), cfg.residual_tol)
+        report = s.report(s.build(cfg), cfg.residual_tol)
         if cfg.sweeps:
-            report = replace(
-                report,
-                params=dict(report.params, seed=cfg.seed, sweeps=cfg.sweeps),
-                checks=report.checks + tuple(_sweep_summary(s, cfg)),
-            )
+            report = replace(report, params=dict(report.params, seed=cfg.seed, sweeps=cfg.sweeps),
+                             checks=report.checks + tuple(_sweep_summary(s, cfg)))
     except (ValueError, NonFinite, OverflowError) as exc:
         # InvalidParams, DegenerateDirection, bad ansatz degrees or
         # parameters so large that a value overflows: configuration

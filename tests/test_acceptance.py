@@ -140,8 +140,8 @@ def test_criterion_07_composition_laws():
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for _ in range(DRAWS):
-        p1, p2 = sc.random_composition_pair(rng)
-        report = sc.check_composition(p1, p2)
+        p1, beta2 = sc.random_composition_pair(rng)
+        report = sc.check_composition(p1, beta2)
         worst = max(worst, max(c.residual for c in report.checks))
     ok = spot_ok and worst < 1e-10
     assert emit(

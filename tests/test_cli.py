@@ -1,5 +1,7 @@
 """CLI contract: exit codes, JSON schema, determinism, formats."""
 
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import commsym
 from commsym import __version__, cli
+from commsym import scenarios as sc
 from commsym.scenarios import MAXWELL_ROW_NAMES, CheckResult, ScenarioReport
 
 
@@ -97,11 +100,30 @@ def test_overflow_error_is_named(capsys):
     # |v| is 4e170 < c, but c^2 overflows
     (["schrodinger-lorentz", "--v=4e170,0,0", "--V=2e170", "--c=1e171"],
      "error: InvalidParams: c^2 overflows for c = 1e+171\n"),
+    # hbar^2 underflows, so the Laplacian term of L_S would vanish
+    (["schrodinger-lorentz", "--hbar=1e-200"],
+     "error: InvalidParams: c^2 hbar^2 / 2W = 0.0 is outside the normal float range\n"),
+    # c^2 hbar^2 / 2W is subnormal
+    (["schrodinger-lorentz", "--hbar=1e-155"],
+     "error: InvalidParams: c^2 hbar^2 / 2W = 4.582575694956e-311 is outside the normal float range\n"),
+    # m = 6.7e7 m0 keeps c^2 hbar^2 / 2W finite, but hbar^2 / 2 m0 overflows
+    (["schrodinger-lorentz", "--m0=1e-309", "--v=0.9999999999999999,0,0", "--V=0"],
+     "error: InvalidParams: hbar^2 / 2 m0 = inf is outside the normal float range\n"),
 ])
 def test_w_out_of_float_range_is_named(argv, message, capsys):
     assert cli.main(argv) == cli.EXIT_CONFIG
     out, err = capsys.readouterr()
     assert (out, err) == ("", message)
+
+
+@pytest.mark.parametrize("c", ["1e300", "1e200"])
+def test_eq29_holds_where_omega_over_c_squared_underflows(c):
+    # <P G, P G> ~ (omega/c)^2 underflows to 0; P G is taken over its
+    # largest coefficient first
+    status, payload = run_cli(["maxwell-galilei", f"--c={c}", "--format", "json"])
+    assert status == cli.EXIT_PASS
+    check = next(r for r in json.loads(payload)["checks"] if r["name"] == "eq29_sign_relations")
+    assert check["residual"] <= 1e-12
 
 
 # directions whose sum of squares under- or overflows, and the unit
@@ -362,8 +384,27 @@ def test_residual_tol_moves_exactly_the_sweep_checks(scenario):
     moved = _check_table([scenario, "--residual-tol", "0.123"])
     assert [row[:2] for row in moved] == [row[:2] for row in default]
     changed = [name for (name, _, tol), (_, _, old) in zip(moved, default) if tol != old]
-    assert changed == list(cli.SCENARIOS[scenario].sweep_checks)
+    sweep_checks = list(cli.SCENARIOS[scenario].sweep_checks)
+    assert changed == sweep_checks
     assert all(tol == 0.123 for name, _, tol in moved if name in changed)
+    # in a sweep, the flag also sets the bound of every sweep_max_* row
+    swept = _check_table([scenario, "--sweeps", "2", "--seed", "3"])
+    moved = _check_table([scenario, "--sweeps", "2", "--seed", "3", "--residual-tol", "0.123"])
+    assert [row[:2] for row in moved] == [row[:2] for row in swept]
+    changed = [name for (name, _, tol), (_, _, old) in zip(moved, swept) if tol != old]
+    assert changed == sweep_checks + [f"sweep_max_{name}" for name in sweep_checks]
+    assert all(tol == 0.123 for name, _, tol in moved if name in changed)
+
+
+@pytest.mark.parametrize("argv, p1, beta2", [
+    ([], sc.DalembertParams(beta=0.2), 0.3),
+    (["--beta", "0.5", "--beta2", "-0.4", "--n", "0.3,0.5,0.1"],
+     sc.DalembertParams(beta=0.5, n=(0.3, 0.5, 0.1)), -0.4),
+], ids=["default", "oblique"])
+def test_check_composition_gives_the_cli_report(argv, p1, beta2):
+    # the suite builds its second frame from (p1, beta2), as the CLI passes them
+    _, payload = run_cli(["composition", *argv, "--format", "json"])
+    assert cli.report_emit(sc.check_composition(p1, beta2), "json") == payload
 
 
 # -- report_emit -----------------------------------------------------------------
@@ -466,6 +507,39 @@ def test_json_of_any_report_is_json_dumps_indent_2(report):
 
 
 # -- parsing: an argv that names a scenario skips the top-level parser -----------
+
+
+def _keyword_defaults(fn):
+    return {name: q.default for name, q in inspect.signature(fn).parameters.items()
+            if q.default is not q.empty}
+
+
+def _field_defaults(cls):
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
+# each scenario's flag values that the library defines a default for: the
+# record fields and the suite keywords
+LIBRARY_DEFAULTS = {
+    "dalembert-galilei": _field_defaults(sc.DalembertParams),
+    "schrodinger-lorentz": _field_defaults(sc.SchrodingerParams),
+    "maxwell-galilei": {**_field_defaults(sc.DalembertParams),
+                        "angle": _keyword_defaults(sc.run_maxwell)["angle"]},
+    "igl-sweep": {},
+    "composition": _field_defaults(sc.DalembertParams),
+    "detsolve": _keyword_defaults(sc.run_generator_search),
+}
+
+
+@pytest.mark.parametrize("scenario", list(cli.SCENARIOS))
+def test_flag_defaults_are_the_library_defaults(scenario):
+    cfg = cli.parse_config([scenario])
+    parsed = dict(cfg.overrides, seed=cfg.seed)
+    expected = LIBRARY_DEFAULTS[scenario]
+    assert {name: parsed[name] for name in expected} == expected
+    # the suite flags left have no library default: the boost velocities
+    assert set(cfg.overrides) - set(expected) <= {"beta", "beta2"}
 
 
 # a value for every flag that differs from its default
