@@ -74,7 +74,8 @@ class DeterminingSystem:
 
     Each unknown, and so each column, is a key: (delta, alpha) for the
     coefficient of the term x^alpha d^delta of Q, and (None, alpha) for the
-    coefficient of the monomial x^alpha of zeta.
+    coefficient of the monomial x^alpha of zeta.  Only encode and decode
+    read this layout.
     """
 
     matrix: np.ndarray
@@ -89,6 +90,23 @@ class DeterminingSystem:
         (:func:`_components`), found once per system; the solver and the
         probe oracle both read them."""
         return _components(self.matrix)
+
+    @functools.cached_property
+    def _index(self) -> dict[tuple[Index4 | None, Index4], int]:
+        return {key: j for j, key in enumerate(self.unknowns)}  # the column of each unknown
+
+    def encode(self, Q: LinDiffOp, zeta: ExpPoly = ExpPoly.zero()) -> np.ndarray:
+        """The coefficient vector of (Q, zeta) over the unknowns, the inverse
+        of decode; ValueError names a term that no unknown holds."""
+        vec = np.zeros(len(self.unknowns), dtype=complex)
+        for delta, f in [*Q.terms, (None, zeta)]:
+            for t in f.terms:
+                j = None if any(t.kappa) else self._index.get((delta, t.alpha))
+                if j is None:
+                    where = "of zeta" if delta is None else f"of Q at delta={delta}"
+                    raise ValueError(f"no unknown holds the term {where}, alpha={t.alpha}, kappa={t.kappa}")
+                vec[j] = t.coeff
+        return vec
 
     def decode(self, vec: Sequence[complex]) -> SymmetryCandidate:
         """Turn a coefficient vector back into a symmetry candidate."""
@@ -119,6 +137,11 @@ class GeneratorBasis:
     @property
     def dimension(self) -> int:
         return len(self.vectors)
+
+    def dimension_at(self, tol: float) -> int:
+        """The unknowns less the singular values above tol * sigma_max."""
+        sigma = self.singular_values
+        return self.vectors.shape[1] - int(np.count_nonzero(sigma > tol * (sigma[0] if sigma.size else 0.0)))
 
     def projection_residual(self, vec: Sequence[complex] | np.ndarray) -> float:
         """2-norm distance of a coefficient vector from the null span; for a
@@ -285,16 +308,6 @@ def _fill(entries: Entries, n_cols: int) -> tuple[tuple[Key, ...], np.ndarray]:
     return row_keys, matrix
 
 
-def null_rank(sigma: np.ndarray, tol: float) -> int:
-    """Rank of a descending spectrum: the singular values above tol * sigma_max.
-
-    A spectrum that clusters across the cutoff is not refused here: the
-    generator search reads the rank again at tol * 10 and tol / 10, and its
-    stability check fails on such a spectrum.
-    """
-    return int(np.count_nonzero(sigma > tol * (sigma[0] if sigma.size else 0.0)))
-
-
 def _components(m: np.ndarray) -> list[tuple[list[int], list[int]]]:
     """(rows, columns) of each connected component of the graph that joins
     row i to column j where m[i, j] != 0, in the order of their first column.
@@ -348,12 +361,11 @@ def solve_null_space(system: DeterminingSystem) -> GeneratorBasis:
     graph at a time (``system.components``): one SVD per component with rows,
     the components of one shape stacked into one batched call, and a unit
     null vector for each column that touches no row.  The component spectra
-    merge into one descending spectrum; its rank at NULL_TOL
-    (:func:`null_rank`) is read once, and each component keeps the vectors
-    whose singular values lie at or below NULL_TOL times the global
-    sigma_max.  Each null vector is a dense row supported on one component:
-    first the unit vectors, then the vectors of each component in the order
-    of their first columns.
+    merge into one descending spectrum; each component keeps the vectors at
+    or below NULL_TOL times the global sigma_max, dimension_at(NULL_TOL) in all.
+    Each null vector is a dense row supported on one component: first the
+    unit vectors, then the vectors of each component in the order of their
+    first columns.
 
     The null vectors are re-verified through the operator algebra, which
     shares nothing with the assembly of the matrix: one ``ad_power`` of
@@ -381,12 +393,11 @@ def solve_null_space(system: DeterminingSystem) -> GeneratorBasis:
     parts = [(free, np.zeros(0), np.eye(len(free)))]
     parts += [(cols, *svds[i]) for i, (_, cols) in enumerate(blocks)]
     sigma = np.sort(np.concatenate([s for _, s, _ in parts]))[::-1]
-    n = m.shape[1]
-    vectors = np.zeros((n - null_rank(sigma, NULL_TOL), n), dtype=complex)
     cutoff = NULL_TOL * (sigma[0] if sigma.size else 0.0)
+    nulls = [(cols, vh[int(np.count_nonzero(s > cutoff)):]) for cols, s, vh in parts]
+    vectors = np.zeros((sum(len(null) for _, null in nulls), m.shape[1]), dtype=complex)
     row = 0
-    for cols, s, vh in parts:
-        null = vh[int(np.count_nonzero(s > cutoff)):]
+    for cols, null in nulls:
         vectors[row : row + len(null), cols] = np.conj(null)
         row += len(null)
     shapes = tuple((len(rows), len(cols)) for rows, cols in blocks)

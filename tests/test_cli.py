@@ -116,6 +116,38 @@ def test_w_out_of_float_range_is_named(argv, message, capsys):
     assert (out, err) == ("", message)
 
 
+@pytest.mark.parametrize("argv, first_line", [
+    # the particle is at rest in the boosted frame: beta_v_prime's radicand is
+    # a rounding residue, negative here and positive at the smaller scale
+    (["schrodinger-lorentz", "--V", "0.4", "--v=0.4,0,0"],
+     "error: InvalidParams: v = (V, 0, 0): the particle is at rest in the boosted frame"),
+    (["schrodinger-lorentz", "--c", "1e-150", "--V", "1e-151", "--v=1e-151,0,0"],
+     "error: InvalidParams: v = (V, 0, 0): the particle is at rest in the boosted frame"),
+    # beta_v = |v|/c underflows to zero, or to a subnormal, and psi2 divides by it
+    (["schrodinger-lorentz", "--c", "1e150", "--V", "1e149", "--v=1e-200,0,0"],
+     "error: InvalidParams: beta_v = |v|/c = 0.0 is outside the normal float range"),
+    (["schrodinger-lorentz", "--c", "1e150", "--V", "1e149", "--v=1e-170,0,0"],
+     "error: InvalidParams: beta_v = |v|/c = 1e-320 is outside the normal float range"),
+    # omega/c is subnormal, so the covectors keep only a few significant bits
+    (["maxwell-galilei", "--omega", "1e-320"],
+     "error: InvalidParams: omega/c = 1e-320 is outside the normal float range"),
+], ids=["at_rest", "at_rest_small_scale", "beta_v_zero", "beta_v_subnormal", "omega_over_c_subnormal"])
+def test_degenerate_schrodinger_and_wave_parameters_are_named(argv, first_line, capsys):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[0] == first_line
+
+
+def test_laplacian_coefficient_survives_an_underflowing_c2_hbar2(capsys):
+    # the default physics in units of 1e-100: c^2 hbar^2 underflows, while
+    # hbar^2 / 2m is 4.6e-201; the run writes a report
+    status = cli.main(["schrodinger-lorentz", "--c", "1e-100", "--hbar", "1e-100", "--V", "2e-101",
+                       "--v=4e-101,0,0", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert status in (cli.EXIT_PASS, cli.EXIT_FAIL) and err == ""
+    assert json.loads(out)["params"]["hbar"] == 1e-100
+
+
 @pytest.mark.parametrize("c", ["1e300", "1e200"])
 def test_eq29_holds_where_omega_over_c_squared_underflows(c):
     # <P G, P G> ~ (omega/c)^2 underflows to 0; P G is taken over its

@@ -5,6 +5,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import warnings
 from collections import defaultdict
 
@@ -20,6 +21,7 @@ from commsym.detsolve import (
     AffineMap,
     AnsatzSpec,
     DeterminingSystem,
+    GeneratorBasis,
     NotClosed,
     SingularMap,
     UnsupportedCoefficient,
@@ -32,7 +34,6 @@ from commsym.detsolve import (
     build_determining_system,
     flow,
     monomials_up_to,
-    null_rank,
     probe_sample,
     pullback,
     solve_null_space,
@@ -42,11 +43,11 @@ from commsym.expcore import _UNIT, ZERO_ALPHA, ExpPoly, ExpTerm, NonFinite
 from commsym.opalg import LinDiffOp, ad_power, commutator, residual_vs_multiple
 from commsym.scenarios import (
     IGL_GENERATORS,
+    IGL_OPERATORS,
     SEARCH_OPERATORS,
     SchrodingerParams,
     boost_generator,
     h1_generator,
-    igl_generator_vectors,
     laplacian,
     schrodinger_operator,
     wave_operator,
@@ -80,7 +81,7 @@ def test_d0_everything_commutes():
 def test_box_second_order_affine_ansatz_contains_linear_group():
     system = build_determining_system(wave_operator(), AnsatzSpec(degree=1, p=2))
     basis = solve_null_space(system)
-    encodings = igl_generator_vectors(system)
+    encodings = [system.encode(g) for g in IGL_OPERATORS]
     assert len(encodings) == 20
     for name, vec in zip(IGL_GENERATORS, encodings):
         assert basis.projection_residual(vec) < 1e-8, name
@@ -482,22 +483,8 @@ def test_schrodinger_null_space_contains_boost():
     ls = schrodinger_operator(SchrodingerParams())
     system = build_determining_system(ls, AnsatzSpec(degree=1, p=2))
     basis = solve_null_space(system)
-    index = {key: i for i, key in enumerate(system.unknowns)}
-    vec = np.zeros(len(system.unknowns), dtype=complex)
-    vec[index[((0, 1, 0, 0), (1, 0, 0, 0))]] = 1.0  # x0 d1
-    vec[index[((1, 0, 0, 0), (0, 1, 0, 0))]] = 1.0  # x1 d0
-    vec /= np.linalg.norm(vec)
-    assert basis.projection_residual(vec) < 1e-8
-
-
-def encode(system, Q, zeta):
-    """The coefficient vector of the candidate (Q, zeta) over the system's unknowns."""
-    index = {key: i for i, key in enumerate(system.unknowns)}
-    vec = np.zeros(len(system.unknowns), dtype=complex)
-    for delta, f in [*Q.terms, (None, zeta)]:
-        for t in f.terms:
-            vec[index[(delta, t.alpha)]] += t.coeff
-    return vec
+    vec = system.encode(boost_generator())  # x0 d1 + x1 d0
+    assert basis.projection_residual(vec / np.linalg.norm(vec)) < 1e-8
 
 
 @pytest.mark.parametrize("params", [SchrodingerParams(), SchrodingerParams(c=1.5, hbar=0.7, m0=2.5)])
@@ -527,7 +514,7 @@ def test_schrodinger_p2_null_space_contains_t_times_projective_generator(params)
     assert res >= hbar
 
     system = build_determining_system(ls, AnsatzSpec(degree=3, p=2, zeta_degree=2))
-    vec = encode(system, tK, zeta)
+    vec = system.encode(tK, zeta)
     assert approx_eq(system.decode(vec).Q, tK, 1e-14)
     assert solve_null_space(system).projection_residual(vec / np.linalg.norm(vec)) <= 1e-8
 
@@ -557,9 +544,8 @@ def test_exponential_coefficients_rejected():
 
 def test_decode_roundtrip():
     system = build_determining_system(wave_operator(), AnsatzSpec(degree=1, p=2))
-    vec = np.zeros(len(system.unknowns))
-    index = {key: i for i, key in enumerate(system.unknowns)}
-    vec[index[((0, 1, 0, 0), (1, 0, 0, 0))]] = 2.0
+    vec = system.encode(2 * op_x0d1())
+    assert np.count_nonzero(vec) == 1 and vec.sum() == 2.0
     cand = system.decode(vec)
     assert approx_eq(cand.Q, 2 * op_x0d1(), 1e-14)
 
@@ -576,6 +562,15 @@ def test_unit_vectors_decode_to_their_keys(operator):
             assert cand.Q.is_zero() and cand.zeta == monomial
         else:
             assert cand.Q == LinDiffOp([(delta, monomial)]) and cand.zeta.is_zero()
+        # encode inverts decode both ways
+        assert np.array_equal(system.encode(cand.Q, cand.zeta), vec)
+        assert system.decode(system.encode(cand.Q, cand.zeta)) == cand
+    # and on a generic vector of the ansatz
+    rng = np.random.default_rng(len(eye))
+    vec = rng.normal(size=len(eye)) + 1j * rng.normal(size=len(eye))
+    cand = system.decode(vec)
+    assert np.array_equal(system.encode(cand.Q, cand.zeta), vec)
+    assert system.decode(system.encode(cand.Q, cand.zeta)) == cand
 
 
 def test_decode_rejects_a_vector_of_the_wrong_length():
@@ -584,6 +579,44 @@ def test_decode_rejects_a_vector_of_the_wrong_length():
     for n in (3, 25, 27):
         with pytest.raises(ValueError, match="26 unknowns"):
             system.decode(np.ones(n))
+
+
+@pytest.mark.parametrize("Q, zeta, witness", [
+    # an exponential factor: kappa != 0
+    (LinDiffOp.partial(0), ExpPoly.exponential(1.0, (1.0, 0, 0, 0)), "of zeta, alpha=(0, 0, 0, 0)"),
+    # x0^2 d1: a Q monomial above degree 1
+    (LinDiffOp([((0, 1, 0, 0), ExpPoly([ExpTerm(1, (2, 0, 0, 0))]))]), ExpPoly.zero(),
+     "of Q at delta=(0, 1, 0, 0), alpha=(2, 0, 0, 0)"),
+    # x1: a zeta monomial above zeta_degree 0
+    (LinDiffOp.partial(0), ExpPoly.coordinate(1), "of zeta, alpha=(0, 1, 0, 0)"),
+    # d0^2: a derivative index outside the first-order ansatz
+    (LinDiffOp.partial(0, 2), ExpPoly.zero(), "of Q at delta=(2, 0, 0, 0)"),
+], ids=["kappa", "Q_above_degree", "zeta_above_zeta_degree", "second_order"])
+def test_encode_names_a_term_no_unknown_holds(Q, zeta, witness):
+    system, _ = system_and_basis("box", 1, 2, 0)
+    with pytest.raises(ValueError, match=re.escape("no unknown holds the term " + witness)):
+        system.encode(Q, zeta)
+
+
+# the abstract's ladder at ansatz degree 1: the Lorentz boost M01 lies in the
+# p = 1 span of box, the Galilei shear H1 only in its p = 2 span, and the
+# Schrodinger operator holds neither at p = 1 (residuals 0.878 and 0.737)
+# and both at p = 2
+@pytest.mark.parametrize("operator, p, holds, misses", [
+    ("box", 1, ["M01"], ["H1"]),
+    ("box", 2, ["M01", "H1"], []),
+    ("schrod", 1, [], ["M01", "H1"]),
+    ("schrod", 2, ["M01", "H1"], []),
+])
+def test_named_generators_climb_the_commutator_ladder(operator, p, holds, misses):
+    system, basis = system_and_basis(operator, 1, p, 0)
+    generators = {"M01": boost_generator(), "H1": h1_generator()}
+    residual = {}
+    for name, g in generators.items():
+        vec = system.encode(g)
+        residual[name] = basis.projection_residual(vec / np.linalg.norm(vec))
+    assert all(residual[name] <= 1e-8 for name in holds), residual
+    assert all(residual[name] >= 0.5 for name in misses), residual
 
 
 def test_full_rank_system_empty_basis():
@@ -616,7 +649,7 @@ def test_projection_residual_of_a_stack_is_its_largest_row_distance(operator, de
     per_row = [basis.projection_residual(v) for v in stack]
     bound = 16 * n * np.finfo(float).eps * np.abs(stack).sum(axis=1).max()
     assert abs(basis.projection_residual(stack) - max(per_row)) <= bound
-    units = igl_generator_vectors(system)
+    units = np.array([system.encode(g) for g in IGL_OPERATORS])
     assert units.shape == (20, n) and np.array_equal(np.abs(units).sum(axis=1), np.ones(20))
     assert basis.projection_residual(units) == max(map(basis.projection_residual, units)) == 0.0
     assert basis.projection_residual(np.zeros((0, n))) == 0.0
@@ -650,8 +683,10 @@ def test_a_spectrum_straddling_the_cutoff_moves_the_rank_at_tol_x10_or_div10(
     rank = 2 + len(above)
     assume(sigma[rank - 1] > tol * sigma[0] >= sigma[rank])
     assume(sigma[rank - 1] < 10 * sigma[rank])
-    assert null_rank(sigma, tol) == rank
-    assert null_rank(sigma, tol * 10.0) != rank or null_rank(sigma, tol * 0.1) != rank
+    n = len(sigma) + 3  # three unknowns that touch no row
+    basis = GeneratorBasis(np.zeros((0, n), dtype=complex), sigma, 0.0, ())
+    assert basis.dimension_at(tol) == n - rank
+    assert basis.dimension_at(tol * 10.0) != n - rank or basis.dimension_at(tol * 0.1) != n - rank
 
 
 def test_ambiguous_null_cutoff_fails_the_stability_row(monkeypatch):
@@ -702,9 +737,8 @@ def test_null_dimension_stable_under_tolerance():
         system = build_determining_system(wave_operator(), spec)
         basis = solve_null_space(system)
         # the dimensions read from its spectrum, as the generator search does
-        sigma = basis.singular_values
-        dims = {len(system.unknowns) - null_rank(sigma, t) for t in (1e-9, 1e-8, 1e-7)}
-        assert dims == {basis.dimension}
+        dims = {basis.dimension_at(t) for t in (1e-9, 1e-8, 1e-7)}
+        assert dims == {basis.dimension} == {basis.dimension_at(NULL_TOL)}
 
 
 def test_candidates_reverify_through_opalg():

@@ -34,6 +34,7 @@ from commsym.opalg import (
 )
 from commsym.scenarios import (
     IGL_GENERATORS,
+    IGL_OPERATORS,
     SEARCH_OPERATORS,
     DalembertParams,
     SchrodingerParams,
@@ -467,8 +468,7 @@ def test_ad_power_equals_the_full_expansion(L, Q):
 @pytest.mark.parametrize("operator", SEARCH_OPERATORS)
 def test_linear_group_brackets_equal_the_full_expansion(operator):
     L = SEARCH_OPERATORS[operator]()
-    for name, (delta, alpha) in IGL_GENERATORS.items():
-        g = LinDiffOp([(delta, ExpPoly([ExpTerm(1 + 0j, alpha)]))])
+    for name, g in zip(IGL_GENERATORS, IGL_OPERATORS):
         expected = g
         for p in (1, 2, 3):
             expected = reference_commutator(L, expected)
