@@ -5,11 +5,21 @@ This is the independent numerical route: evaluate a function on a small dense
 higher partials by nested application of the first-derivative stencil), and
 compare against the exact symbolic application.  Agreement at O(h^2) is the
 oracle for every symbolic zero claimed by the scenario suites.
+
+The difference, product and sum passes allocate no grid-sized temporary; a
+coefficient that is not constant is still evaluated per call.  Each thread
+has four flat complex buffers (a threading.local), each grown to the
+largest size asked for and reused across terms, operators and calls: a
+chain's intermediate operator outputs alternate between two of them, and a
+term's nested differences between the other two; its product is formed in
+place.  A stencil apply only reads its input.  The grid values of f and the
+array a chain returns are new, so a caller may keep several results at once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -123,9 +133,28 @@ def _interior_axes(grid: GridSpec, pad: Sequence[int]) -> list[np.ndarray]:
     return [x[q : grid.extent - q] for x, q in zip(grid._axes, pad)]
 
 
-def _central_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Second-order central first derivative; shrinks the axis by one point
-    on each side.
+# per thread: four flat complex buffers that the stencil passes write into;
+# 0 and 1 take a chain's intermediate operator outputs, 2 and 3 a term's
+# nested differences
+_scratch = threading.local()
+
+
+def _buffer(slot: int, shape: Sequence[int]) -> np.ndarray:
+    """A view of the given shape on this thread's buffer ``slot``, which
+    grows to the largest size asked for; its values are left over from
+    earlier passes."""
+    buffers = getattr(_scratch, "buffers", None)
+    if buffers is None:
+        buffers = _scratch.buffers = [np.empty(0, dtype=complex) for _ in range(4)]
+    size = math.prod(shape)
+    if buffers[slot].size < size:
+        buffers[slot] = np.empty(size, dtype=complex)
+    return buffers[slot][:size].reshape(shape)
+
+
+def _central_diff(values: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
+    """Second-order central first derivative into out, whose shape is that
+    of values less one point at each end of the axis; returns out.
 
     The difference is multiplied by 1 / (2h) in place: numpy divides a
     complex number by the real c as (a + b*0) * (1/c), so this gives the
@@ -135,9 +164,9 @@ def _central_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     lower = [slice(None)] * 4
     upper[axis] = slice(2, None)
     lower[axis] = slice(None, -2)
-    diff = values[tuple(upper)] - values[tuple(lower)]
-    diff *= 1.0 / (2.0 * h)
-    return diff
+    np.subtract(values[tuple(upper)], values[tuple(lower)], out=out)
+    out *= 1.0 / (2.0 * h)
+    return out
 
 
 def _crop(values: np.ndarray, pad: Sequence[int]) -> np.ndarray:
@@ -154,10 +183,12 @@ def _operator_shrink(A: LinDiffOp) -> list[int]:
 
 
 def _fd_apply_values(
-    A: LinDiffOp, values: np.ndarray, pad: Sequence[int], grid: GridSpec
+    A: LinDiffOp, values: np.ndarray, pad: Sequence[int], grid: GridSpec, into: int | None = None
 ) -> tuple[np.ndarray, list[int]]:
     """Stencil-apply A to grid values that already sit pad points inside the
-    full grid; returns the new values and their pad.  Overflow and NaN raise
+    full grid; returns the new values and their pad.  The values are written
+    into this thread's chain buffer ``into`` (0 or 1), or into a new array
+    when it is None; ``values`` is only read.  Overflow and NaN raise
     FloatingPointError whatever the warning filters."""
     shrink = _operator_shrink(A)
     new_pad = [p + s for p, s in zip(pad, shrink)]
@@ -166,25 +197,30 @@ def _fd_apply_values(
             f"stencil needs {max(new_pad)} points per side; extent {grid.extent} too small"
         )
     axes = _interior_axes(grid, new_pad)
-    out = None  # the sum starts from the first term's product
+    shape = tuple(len(x) for x in axes)
+    out = np.empty(shape, dtype=complex) if into is None else _buffer(into, shape)
+    if not A.terms:  # the zero operator; a reused buffer holds an older result
+        out.fill(0)
     with np.errstate(over="raise", invalid="raise"):
-        for delta, coeff in A.terms:
+        for i, (delta, coeff) in enumerate(A.terms):
             # keep only the delta_a points per side that the stencil consumes
             part = _crop(values, [s - d for s, d in zip(shrink, delta)])
+            slot = 2
             for a in range(4):
                 for _ in range(delta[a]):
-                    part = _central_diff(part, a, grid.h)
-            if coeff.is_constant():
-                # a constant is its own value at every point
-                term = coeff.terms[0].coeff * part
+                    narrow = list(part.shape)
+                    narrow[a] -= 2
+                    part = _central_diff(part, a, grid.h, _buffer(slot, narrow))
+                    slot = 5 - slot  # 2 and 3 alternate
+            # a constant is its own value at every point
+            c = coeff.terms[0].coeff if coeff.is_constant() else _eval_on_axes(coeff, axes)
+            # the terms are sorted by delta: only the first can be without
+            # derivatives, and so a view of values, which is only read
+            if i == 0:  # the sum starts from the first term's product
+                np.multiply(c, part, out=out)
             else:
-                term = _eval_on_axes(coeff, axes) * part
-            if out is None:
-                out = term
-            else:
-                out += term
-    if out is None:  # the zero operator
-        out = np.zeros(tuple(len(x) for x in axes), dtype=complex)
+                np.multiply(c, part, out=part)
+                out += part
     return out, new_pad
 
 
@@ -217,8 +253,10 @@ def fd_chain_values(
     """
     values = eval_on_grid(f, grid)
     pad = [0, 0, 0, 0]
-    for op in reversed(list(ops)):
-        values, pad = _fd_apply_values(op, values, pad, grid)
+    last = len(ops) - 1
+    for i, op in enumerate(reversed(ops)):
+        # the outputs alternate between the two chain buffers; the last is new
+        values, pad = _fd_apply_values(op, values, pad, grid, None if i == last else i % 2)
     return values, tuple(pad)
 
 

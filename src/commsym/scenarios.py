@@ -210,7 +210,7 @@ class SchrodingerParams:
             value = getattr(self, name)
             if not sys.float_info.min <= value < math.inf:
                 raise InvalidParams(f"{label} = {value!r} is outside the normal float range")
-        # the boosted particle is then at rest, and beta_v_prime's radicand a rounding residue
+        # the boosted particle is then at rest: beta_v_prime is 0, and psi2's weight divides by it
         if (self.v[0] - self.V, self.v[1], self.v[2]) == (0, 0, 0):
             raise InvalidParams("v = (V, 0, 0): the particle is at rest in the boosted frame")
 
@@ -258,10 +258,13 @@ class SchrodingerParams:
 
     @functools.cached_property
     def beta_v_prime(self) -> float:
-        b, bv = self.beta, self.beta_v
-        bx = self.beta_vec[0]
-        num = b * b * (1 - bv * bv) + bv * bv - 2 * b * bx + b * b * bx * bx
-        return math.sqrt(num) / (1 - b * bx)
+        """The boosted particle speed over c.  The closed form's radicand
+        b^2 (1 - beta_v^2) + beta_v^2 - 2 b beta_x + b^2 beta_x^2 is taken as
+        the equal sum of squares (beta_x - b)^2 + (1 - b^2)(beta_y^2 + beta_z^2),
+        which does not cancel near v = (V, 0, 0), and its root by _norm3."""
+        b, (bx, by, bz) = self.beta, self.beta_vec
+        r = math.sqrt(1 - b * b)
+        return math.prod(_norm3((bx - b, r * by, r * bz))) / (1 - b * bx)
 
     def as_dict(self) -> dict:
         return {

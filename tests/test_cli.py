@@ -117,8 +117,8 @@ def test_w_out_of_float_range_is_named(argv, message, capsys):
 
 
 @pytest.mark.parametrize("argv, first_line", [
-    # the particle is at rest in the boosted frame: beta_v_prime's radicand is
-    # a rounding residue, negative here and positive at the smaller scale
+    # the particle is at rest in the boosted frame: beta_v_prime is 0, and
+    # psi2's weight divides by it
     (["schrodinger-lorentz", "--V", "0.4", "--v=0.4,0,0"],
      "error: InvalidParams: v = (V, 0, 0): the particle is at rest in the boosted frame"),
     (["schrodinger-lorentz", "--c", "1e-150", "--V", "1e-151", "--v=1e-151,0,0"],
@@ -136,6 +136,19 @@ def test_degenerate_schrodinger_and_wave_parameters_are_named(argv, first_line, 
     assert cli.main(argv) == cli.EXIT_CONFIG
     out, err = capsys.readouterr()
     assert out == "" and err.splitlines()[0] == first_line
+
+
+@pytest.mark.parametrize("vx", ["0.39999999999999997", "0.4000000000000001"])
+def test_beta_v_prime_one_ulp_from_rest_in_the_boosted_frame(vx, capsys):
+    # v one ulp from (V, 0, 0): the expanded radicand of beta_v_prime cancelled
+    # to a rounding residue, negative below (a math domain error) and positive
+    # above (beta_v_prime 9.1e-9 for 6.6e-17); the sum of squares does not cancel
+    status = cli.main(["schrodinger-lorentz", "--V", "0.4", f"--v={vx},0,0", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert status in (cli.EXIT_PASS, cli.EXIT_FAIL) and err == ""
+    b, bx = 0.4, float(vx)
+    closed = abs(bx - b) / (1 - b * bx)
+    assert abs(json.loads(out)["params"]["beta_v_prime"] - closed) <= 4 * math.ulp(closed)
 
 
 def test_laplacian_coefficient_survives_an_underflowing_c2_hbar2(capsys):

@@ -252,7 +252,17 @@ def test_stencil_overflow_raises_under_any_warning_filter(action):
         warnings.simplefilter(action)
         with pytest.raises(FloatingPointError):
             fd_chain_values(triples[0], f, GridSpec(h=1e-150, extent=13))
+        # a difference written into a given buffer raises as well
+        values = np.zeros((3, 1, 1, 1), dtype=complex)
+        values[0], values[2] = -1.5e308, 1.5e308
+        with pytest.raises(FloatingPointError), np.errstate(over="raise"):
+            gridcheck._central_diff(values, 0, 1.0, np.empty((1, 1, 1, 1), dtype=complex))
     assert not seen
+    # the chain that raised left its buffers holding overflowed values
+    grid = GridSpec(h=1e-2, extent=13)
+    values, pad = fd_chain_values(triples[0], f, grid)
+    ref, ref_pad = _nested_reference(triples[0], f, grid)
+    assert pad == ref_pad and np.array_equal(values, ref)
 
 
 def test_zero_operator_gives_a_zero_grid_of_the_interior_shape():
@@ -268,6 +278,74 @@ def test_zero_operator_gives_a_zero_grid_of_the_interior_shape():
     values, pad = fd_chain_values((Q, zero), f, grid)
     assert pad == (0, 0, 1, 0) and values.shape == (9, 9, 7, 9) and not np.any(values)
     assert fd_apply_residual(zero, f, grid) == 0.0
+    # between two operators the zero operator writes a reused chain buffer,
+    # which the chain before left holding box box f on 5^4 points
+    assert np.any(fd_chain_values((box, box, box), f, GridSpec(h=1e-2, extent=13))[0])
+    values, pad = fd_chain_values((Q, zero, box), f, grid)
+    assert pad == (2, 2, 3, 2) and values.shape == (5, 5, 3, 5) and not np.any(values)
+
+
+def _plain_central_diff(values, axis, h):
+    """_central_diff into a new array, kept as the reference."""
+    upper, lower = [slice(None)] * 4, [slice(None)] * 4
+    upper[axis], lower[axis] = slice(2, None), slice(None, -2)
+    diff = values[tuple(upper)] - values[tuple(lower)]
+    diff *= 1.0 / (2.0 * h)
+    return diff
+
+
+def _nested_reference(ops, f, grid):
+    """fd_chain_values by plain nesting of _plain_central_diff: every pass,
+    product and sum makes a new array."""
+    values, pad = eval_on_grid(f, grid), [0, 0, 0, 0]
+    for op in reversed(ops):
+        shrink = [max(d[a] for d, _ in op.terms) for a in range(4)]
+        pad = [p + s for p, s in zip(pad, shrink)]
+        axes = [x[q : grid.extent - q] for x, q in zip(grid.axes(), pad)]
+        out = None
+        for delta, coeff in op.terms:
+            part = values[tuple(slice(s - d, n - (s - d)) for s, d, n in zip(shrink, delta, values.shape))]
+            for a in range(4):
+                for _ in range(delta[a]):
+                    part = _plain_central_diff(part, a, grid.h)
+            c = coeff.terms[0].coeff if coeff.is_constant() else gridcheck._eval_on_axes(coeff, axes)
+            out = c * part if out is None else out + c * part
+        values = out
+    return values, tuple(pad)
+
+
+def test_chain_results_are_new_arrays_equal_to_plain_nesting():
+    # the buffers grow on the 13^4 chain and are reused, smaller, by the 9^4
+    # one: the first result is the caller's and stays as it was
+    f, _, pairs, triples = _physics_case()
+    wide, narrow = GridSpec(h=1e-2, extent=13), GridSpec(h=1e-2, extent=9)
+    first, first_pad = fd_chain_values(triples[1], f, wide)
+    kept = first.copy()
+    second, second_pad = fd_chain_values(pairs[2], f, narrow)
+    assert np.array_equal(first, kept) and not np.shares_memory(first, second)
+    for values, pad, ops, grid in ((first, first_pad, triples[1], wide),
+                                   (second, second_pad, pairs[2], narrow)):
+        ref, ref_pad = _nested_reference(ops, f, grid)
+        assert pad == ref_pad and np.array_equal(values, ref)
+
+
+def test_fd_apply_values_only_reads_its_input():
+    # a term without derivatives reads the input through a view; its product
+    # goes to the output, never into the input
+    f, _, _, _ = _physics_case()
+    grid = GridSpec(h=1e-2, extent=9)
+    ops = [
+        LinDiffOp([((0, 1, 0, 0), ExpPoly.coordinate(2)), ((0, 0, 0, 0), ExpPoly.constant(3))]),
+        sc.wave_operator() + LinDiffOp.identity(),
+    ]
+    values = eval_on_grid(f, grid)
+    kept = values.copy()
+    for A in ops:
+        for into in (None, 0, 1):
+            out, pad = gridcheck._fd_apply_values(A, values, [0, 0, 0, 0], grid, into)
+            assert np.array_equal(values, kept)
+            ref, ref_pad = _nested_reference((A,), f, grid)
+            assert tuple(pad) == ref_pad and np.array_equal(out, ref)
 
 
 def test_axes_are_built_once_and_handed_out_as_copies():
