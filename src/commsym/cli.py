@@ -213,6 +213,8 @@ def parse_config(argv) -> RunConfig:
     cfg.overrides = data
     if cfg.sweeps < 0:
         raise ConfigError("--sweeps must be non-negative")
+    if cfg.seed < 0:  # numpy's generators reject it, without naming the flag
+        raise ConfigError("--seed must be non-negative")
     if cfg.residual_tol is not None and not 0 < cfg.residual_tol < math.inf:
         raise ConfigError("--residual-tol must be finite and positive")
     return cfg

@@ -12,8 +12,11 @@ has four flat complex buffers (a threading.local), each grown to the
 largest size asked for and reused across terms, operators and calls: a
 chain's intermediate operator outputs alternate between two of them, and a
 term's nested differences between the other two; its product is formed in
-place.  A stencil apply only reads its input.  The grid values of f and the
-array a chain returns are new, so a caller may keep several results at once.
+place.  A stencil apply only reads its input.  A chain starts from the grid
+values of f that the same thread computed for the same f (the same object)
+on an equal grid, if they are among the last three such pairs: the cache
+holds them read-only and never hands them out.  eval_on_grid and every chain
+return a new array, so a caller may keep or edit several results at once.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expcore import _TINY, ExpPoly
+from .expcore import _TINY, ExpPoly, ExpTerm
 from .opalg import LinDiffOp
 
 
@@ -58,6 +61,9 @@ class GridSpec:
         origin = np.asarray(self.origin, dtype=float)
         if origin.shape != (4,) or not np.all(np.isfinite(origin)):
             raise ValueError("grid origin must be four finite numbers")
+        # a list or an array origin is stored as the tuple of four floats
+        # it equals, so the grid hashes and compares by value
+        object.__setattr__(self, "origin", tuple(float(o) for o in origin))
         if not 0 < self.h < math.inf:
             raise ValueError("grid step must be finite and positive")
         if not isinstance(self.extent, (int, np.integer)) or self.extent < 5 or self.extent % 2 == 0:
@@ -94,8 +100,13 @@ def _eval_on_axes(f: ExpPoly, axes: Sequence[np.ndarray]) -> np.ndarray:
     underflows, the terms with a factor below the smallest normal float at a
     point other than x_a = 0 (where a factor is exactly 1 or 0) are left out
     of the product and evaluated by ExpPoly.evaluate, which takes them in
-    logs; every other term keeps its bits.
+    logs; every other term keeps its bits.  A single term whose factors stay
+    in the normal float range is the outer product _eval_term_on_axes.
     """
+    if len(f.terms) == 1:
+        out = _eval_term_on_axes(f.terms[0], axes)
+        if out is not None:
+            return out
     n = [len(x) for x in axes]
     coeff = np.array([t.coeff for t in f.terms], dtype=complex)
     alpha = np.array([t.alpha for t in f.terms], dtype=int).reshape(-1, 4)
@@ -128,15 +139,59 @@ def _eval_on_axes(f: ExpPoly, axes: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _eval_term_on_axes(term: ExpTerm, axes: Sequence[np.ndarray]) -> np.ndarray | None:
+    """One term c x^alpha exp(kappa . x) on the tensor grid of four axes, as
+    the outer product (c F_0 (x) F_1) (x) (F_2 (x) F_3) of its axis factors
+    F_a[i] = x_ai^alpha_a exp(kappa_a x_ai), built from the term's scalars.
+
+    Returns None, for _eval_on_axes's general route, when a factor leaves the
+    normal float range (that route takes an underflowing factor in logs and
+    raises on an overflowing one).  The gate admits only finite coefficients,
+    and an overflow or NaN in a product of finite factors raises
+    FloatingPointError whatever the warning filters, so the result needs no
+    finiteness scan.
+    """
+    try:
+        with np.errstate(over="raise", under="raise", invalid="raise"):
+            F0, F1, F2, F3 = (x ** a * np.exp(k * x) for x, a, k in zip(axes, term.alpha, term.kappa))
+    except FloatingPointError:
+        return None
+    with np.errstate(over="raise", invalid="raise", under="ignore"):
+        return np.multiply.outer(np.multiply.outer(term.coeff * F0, F1), np.multiply.outer(F2, F3))
+
+
 def _interior_axes(grid: GridSpec, pad: Sequence[int]) -> list[np.ndarray]:
     """The grid's axes without pad[a] points at each end of axis a."""
     return [x[q : grid.extent - q] for x, q in zip(grid._axes, pad)]
 
 
-# per thread: four flat complex buffers that the stencil passes write into;
-# 0 and 1 take a chain's intermediate operator outputs, 2 and 3 a term's
-# nested differences
+# per thread: four flat complex buffers that the stencil passes write into
+# (0 and 1 take a chain's intermediate operator outputs, 2 and 3 a term's
+# nested differences), and the read-only grid values of f that chains started
+# from, for the last _CACHED_GRIDS (f, grid) pairs
 _scratch = threading.local()
+_CACHED_GRIDS = 3
+
+
+def _cached_grid_values(f: ExpPoly, grid: GridSpec) -> np.ndarray:
+    """This thread's read-only eval_on_grid(f, grid), computed on a miss.
+
+    An entry matches f by identity, as the chains of one identity pass it,
+    and the grid by its fields.  It holds f, so f's id cannot be reused
+    while the entry lives.
+    """
+    cache = getattr(_scratch, "grids", None)
+    if cache is None:
+        cache = _scratch.grids = []
+    for i, (g, spec, values) in enumerate(cache):
+        if g is f and spec == grid:
+            cache.append(cache.pop(i))  # the newest entry is last
+            return values
+    values = eval_on_grid(f, grid)
+    values.flags.writeable = False
+    cache.append((f, grid, values))
+    del cache[:-_CACHED_GRIDS]
+    return values
 
 
 def _buffer(slot: int, shape: Sequence[int]) -> np.ndarray:
@@ -249,9 +304,12 @@ def fd_chain_values(
 
     Purely finite-difference: no symbolic derivative enters, so sums of
     chains can cross-check operator identities (nested commutators) without
-    touching the exact algebra.  Returns the interior values and their pad.
+    touching the exact algebra.  Returns the interior values, a new array,
+    and their pad.
     """
-    values = eval_on_grid(f, grid)
+    values = _cached_grid_values(f, grid)
+    if not ops:
+        return values.copy(), (0, 0, 0, 0)
     pad = [0, 0, 0, 0]
     last = len(ops) - 1
     for i, op in enumerate(reversed(ops)):

@@ -151,6 +151,18 @@ def test_beta_v_prime_one_ulp_from_rest_in_the_boosted_frame(vx, capsys):
     assert abs(json.loads(out)["params"]["beta_v_prime"] - closed) <= 4 * math.ulp(closed)
 
 
+@pytest.mark.parametrize("argv", [
+    ["detsolve", "--seed", "-1"],
+    ["dalembert-galilei", "--seed", "-1", "--sweeps", "1"],
+    ["dalembert-galilei", "--seed", "-1"],  # no draw would use the seed
+], ids=" ".join)
+def test_negative_seed_is_named(argv, capsys):
+    # numpy's generators reject a negative seed with a message that names
+    # no flag; the suites that draw nothing used to run and exit 0
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", "error: --seed must be non-negative\n")
+
+
 def test_laplacian_coefficient_survives_an_underflowing_c2_hbar2(capsys):
     # the default physics in units of 1e-100: c^2 hbar^2 underflows, while
     # hbar^2 / 2m is 4.6e-201; the run writes a report
@@ -644,6 +656,7 @@ ERROR_ARGVS = NON_FINITE_ARGVS + [
     ["dalembert-galilei", "--beta"], ["dalembert-galilei", "--beta", "x"],
     ["dalembert-galilei", "--n", "1,0"], ["dalembert-galilei", "--format", "yaml"],
     ["dalembert-galilei", "--sweeps", "-1"], ["dalembert-galilei", "--residual-tol", "0"],
+    ["dalembert-galilei", "--seed", "-1"], ["detsolve", "--seed", "-1"],
     ["composition", "--bet", "0.1"],
     ["dalembert-galilei", "extra"], ["dalembert-galilei", "--", "--beta", "0.1"],
 ]

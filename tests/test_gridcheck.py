@@ -1,6 +1,8 @@
 """Finite-difference oracle: residual bounds, convergence order, guards."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -159,6 +161,49 @@ def test_eval_on_grid_takes_an_underflowing_factor_with_its_partner():
         exact = f.evaluate(tuple(axes[a][i] for a, i in enumerate(idx)))
         assert abs(values[idx] - exact) <= 1e-12 * abs(exact)
     assert values[2, 2, 2, 2] == pytest.approx(1.0142320547349596e-96 + 0.5e-96j, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("term", [
+    ExpTerm(1.5 - 0.5j, (1, 0, 2, 0), (0.3j, 0j, -0.2 + 0j, 0.7 - 0.1j)),
+    ExpTerm(-2 + 0j, (3, 1, 0, 2)),
+    ExpTerm(1j, kappa=(0.4 - 1j, 0.2 + 0.3j, -0.5 + 0j, 1.1j)),
+])
+def test_one_term_grid_is_the_outer_product_and_matches_evaluate(term):
+    f = ExpPoly([term])
+    outer = gridcheck._eval_term_on_axes(term, SMALL_GRID._axes)
+    assert np.array_equal(eval_on_grid(f, SMALL_GRID), outer)
+    _assert_grid_matches_evaluate(f, SMALL_GRID)
+
+
+def test_one_term_grid_takes_an_underflowing_factor_in_logs():
+    # the first term of the partner test alone: x0^2 underflows on every x0,
+    # so the outer product is declined and the general route takes it in logs
+    term = ExpTerm(1, (2, 0, 0, 0), (0, 700, 0, 0))
+    grid = GridSpec(origin=(1e-200, 1, 0.5, 0), h=1e-210, extent=5)
+    assert gridcheck._eval_term_on_axes(term, grid._axes) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = eval_on_grid(ExpPoly([term]), grid)
+    axes = grid.axes()
+    for idx in np.ndindex(values.shape):
+        exact = ExpPoly([term]).evaluate(tuple(axes[a][i] for a, i in enumerate(idx)))
+        assert abs(values[idx] - exact) <= 1e-12 * abs(exact)
+    assert values[2, 2, 2, 2] == pytest.approx(1.0142320547349596e-96, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("action", ["error", "default", "always", "ignore"])
+def test_one_term_grid_with_an_overflowing_factor_raises(action):
+    # README's example: exp(800 x0 - 800 x1) is 1 at (1, 1), where evaluate
+    # gives 1, but its factor exp(800 x0) overflows
+    f = ExpPoly.exponential(1, (800, -800, 0, 0))
+    grid = GridSpec(origin=(1, 1, 0, 0))
+    assert gridcheck._eval_term_on_axes(f.terms[0], grid._axes) is None
+    assert f.evaluate((1, 1, 0, 0)) == 1
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        with pytest.raises(FloatingPointError):
+            eval_on_grid(f, grid)
+    assert not seen
 
 
 @pytest.mark.parametrize("action", ["error", "default", "always", "ignore"])
@@ -346,6 +391,116 @@ def test_fd_apply_values_only_reads_its_input():
             assert np.array_equal(values, kept)
             ref, ref_pad = _nested_reference((A,), f, grid)
             assert tuple(pad) == ref_pad and np.array_equal(out, ref)
+
+
+def _counting_eval(monkeypatch) -> list:
+    """Count gridcheck's calls of eval_on_grid, as the benchmark's tracer does."""
+    calls = []
+    evaluate = gridcheck.eval_on_grid
+
+    def counted(f, grid):
+        calls.append((f, grid))
+        return evaluate(f, grid)
+
+    monkeypatch.setattr(gridcheck, "eval_on_grid", counted)
+    return calls
+
+
+def test_physics_triple_evaluates_f_once(monkeypatch):
+    calls = _counting_eval(monkeypatch)
+    f, _, _, triples = _physics_case()  # a new f, so the first chain misses
+    grid = GridSpec(h=1e-2, extent=13)
+    results = [fd_chain_values(ops, f, grid) for ops in triples]
+    assert calls == [(f, grid)]
+    for (values, pad), ops in zip(results, triples):
+        ref, ref_pad = _nested_reference(ops, f, grid)
+        assert pad == ref_pad and np.array_equal(values, ref) and values.flags.writeable
+
+
+def test_cached_grid_is_read_only_and_never_returned():
+    f, singles, pairs, _ = _physics_case()
+    grid = GridSpec(h=1e-2, extent=9)
+    box_f, _ = fd_chain_values(singles[0], f, grid)
+    cached_f, cached_grid, cached = gridcheck._scratch.grids[-1]
+    assert cached_f is f and cached_grid == grid
+    assert not cached.flags.writeable and np.array_equal(cached, eval_on_grid(f, grid))
+    with pytest.raises(ValueError):
+        cached[0, 0, 0, 0] = 1
+    # no operators: a new, writable copy of the cached values
+    plain, pad = fd_chain_values((), f, grid)
+    assert pad == (0, 0, 0, 0) and plain.flags.writeable and not np.shares_memory(plain, cached)
+    assert np.array_equal(plain, cached)
+    # a caller who edits earlier results does not change a later chain
+    plain[:] = 7
+    box_f[:] = 7
+    for ops in (singles[0], pairs[1]):
+        values, pad = fd_chain_values(ops, f, grid)
+        ref, ref_pad = _nested_reference(ops, f, grid)
+        assert pad == ref_pad and np.array_equal(values, ref)
+    assert np.array_equal(fd_chain_values((), f, grid)[0], eval_on_grid(f, grid))
+
+
+def test_cache_keeps_the_last_few_pairs_by_identity(monkeypatch):
+    calls = _counting_eval(monkeypatch)
+    f, singles, _, _ = _physics_case()
+    twin = f * ExpPoly.constant(1)  # equal to f, another object
+    assert twin == f and twin is not f
+    grids = [GridSpec(h=h, extent=9) for h in (1e-2, 2e-2, 4e-2)]
+    for grid in grids + grids:  # three pairs fit
+        fd_chain_values(singles[0], f, grid)
+    assert len(calls) == 3
+    fd_chain_values(singles[0], twin, grids[0])  # a miss, which drops the oldest pair
+    fd_chain_values(singles[0], f, grids[0])
+    assert len(calls) == 5 and len(gridcheck._scratch.grids) == gridcheck._CACHED_GRIDS
+
+
+def test_threads_with_different_f_on_one_grid_share_no_entry():
+    # more threads than cores, switching often: each thread's cache holds
+    # only its own f, and every chain equals its reference
+    grid = GridSpec(h=1e-2, extent=9)
+    box = sc.wave_operator()
+    wave = sc.plane_wave(OBLIQUE)
+    fs = [wave, sc.dalembert_weight(OBLIQUE) * wave, ExpPoly.coordinate(1) * wave, wave + ExpPoly.constant(1)]
+    refs = [_nested_reference((box, box), f, grid) for f in fs]
+    start = threading.Barrier(len(fs), timeout=60)
+    seen: list = [None] * len(fs)
+
+    def work(i):
+        start.wait()
+        ok = True
+        for _ in range(20):
+            values, pad = fd_chain_values((box, box), fs[i], grid)
+            ok &= pad == refs[i][1] and np.array_equal(values, refs[i][0])
+        seen[i] = ok, [g for g, _, _ in gridcheck._scratch.grids]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, (ok, cached) in enumerate(seen):
+        assert ok and cached and all(g is fs[i] for g in cached)
+
+
+def test_list_and_array_origins_are_the_tuple_form(monkeypatch):
+    # a list origin did not hash, and an array origin did not compare
+    for origin in ([0, 0, 0, 0], np.zeros(4), (0, 0, 0, 0)):
+        grid = GridSpec(origin=origin, h=1e-2, extent=9)
+        assert grid.origin == (0.0, 0.0, 0.0, 0.0) and all(type(o) is float for o in grid.origin)
+        assert grid == GridSpec(h=1e-2, extent=9) and hash(grid) == hash(GridSpec(h=1e-2, extent=9))
+    shifted = GridSpec(origin=np.array([0.5, -1, 0, 2]), h=1e-2, extent=9)
+    assert shifted == GridSpec(origin=(0.5, -1.0, 0.0, 2.0), h=1e-2, extent=9) and {shifted}
+    calls = _counting_eval(monkeypatch)
+    f, singles, _, _ = _physics_case()
+    first = fd_chain_values(singles[0], f, GridSpec(origin=[0, 0, 0, 0], h=1e-2, extent=9))[0]
+    second = fd_chain_values(singles[0], f, GridSpec(origin=np.zeros(4), h=1e-2, extent=9))[0]
+    assert len(calls) == 1 and np.array_equal(first, second)
 
 
 def test_axes_are_built_once_and_handed_out_as_copies():
