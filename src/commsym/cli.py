@@ -354,8 +354,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.output:
-        with open(cfg.output, "wb") as handle:
-            handle.write(payload)
+        try:
+            with open(cfg.output, "wb") as handle:
+                handle.write(payload)
+        except OSError as exc:  # a status of 1 would read as a failed check
+            reason = exc.strerror or exc
+            print(f"error: cannot write report to {cfg.output}: {reason}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(payload.decode())
     return status

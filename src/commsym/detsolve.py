@@ -629,7 +629,9 @@ def probe_sample(
     derivs = _powers(kappas, keys[:, :4])  # kappa_i^delta
     monos = _powers(points, keys[:, 4:])  # x_k^alpha
     waves = np.exp(kappas @ points.T)  # f_i(x_k)
-    P = waves[:, :, None] * derivs[:, None, :] * monos[None, :, :]
+    # the product in the order of waves * derivs * monos, in one array
+    P = np.multiply(waves[:, :, None], derivs[:, None, :])
+    P *= monos
     return kappas, points, P.reshape(n_probes * len(points), len(keys))
 
 

@@ -8,15 +8,20 @@ oracle for every symbolic zero claimed by the scenario suites.
 
 The difference, product and sum passes allocate no grid-sized temporary; a
 coefficient that is not constant is still evaluated per call.  Each thread
-has four flat complex buffers (a threading.local), each grown to the
-largest size asked for and reused across terms, operators and calls: a
-chain's intermediate operator outputs alternate between two of them, and a
-term's nested differences between the other two; its product is formed in
-place.  A stencil apply only reads its input.  A chain starts from the grid
-values of f that the same thread computed for the same f (the same object)
-on an equal grid, if they are among the last three such pairs: the cache
-holds them read-only and never hands them out.  eval_on_grid and every chain
-return a new array, so a caller may keep or edit several results at once.
+has flat complex buffers (a threading.local), each grown to the largest size
+asked for and reused across terms, operators and calls: a chain's
+intermediate operator outputs alternate between two of them, and a term's
+nested differences between two more; its product is formed in place.  A
+stencil apply only reads its input.
+
+A chain starts from the longest prefix the same thread has cached: f's grid
+values, or its innermost operator applied to f, for the same f and operator
+(the same objects) on an equal grid.  The cache holds the last six such
+prefixes, read-only, each in a buffer of its own that a new entry takes over
+from the least recently used; at worst that is six times 16 n^4 bytes per
+thread for the largest n^4 grid evaluated (2.7 MB at 13^4).  It never hands
+an entry out: eval_on_grid and every chain return a new array, so a caller
+may keep or edit several results at once.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,33 +170,60 @@ def _interior_axes(grid: GridSpec, pad: Sequence[int]) -> list[np.ndarray]:
     return [x[q : grid.extent - q] for x, q in zip(grid._axes, pad)]
 
 
-# per thread: four flat complex buffers that the stencil passes write into
-# (0 and 1 take a chain's intermediate operator outputs, 2 and 3 a term's
-# nested differences), and the read-only grid values of f that chains started
-# from, for the last _CACHED_GRIDS (f, grid) pairs
+# per thread: flat complex buffers that the stencil passes write into (0 and
+# 1 take a chain's intermediate operator outputs, 2 and 3 a term's nested
+# differences, and each prefix entry owns one of the _CACHED_PREFIXES more),
+# and the prefix entries, the most recently used last.  Six keeps the entry
+# of fd_apply_residual's operator through the four that a three-step
+# convergence_order fills (f and the operator on two grids) before its
+# finest step takes it again, with one to spare.
 _scratch = threading.local()
-_CACHED_GRIDS = 3
+_CACHED_PREFIXES = 6
+_CACHE_SLOTS = range(4, 4 + _CACHED_PREFIXES)
 
 
-def _cached_grid_values(f: ExpPoly, grid: GridSpec) -> np.ndarray:
-    """This thread's read-only eval_on_grid(f, grid), computed on a miss.
+class _Prefix(NamedTuple):
+    """A cached chain prefix: op applied to f on grid (f itself when op is
+    None), as read-only values with their pad, held in buffer ``slot``."""
 
-    An entry matches f by identity, as the chains of one identity pass it,
-    and the grid by its fields.  It holds f, so f's id cannot be reused
-    while the entry lives.
+    op: LinDiffOp | None
+    f: ExpPoly
+    grid: GridSpec
+    slot: int
+    values: np.ndarray
+    pad: tuple[int, ...]
+
+
+def _prefix(op: LinDiffOp | None, f: ExpPoly, grid: GridSpec) -> _Prefix:
+    """This thread's entry for op applied to f on grid, computed on a miss.
+
+    An entry matches op and f by identity, as the chains of one identity pass
+    them, and the grid by its fields.  It holds op and f, so their ids cannot
+    be reused while it lives.  A miss on an operator starts from the entry of
+    f, filling it too on a miss, and writes into the buffer of the least
+    recently used entry once all are taken.
     """
-    cache = getattr(_scratch, "grids", None)
+    cache = getattr(_scratch, "prefixes", None)
     if cache is None:
-        cache = _scratch.grids = []
-    for i, (g, spec, values) in enumerate(cache):
-        if g is f and spec == grid:
+        cache = _scratch.prefixes = []
+    for i, entry in enumerate(cache):
+        if entry.op is op and entry.f is f and entry.grid == grid:
             cache.append(cache.pop(i))  # the newest entry is last
-            return values
-    values = eval_on_grid(f, grid)
-    values.flags.writeable = False
-    cache.append((f, grid, values))
-    del cache[:-_CACHED_GRIDS]
-    return values
+            return entry
+    base = None if op is None else _prefix(None, f, grid)
+    if len(cache) == _CACHED_PREFIXES:
+        del cache[0]  # base is the newest entry, so it stays
+    slot = min(set(_CACHE_SLOTS).difference(entry.slot for entry in cache))
+    if base is None:
+        grid_values = eval_on_grid(f, grid)
+        values, pad = _buffer(slot, grid_values.shape), [0, 0, 0, 0]
+        values[...] = grid_values
+    else:
+        values, pad = _fd_apply_values(op, base.values, base.pad, grid, slot)
+    values.flags.writeable = False  # a view: its buffer stays writable
+    entry = _Prefix(op, f, grid, slot, values, tuple(pad))
+    cache.append(entry)
+    return entry
 
 
 def _buffer(slot: int, shape: Sequence[int]) -> np.ndarray:
@@ -200,7 +232,7 @@ def _buffer(slot: int, shape: Sequence[int]) -> np.ndarray:
     earlier passes."""
     buffers = getattr(_scratch, "buffers", None)
     if buffers is None:
-        buffers = _scratch.buffers = [np.empty(0, dtype=complex) for _ in range(4)]
+        buffers = _scratch.buffers = [np.empty(0, dtype=complex) for _ in range(_CACHE_SLOTS.stop)]
     size = math.prod(shape)
     if buffers[slot].size < size:
         buffers[slot] = np.empty(size, dtype=complex)
@@ -242,9 +274,10 @@ def _fd_apply_values(
 ) -> tuple[np.ndarray, list[int]]:
     """Stencil-apply A to grid values that already sit pad points inside the
     full grid; returns the new values and their pad.  The values are written
-    into this thread's chain buffer ``into`` (0 or 1), or into a new array
-    when it is None; ``values`` is only read.  Overflow and NaN raise
-    FloatingPointError whatever the warning filters."""
+    into this thread's buffer ``into`` (0 or 1 for a chain's intermediate
+    outputs, a prefix entry's slot), or into a new array when it is None;
+    ``values`` is only read.  Overflow and NaN raise FloatingPointError
+    whatever the warning filters."""
     shrink = _operator_shrink(A)
     new_pad = [p + s for p, s in zip(pad, shrink)]
     if any(grid.extent - 2 * q < 1 for q in new_pad):
@@ -307,14 +340,13 @@ def fd_chain_values(
     touching the exact algebra.  Returns the interior values, a new array,
     and their pad.
     """
-    values = _cached_grid_values(f, grid)
-    if not ops:
-        return values.copy(), (0, 0, 0, 0)
-    pad = [0, 0, 0, 0]
-    last = len(ops) - 1
-    for i, op in enumerate(reversed(ops)):
+    entry = _prefix(ops[-1] if ops else None, f, grid)
+    values, pad, rest = entry.values, entry.pad, ops[:-1]
+    if not rest:  # the cached values are never handed out
+        return values.copy(), pad
+    for i, op in enumerate(reversed(rest)):
         # the outputs alternate between the two chain buffers; the last is new
-        values, pad = _fd_apply_values(op, values, pad, grid, None if i == last else i % 2)
+        values, pad = _fd_apply_values(op, values, pad, grid, None if i == len(rest) - 1 else i % 2)
     return values, tuple(pad)
 
 

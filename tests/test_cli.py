@@ -498,6 +498,18 @@ def test_output_file_written(tmp_path):
     assert doc["scenario"] == "igl-sweep"
 
 
+@pytest.mark.parametrize("where, reason", [
+    ("", "Is a directory"),
+    ("missing/report.json", "No such file or directory"),
+], ids=["directory", "missing-directory"])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, where, reason):
+    # a traceback with exit 1 would read as a failed check
+    target = tmp_path / where
+    assert cli.main(["dalembert-galilei", "--output", str(target)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: cannot write report to {target}: {reason}\n")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_text_format_alignment():
     _, payload = run_cli(["composition"])
     text = payload.decode()

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from collections import defaultdict
 
@@ -255,6 +256,29 @@ def test_probe_sample_applies_residual_operators():
                     expected = applied.evaluate(tuple(x))
                     assert abs(sample[i * len(points) + k, j] - expected) <= 1e-12 * max(1.0, abs(expected))
         assert apply_probe_null_dimension(system, np.random.default_rng(0)) == basis.dimension
+
+
+@pytest.mark.parametrize("operator, degree", [("box", 1), ("box", 2), ("box", 3), ("schrod", 2)])
+def test_probe_sample_is_the_broadcast_product_bit_for_bit(operator, degree):
+    system = build_determining_system(OPERATORS[operator](), AnsatzSpec(degree, 2))
+    kappas, points, P = probe_sample(system, np.random.default_rng(3))
+    keys = np.array(system.row_keys, dtype=np.int64).reshape(-1, 8)
+    derivs, monos = detsolve._powers(kappas, keys[:, :4]), detsolve._powers(points, keys[:, 4:])
+    waves = np.exp(kappas @ points.T)
+    broadcast = waves[:, :, None] * derivs[:, None, :] * monos[None, :, :]
+    assert P.tobytes() == broadcast.tobytes()
+
+
+def test_probe_sample_peak_memory_is_below_two_samples():
+    # P is formed in place: no broadcast temporary of its size
+    system = build_determining_system(wave_operator(), AnsatzSpec(3, 2))
+    tracemalloc.start()
+    try:
+        _, _, P = probe_sample(system, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * P.nbytes
 
 
 @pytest.mark.parametrize("operator, degree, p, zeta_degree, expected", [

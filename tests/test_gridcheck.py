@@ -406,62 +406,145 @@ def _counting_eval(monkeypatch) -> list:
     return calls
 
 
+def _counting_apply(monkeypatch) -> list:
+    """Record gridcheck's stencil passes as (operator, input pad, grid)."""
+    calls = []
+    apply = gridcheck._fd_apply_values
+
+    def counted(A, values, pad, grid, into=None):
+        calls.append((A, tuple(pad), grid))
+        return apply(A, values, pad, grid, into)
+
+    monkeypatch.setattr(gridcheck, "_fd_apply_values", counted)
+    return calls
+
+
 def test_physics_triple_evaluates_f_once(monkeypatch):
+    # and applies box to f once: (box, Q, box) and (Q, box, box) start from
+    # the same box f
     calls = _counting_eval(monkeypatch)
+    applies = _counting_apply(monkeypatch)
     f, _, _, triples = _physics_case()  # a new f, so the first chain misses
+    box, Q = triples[0][0], triples[0][2]
     grid = GridSpec(h=1e-2, extent=13)
     results = [fd_chain_values(ops, f, grid) for ops in triples]
     assert calls == [(f, grid)]
+    assert len(applies) == 8  # 3 + 3 + 2 passes: the third chain starts from box f
+    on_f = [A for A, pad, _ in applies if pad == (0, 0, 0, 0)]
+    assert len(on_f) == 2 and on_f[0] is Q and on_f[1] is box
     for (values, pad), ops in zip(results, triples):
         ref, ref_pad = _nested_reference(ops, f, grid)
         assert pad == ref_pad and np.array_equal(values, ref) and values.flags.writeable
 
 
-def test_cached_grid_is_read_only_and_never_returned():
+def test_residual_then_convergence_order_apply_A_once_on_the_shared_grid(monkeypatch):
+    # the finest step of convergence_order is fd_apply_residual's grid, and
+    # a hit gives the bits a new pass would: the order equals that of a
+    # thread with an empty cache
+    p = sc.SchrodingerParams(V=0.2, v=(0.3, 0.2, -0.1))
+    A = sc.schrodinger_engaging_operator(p)
+    f = sc.psi11_weight(p) * sc.psi1(p)
+    grid = GridSpec(h=0.01)
+    fresh: list = []
+    worker = threading.Thread(target=lambda: fresh.append(
+        (fd_apply_residual(A, f, grid), convergence_order(A, f, grid, [0.04, 0.02, 0.01]))))
+    worker.start()
+    worker.join(timeout=60)
+    calls = _counting_apply(monkeypatch)
+    residual = fd_apply_residual(A, f, grid)
+    order = convergence_order(A, f, grid, [0.04, 0.02, 0.01])
+    assert [(B, pad, g.h) for B, pad, g in calls] == [(A, (0, 0, 0, 0), h) for h in (0.01, 0.04, 0.02)]
+    assert fresh == [(residual, order)] and abs(order - 2.0) < 0.2
+
+
+def test_cached_prefixes_are_read_only_and_never_returned():
     f, singles, pairs, _ = _physics_case()
     grid = GridSpec(h=1e-2, extent=9)
     box_f, _ = fd_chain_values(singles[0], f, grid)
-    cached_f, cached_grid, cached = gridcheck._scratch.grids[-1]
-    assert cached_f is f and cached_grid == grid
-    assert not cached.flags.writeable and np.array_equal(cached, eval_on_grid(f, grid))
-    with pytest.raises(ValueError):
-        cached[0, 0, 0, 0] = 1
-    # no operators: a new, writable copy of the cached values
+    *_, f_entry, box_entry = gridcheck._scratch.prefixes
+    assert f_entry.op is None and f_entry.f is f and f_entry.grid == grid
+    assert box_entry.op is singles[0][0] and box_entry.f is f and box_entry.grid == grid
+    assert np.array_equal(f_entry.values, eval_on_grid(f, grid))
+    assert box_entry.pad == (2, 2, 2, 2) and np.array_equal(box_entry.values, box_f)
+    for cached in (f_entry.values, box_entry.values):
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0, 0, 0] = 1
+    # no operators or one operator: a new, writable copy of the cached values
     plain, pad = fd_chain_values((), f, grid)
-    assert pad == (0, 0, 0, 0) and plain.flags.writeable and not np.shares_memory(plain, cached)
-    assert np.array_equal(plain, cached)
+    assert pad == (0, 0, 0, 0) and np.array_equal(plain, f_entry.values)
+    again, pad = fd_chain_values(singles[0], f, grid)
+    assert pad == box_entry.pad and np.array_equal(again, box_entry.values)
+    for values in (plain, box_f, again):
+        assert values.flags.writeable
+        assert not any(np.shares_memory(values, e.values) for e in gridcheck._scratch.prefixes)
+    assert not np.shares_memory(box_f, again)
     # a caller who edits earlier results does not change a later chain
     plain[:] = 7
     box_f[:] = 7
-    for ops in (singles[0], pairs[1]):
+    again[:] = 7
+    for ops in (singles[0], pairs[0], pairs[1]):
         values, pad = fd_chain_values(ops, f, grid)
         ref, ref_pad = _nested_reference(ops, f, grid)
         assert pad == ref_pad and np.array_equal(values, ref)
     assert np.array_equal(fd_chain_values((), f, grid)[0], eval_on_grid(f, grid))
 
 
-def test_cache_keeps_the_last_few_pairs_by_identity(monkeypatch):
-    calls = _counting_eval(monkeypatch)
+def test_cache_matches_operator_and_f_by_identity(monkeypatch):
+    evals = _counting_eval(monkeypatch)
+    applies = _counting_apply(monkeypatch)
     f, singles, _, _ = _physics_case()
-    twin = f * ExpPoly.constant(1)  # equal to f, another object
-    assert twin == f and twin is not f
-    grids = [GridSpec(h=h, extent=9) for h in (1e-2, 2e-2, 4e-2)]
-    for grid in grids + grids:  # three pairs fit
-        fd_chain_values(singles[0], f, grid)
-    assert len(calls) == 3
-    fd_chain_values(singles[0], twin, grids[0])  # a miss, which drops the oldest pair
-    fd_chain_values(singles[0], f, grids[0])
-    assert len(calls) == 5 and len(gridcheck._scratch.grids) == gridcheck._CACHED_GRIDS
+    box = singles[0][0]
+    twin_f, twin_box = f * ExpPoly.constant(1), LinDiffOp(box.terms)  # equal, other objects
+    assert twin_f == f and twin_f is not f and twin_box == box and twin_box is not box
+    grid = GridSpec(h=1e-2, extent=9)
+    first = fd_chain_values((box,), f, grid)[0]
+    assert fd_chain_values((box,), f, grid)[0].tobytes() == first.tobytes()
+    assert (len(evals), len(applies)) == (1, 1)
+    fd_chain_values((twin_box,), f, grid)  # a new operator pass on f's cached values
+    assert (len(evals), len(applies)) == (1, 2) and applies[-1][0] is twin_box
+    fd_chain_values((box,), twin_f, grid)  # a new f: evaluated and passed again
+    assert (len(evals), len(applies)) == (2, 3) and evals[-1][0] is twin_f
+
+
+def test_cache_bound_holds_under_eviction(monkeypatch):
+    # every one-operator chain on a new grid fills two entries, f's and its
+    # operator's; the least recently used give up their buffers
+    evals = _counting_eval(monkeypatch)
+    f, singles, pairs, _ = _physics_case()
+    grids = [GridSpec(h=h, extent=9) for h in (1e-2, 2e-2, 3e-2, 4e-2, 5e-2)]
+    bound = gridcheck._CACHED_PREFIXES
+    for grid in grids:
+        for ops in (singles[0], pairs[2]):
+            values, pad = fd_chain_values(ops, f, grid)
+            ref, ref_pad = _nested_reference(ops, f, grid)
+            assert pad == ref_pad and np.array_equal(values, ref)
+            cache = gridcheck._scratch.prefixes
+            assert len(cache) <= bound
+            assert sorted(e.slot for e in cache) == sorted({e.slot for e in cache})
+            assert {e.slot for e in cache} <= set(gridcheck._CACHE_SLOTS)
+    assert len(gridcheck._scratch.buffers) == 4 + bound
+    # (box,) fills f's entry and box's, and (A, Q) then Q's from f's: the
+    # newest three are the last grid's
+    box, Q = singles[0][0], pairs[2][1]
+    newest = [(e.op, e.grid) for e in gridcheck._scratch.prefixes][-3:]
+    assert newest == [(box, grids[-1]), (None, grids[-1]), (Q, grids[-1])]
+    assert len(evals) == len(grids)
+    fd_chain_values(singles[0], f, grids[-1])  # a hit
+    assert len(evals) == len(grids)
+    fd_chain_values(singles[0], f, grids[0])  # evicted: evaluated again
+    assert len(evals) == len(grids) + 1
 
 
 def test_threads_with_different_f_on_one_grid_share_no_entry():
     # more threads than cores, switching often: each thread's cache holds
-    # only its own f, and every chain equals its reference
+    # only its own f and its own operator, in its own buffers, and every
+    # chain equals its reference
     grid = GridSpec(h=1e-2, extent=9)
-    box = sc.wave_operator()
     wave = sc.plane_wave(OBLIQUE)
     fs = [wave, sc.dalembert_weight(OBLIQUE) * wave, ExpPoly.coordinate(1) * wave, wave + ExpPoly.constant(1)]
-    refs = [_nested_reference((box, box), f, grid) for f in fs]
+    boxes = [LinDiffOp(sc.wave_operator().terms) for _ in fs]  # equal, one object per thread
+    refs = [_nested_reference((box, box), f, grid) for box, f in zip(boxes, fs)]
     start = threading.Barrier(len(fs), timeout=60)
     seen: list = [None] * len(fs)
 
@@ -469,9 +552,9 @@ def test_threads_with_different_f_on_one_grid_share_no_entry():
         start.wait()
         ok = True
         for _ in range(20):
-            values, pad = fd_chain_values((box, box), fs[i], grid)
+            values, pad = fd_chain_values((boxes[i], boxes[i]), fs[i], grid)
             ok &= pad == refs[i][1] and np.array_equal(values, refs[i][0])
-        seen[i] = ok, [g for g, _, _ in gridcheck._scratch.grids]
+        seen[i] = ok, list(gridcheck._scratch.prefixes)
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fs))]
     interval = sys.getswitchinterval()
@@ -485,7 +568,11 @@ def test_threads_with_different_f_on_one_grid_share_no_entry():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for i, (ok, cached) in enumerate(seen):
-        assert ok and cached and all(g is fs[i] for g in cached)
+        assert ok and len(cached) == 2 and cached[0].op is None and cached[1].op is boxes[i]
+        assert all(e.f is fs[i] for e in cached)
+        for j, (_, other) in enumerate(seen):
+            if j != i:
+                assert not any(np.shares_memory(a.values, b.values) for a in cached for b in other)
 
 
 def test_list_and_array_origins_are_the_tuple_form(monkeypatch):
