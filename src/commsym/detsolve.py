@@ -92,6 +92,13 @@ class DeterminingSystem:
         return _components(self.matrix)
 
     @functools.cached_property
+    def block_stacks(self) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+        """The blocks of the components with rows, stacked by shape
+        (:func:`_block_stacks`), gathered once per system; the solver and the
+        probe oracle both read them."""
+        return _block_stacks(self.matrix, [(rows, cols) for rows, cols in self.components if rows])
+
+    @functools.cached_property
     def _index(self) -> dict[tuple[Index4 | None, Index4], int]:
         return {key: j for j, key in enumerate(self.unknowns)}  # the column of each unknown
 
@@ -384,7 +391,7 @@ def solve_null_space(system: DeterminingSystem) -> GeneratorBasis:
     # one batched SVD per block shape; numpy runs the same LAPACK call on
     # each matrix of a stack, so each result is that of its own call
     svds = {}  # block index -> (singular values, vh)
-    for members, _, stack in _block_stacks(m, blocks):
+    for members, _, stack in system.block_stacks:
         _, s, vh = np.linalg.svd(stack, full_matrices=True)
         svds.update(zip(members, zip(s, vh)))
     # (columns, singular values, vh): the identity on the columns that touch
@@ -673,6 +680,6 @@ def apply_probe_null_dimension(system: DeterminingSystem, rng: np.random.Generat
     if not np.array_equal(row_block[i], col_block[j]):
         raise RuntimeError("the sparsity split leaves a nonzero of the matrix outside its diagonal blocks")
     # per block shape, the (blocks, samples, columns) stack of S[:, cols] = P[:, rows] @ M[rows, cols]
-    samples = [np.moveaxis(P[:, rows], 1, 0) @ stack for _, rows, stack in _block_stacks(m, blocks)]
+    samples = [np.moveaxis(P[:, rows], 1, 0) @ stack for _, rows, stack in system.block_stacks]
     tol = 1e-8 * (max((float(np.abs(s).max()) for s in samples), default=0.0) or 1.0)
     return m.shape[1] - sum(int(np.linalg.matrix_rank(s, tol=tol).sum()) for s in samples)

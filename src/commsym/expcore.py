@@ -24,10 +24,13 @@ gathered sum into canonical form: it sorts the distinct covectors, merges
 covectors of one alpha that lie within MERGE_TOL of each other, checks each
 covector and each merged coefficient once for NaN and inf, drops the terms
 whose coefficient is exactly zero, and emits the terms sorted by alpha, then
-by covector.  Results that have nothing to sort or merge (a scalar multiple,
-a derivative of one term or along an axis that no covector touches) are
-built in that order directly, with the gate's coefficient check and zero
-drop.
+by covector.  A sum with one covector has nothing to merge, and the gate
+only sorts its terms by alpha.  A product with one left term updates the
+accumulator once per right term, without the tables that find each
+covector sum once.  Results that have nothing to sort or merge (a scalar
+multiple, a derivative of one term or along an axis that no covector
+touches) are built in that order directly, the derivative in one pass, with
+the gate's coefficient check and zero drop.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ class _Sum:
     def _raw(cls, terms: tuple):
         """Wrap terms already in canonical form, bypassing the gate."""
         out = cls.__new__(cls)
-        object.__setattr__(out, "terms", terms)
+        _set_terms(out, terms)
         return out
 
     @classmethod
@@ -133,6 +136,10 @@ class _Sum:
 
     def __hash__(self) -> int:
         return hash(self.terms)
+
+
+# the terms slot's own setter, which __setattr__ does not reach
+_set_terms = _Sum.terms.__set__
 
 
 class ExpPoly(_Sum):
@@ -226,18 +233,35 @@ class ExpPoly(_Sum):
         """Exact partial derivative with respect to coordinate ``a``."""
         _unit_index(a)  # rejects a outside 0..3
         terms = self.terms
-        if len(terms) == 1 or not any(t.kappa[a] for t in terms):
+        merges = False
+        if len(terms) > 1:
+            for t in terms:
+                if t[2][a]:
+                    merges = True
+                    break
+        if not merges:
             # one term gives (alpha - e_a, then alpha), in canonical order; with
             # no kappa_a, the lowered terms keep the input's (alpha, covector)
-            # order and meet no new key, so nothing sorts or merges
+            # order and meet no new key, so nothing sorts or merges: each term
+            # is built once, with the gate's coefficient check and zero drop
+            new = tuple.__new__
+            isfinite = cmath.isfinite
             out = []
             for c, alpha, kappa in terms:
                 n, k = alpha[a], kappa[a]
                 if n:
-                    out.append((_START + c * n, alpha[:a] + (n - 1,) + alpha[a + 1:], kappa))
+                    d = c * n
+                    if not isfinite(d):
+                        raise NonFinite(f"non-finite coefficient {d!r}")
+                    if d:
+                        out.append(new(ExpTerm, (d, alpha[:a] + (n - 1,) + alpha[a + 1:], kappa)))
                 if k:
-                    out.append((_START + c * k, alpha, kappa))
-            return ExpPoly._raw(_kept(out))
+                    d = c * k
+                    if not isfinite(d):
+                        raise NonFinite(f"non-finite coefficient {d!r}")
+                    if d:
+                        out.append(new(ExpTerm, (d, alpha, kappa)))
+            return ExpPoly._raw(tuple(out))
         acc: Accumulator = {}
         for c, alpha, kappa in terms:
             n, k = alpha[a], kappa[a]
@@ -395,15 +419,17 @@ def _accumulate(terms: Iterable[ExpTerm]) -> Accumulator:
 def _add_products(acc: Accumulator, left: Sequence[ExpTerm], right: Sequence[ExpTerm],
                   weight: int) -> None:
     """Add weight * s * o to acc for every term s of left and o of right, in
-    the order of s, then of o.  The covector sum and its group in acc are
-    found once per pair of covectors, not per pair of terms; one term times
-    one term is one update."""
-    if len(left) == 1 and len(right) == 1:
-        (sc, sa, sk), = left
-        (oc, oa, ok), = right
-        group = acc.setdefault((sk[0] + ok[0], sk[1] + ok[1], sk[2] + ok[2], sk[3] + ok[3]), {})
-        alpha = (sa[0] + oa[0], sa[1] + oa[1], sa[2] + oa[2], sa[3] + oa[3])
-        group[alpha] = group.get(alpha, _START) + weight * sc * oc
+    the order of s, then of o.  With several left terms, the covector sum
+    and its group in acc are found once per pair of covectors, not per pair
+    of terms; one left term updates acc term by term, without those tables,
+    which would cost it more than they save."""
+    if len(left) == 1:
+        (sc, (s0, s1, s2, s3), (k0, k1, k2, k3)), = left
+        sc = weight * sc
+        for oc, (a0, a1, a2, a3), (o0, o1, o2, o3) in right:
+            group = acc.setdefault((k0 + o0, k1 + o1, k2 + o2, k3 + o3), {})
+            alpha = (s0 + a0, s1 + a1, s2 + a2, s3 + a3)
+            group[alpha] = group.get(alpha, _START) + sc * oc
         return
     index: dict = {}  # covector of o -> its place in groups
     others = []
@@ -455,30 +481,30 @@ def _canonical(acc: Accumulator) -> tuple[ExpTerm, ...]:
     if not acc:
         return ()
     isfinite = cmath.isfinite
-    if len(acc) == 1:
+    new = tuple.__new__  # ExpTerm's own __new__, without its Python frame
+    out = []
+    if len(acc) == 1:  # one covector: nothing to merge, only alphas to sort
         (k, group), = acc.items()
-        if len(group) == 1:  # one term: nothing to sort or merge
-            if not (isfinite(k[0]) and isfinite(k[1]) and isfinite(k[2]) and isfinite(k[3])):
-                raise NonFinite(f"non-finite covector {k!r}")
-            (alpha, c), = group.items()
+        if not (isfinite(k[0]) and isfinite(k[1]) and isfinite(k[2]) and isfinite(k[3])):
+            raise NonFinite(f"non-finite covector {k!r}")
+        # the alphas of a group are distinct, so the items sort by alpha alone
+        for alpha, c in sorted(group.items()):
             if not isfinite(c):
                 raise NonFinite(f"non-finite coefficient {c!r}")
-            return (tuple.__new__(ExpTerm, (c, alpha, k)),) if c else ()
+            if c:
+                out.append(new(ExpTerm, (c, alpha, k)))
+        return tuple(out)
     groups = list(acc.items())
     for k, _ in groups:
         if not (isfinite(k[0]) and isfinite(k[1]) and isfinite(k[2]) and isfinite(k[3])):
             raise NonFinite(f"non-finite covector {k!r}")
-    if len(groups) > 1:  # a lone covector has nothing to sort or merge with
-        groups.sort(key=_kappa_key)
+    groups.sort(key=_kappa_key)
     rows = []  # (alpha, covector rank, coeff, kappa), in rank order
     for r, (k, group) in enumerate(groups):
         for alpha, c in group.items():
             rows.append((alpha, r, c, k))
     rows.sort(key=_alpha)  # stable: rank order within an alpha
-    if len(groups) > 1:
-        rows = _merge(rows, groups)
-    new = tuple.__new__  # ExpTerm's own __new__, without its Python frame
-    out = []
+    rows = _merge(rows, groups)
     for alpha, _, c, k in rows:
         if not isfinite(c):
             raise NonFinite(f"non-finite coefficient {c!r}")

@@ -150,9 +150,22 @@ def _derivative(derived: dict[Index4, ExpPoly], delta: Index4) -> ExpPoly:
     d^delta f is zero, and nothing is derived."""
     g = derived.get(delta)
     if g is None:
-        k = max(a for a in range(4) if delta[a])
-        lower = _derivative(derived, delta[:k] + (delta[k] - 1,) + delta[k + 1:])
-        constant = not lower.terms or lower.is_constant()
+        d0, d1, d2, d3 = delta
+        if d3:
+            k, below = 3, (d0, d1, d2, d3 - 1)
+        elif d2:
+            k, below = 2, (d0, d1, d2 - 1, 0)
+        elif d1:
+            k, below = 1, (d0, d1 - 1, 0, 0)
+        else:
+            k, below = 0, (d0 - 1, 0, 0, 0)
+        lower = derived.get(below)
+        if lower is None:
+            lower = _derivative(derived, below)
+        terms = lower.terms
+        # zero or a constant (one term with alpha = 0 and kappa = 0)
+        constant = not terms or (len(terms) == 1 and terms[0][1] == ZERO_ALPHA
+                                 and not any(terms[0][2]))
         g = derived[delta] = _ZERO if constant else lower.derive(k)
     return g
 
@@ -195,21 +208,27 @@ def _leibniz(products: Sequence[tuple[int, LinDiffOp, LinDiffOp]], with_zero: bo
     multi-indices are distinct, so the result is built sorted, without the
     regrouping of LinDiffOp's constructor.
     """
-    collected: dict[Index4, Accumulator] = defaultdict(dict)
+    collected: dict[Index4, Accumulator] = {}
     first = 0 if with_zero else 1  # beta = 0 comes first
     for sign, a, b in products:
-        every = [(gamma, {ZERO_ALPHA: c}) for gamma, c in b.terms]
-        varying = [(gamma, memo) for gamma, memo in every if not memo[ZERO_ALPHA].is_constant()]
+        # (gamma_0, ..., gamma_3, memo of the derivatives of c) per term c d^gamma of b
+        every = [(*gamma, {ZERO_ALPHA: c}) for gamma, c in b.terms]
+        varying = [row for row in every if not row[4][ZERO_ALPHA].is_constant()]
         if not (varying or with_zero):
             continue
         for delta, coeff in a.terms:
             for beta, binom, (r0, r1, r2, r3) in _betas(delta)[first:]:
                 weight = sign * binom
-                for gamma, memo in (varying if beta != ZERO_ALPHA else every):
-                    derived = memo.get(beta) or _derivative(memo, beta)
+                for g0, g1, g2, g3, memo in (varying if beta != ZERO_ALPHA else every):
+                    derived = memo.get(beta)
+                    if derived is None:
+                        derived = _derivative(memo, beta)
                     if derived.terms:
-                        target = (r0 + gamma[0], r1 + gamma[1], r2 + gamma[2], r3 + gamma[3])
-                        _add_products(collected[target], coeff.terms, derived.terms, weight)
+                        target = (r0 + g0, r1 + g1, r2 + g2, r3 + g3)
+                        acc = collected.get(target)
+                        if acc is None:
+                            acc = collected[target] = {}
+                        _add_products(acc, coeff.terms, derived.terms, weight)
     coeffs = ((d, ExpPoly._from(collected[d])) for d in sorted(collected))
     return LinDiffOp._raw(tuple((d, c) for d, c in coeffs if c.terms))
 

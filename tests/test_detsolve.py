@@ -50,6 +50,7 @@ from commsym.scenarios import (
     boost_generator,
     h1_generator,
     laplacian,
+    run_generator_search,
     schrodinger_operator,
     wave_operator,
 )
@@ -453,6 +454,29 @@ def test_components_of_one_shape_share_one_svd_call(monkeypatch):
     basis = solve_null_space(system)
     assert len(basis.components) > len(set(basis.components))
     assert len(calls) == len(set(basis.components))
+
+
+@pytest.mark.parametrize("operator, degree", [("box", 2), ("schrod", 2), ("box", 3)])
+def test_one_search_gathers_the_block_stacks_once(monkeypatch, operator, degree):
+    """The solver and the probe oracle read one set of block stacks per
+    system, and give bit for bit what they give on stacks gathered for each
+    of them alone."""
+    L, spec = SEARCH_OPERATORS[operator](), AnsatzSpec(degree, 2)
+    basis_alone = solve_null_space(build_determining_system(L, spec))
+    dim_alone = apply_probe_null_dimension(build_determining_system(L, spec), np.random.default_rng(5))
+    calls = []
+    gather = detsolve._block_stacks
+    monkeypatch.setattr(detsolve, "_block_stacks", lambda m, blocks: calls.append(1) or gather(m, blocks))
+    system = build_determining_system(L, spec)
+    basis = solve_null_space(system)
+    assert apply_probe_null_dimension(system, np.random.default_rng(5)) == dim_alone
+    assert len(calls) == 1
+    for name in ("vectors", "singular_values"):
+        assert getattr(basis, name).tobytes() == getattr(basis_alone, name).tobytes()
+    assert basis.reverify_residual == basis_alone.reverify_residual
+    assert basis.components == basis_alone.components
+    run_generator_search(operator, degree, 2, 0, 5)
+    assert len(calls) == 2
 
 
 def test_components_of_a_permuted_block_matrix():

@@ -6,13 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from randgen import (
     approx_eq, assert_same_terms, bits, edge_complexes, rand_poly, reference_normalize, term_lists,
 )
 
-from commsym.expcore import MERGE_TOL, ExpPoly, ExpTerm, NonFinite
+from commsym.expcore import (
+    MERGE_TOL, ZERO_ALPHA, ExpPoly, ExpTerm, NonFinite, _accumulate, _add_products, _canonical,
+)
 
 
 def eval_terms(terms, x):
@@ -173,6 +175,63 @@ def test_one_term_product_is_the_gate_bit_for_bit(s, o):
         for v in q.terms
     ]
     _same_as_gate(lambda: p * q, flat)
+
+
+# beside a term on this covector, a sum has two covectors and takes the gate's
+# general route; no covector drawn here is within merge reach of it
+_FAR = (1e6 + 0j, 0j, 0j, 0j)
+
+
+def _same_as_general_gate(build, flat):
+    """build() gives the terms of the gate's general route (sort, merge) on
+    the flat term list bit for bit, or raises NonFinite as it does, at the
+    same term and with the same message."""
+    acc = _accumulate(flat)
+    acc[_FAR] = {ZERO_ALPHA: 1 + 0j}
+    try:
+        expected = tuple(t for t in _canonical(acc) if t.kappa != _FAR)
+    except NonFinite as exc:
+        with pytest.raises(NonFinite) as raised:
+            build()
+        assert str(raised.value) == str(exc)
+        return
+    assert bits(build().terms) == bits(expected)
+
+
+# a few monomials, so that keys repeat
+_FEW_ALPHAS = st.sampled_from([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 2), (2, 0, 1, 0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(kappa=st.tuples(*[st.one_of(_SMALL, edge_complexes)] * 4),
+       terms=st.lists(st.tuples(edge_complexes, _FEW_ALPHAS), min_size=1, max_size=8))
+def test_one_covector_sum_is_the_general_gate_bit_for_bit(kappa, terms):
+    flat = [ExpTerm(c, alpha, kappa) for c, alpha in terms]
+    _same_as_general_gate(lambda: ExpPoly(flat), flat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=_FINITE_TERMS, right=st.lists(_FINITE_TERMS, min_size=2, max_size=6),
+       weight=st.sampled_from([1, -1, 2, -6]))
+def test_one_left_term_product_is_the_general_gate_bit_for_bit(s, right, weight):
+    try:
+        q = ExpPoly(right)
+    except NonFinite:
+        reject()  # two terms of right that merge overflow
+    assume(len({t.kappa for t in q.terms}) > 1)
+    flat = [
+        ExpTerm(weight * s.coeff * o.coeff,  # the product's own arithmetic: weight * s * o
+                tuple(a + b for a, b in zip(s.alpha, o.alpha)),
+                tuple(a + b for a, b in zip(s.kappa, o.kappa)))
+        for o in q.terms
+    ]
+
+    def build():
+        acc = {}
+        _add_products(acc, (s,), q.terms, weight)
+        return ExpPoly._from(acc)
+
+    _same_as_general_gate(build, flat)
 
 
 @settings(max_examples=300, deadline=None)

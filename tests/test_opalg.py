@@ -20,7 +20,7 @@ from randgen import (
     term_lists,
 )
 
-from commsym import opalg
+from commsym import expcore, opalg
 from commsym.detsolve import AnsatzSpec, _freivalds_combination, build_determining_system, solve_null_space
 from commsym.expcore import ExpPoly, ExpTerm, NonFinite, _add_products
 from commsym.opalg import (
@@ -532,6 +532,30 @@ def test_brackets_with_a_constant_coefficient_operator_derive_no_constant(monkey
     assert run_igl_sweep().passed
     assert ad_power(wave_operator(), candidate.Q, 2) == expected
     assert calls and not on_constants
+
+
+@pytest.mark.parametrize("operator, derives, products, gates",
+                         [("box", 96, 76, 35), ("schrod", 76, 66, 31)])
+def test_reverification_work_is_pinned(monkeypatch, operator, derives, products, gates):
+    """Re-verification's ad_power of the Freivalds candidate at degree 2,
+    p = 2 makes a fixed number of derive, _add_products and gate calls, so
+    a change in its time is a change in the cost of one call."""
+    L = SEARCH_OPERATORS[operator]()
+    system = build_determining_system(L, AnsatzSpec(degree=2, p=2))
+    candidate = system.decode(_freivalds_combination(solve_null_space(system).vectors))
+    calls = defaultdict(int)
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(ExpPoly, "derive", counted("derive", ExpPoly.derive))
+    monkeypatch.setattr(opalg, "_add_products", counted("products", opalg._add_products))
+    monkeypatch.setattr(expcore, "_canonical", counted("gate", expcore._canonical))
+    ad_power(L, candidate.Q, 2)
+    assert dict(calls) == {"derive": derives, "products": products, "gate": gates}
 
 
 # -- residual_vs_multiple --------------------------------------------------------
