@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expcore import ZERO_ALPHA, ExpPoly, ExpTerm, Index4, NonFinite, _UNIT
+from .expcore import ZERO_ALPHA, ZERO_KAPPA, ExpPoly, Index4, NonFinite, _kept, _UNIT
 from .opalg import LinDiffOp, SymmetryCandidate, ad_power, commutator, residual_vs_multiple
 
 
@@ -47,6 +47,13 @@ NULL_TOL = 1e-8
 REVERIFY_TOL = 1e-8
 # structure constants: rank cutoff and largest closure residual, both relative
 _CLOSURE_TOL = 1e-8
+# bytes that each of a determining system's two dense complex arrays, the
+# matrix and the probe oracle's P, may take; a larger system is refused
+# before either is allocated.  At degree 5, the largest search in the
+# tests, they take at most 10.7 and 20.8 MiB; degree 7 fits at every
+# p <= 3 (at most 107.4 and 318.9 MiB), degree 12 at p = 1 needs 2793 and
+# 6283 MiB
+DENSE_BUDGET = 2**29
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,7 @@ class DeterminingSystem:
         return _components(self.matrix)
 
     @functools.cached_property
-    def block_stacks(self) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    def block_stacks(self) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
         """The blocks of the components with rows, stacked by shape
         (:func:`_block_stacks`), gathered once per system; the solver and the
         probe oracle both read them."""
@@ -101,6 +108,17 @@ class DeterminingSystem:
     @functools.cached_property
     def _index(self) -> dict[tuple[Index4 | None, Index4], int]:
         return {key: j for j, key in enumerate(self.unknowns)}  # the column of each unknown
+
+    @functools.cached_property
+    def _layout(self) -> tuple[tuple[Index4 | None, tuple[tuple[Index4, int], ...]], ...]:
+        """The (alpha, column) pairs of each delta, in sorted delta order and
+        alpha order within a delta, and zeta's pairs (delta None) last: the
+        order in which decode reads a vector."""
+        parts: dict[Index4 | None, list[tuple[Index4, int]]] = defaultdict(list)
+        for j, (delta, alpha) in enumerate(self.unknowns):
+            parts[delta].append((alpha, j))
+        zeta = parts.pop(None, [])
+        return (*((d, tuple(sorted(pairs))) for d, pairs in sorted(parts.items())), (None, tuple(sorted(zeta))))
 
     def encode(self, Q: LinDiffOp, zeta: ExpPoly = ExpPoly.zero()) -> np.ndarray:
         """The coefficient vector of (Q, zeta) over the unknowns, the inverse
@@ -116,16 +134,18 @@ class DeterminingSystem:
         return vec
 
     def decode(self, vec: Sequence[complex]) -> SymmetryCandidate:
-        """Turn a coefficient vector back into a symmetry candidate."""
+        """Turn a coefficient vector back into a symmetry candidate.
+
+        The unknowns are distinct keys, so each coefficient is read once, in
+        canonical order (``_layout``), with the gate's check for NaN and inf
+        and its drop of exact zeros, and nothing is gathered or sorted."""
         if len(vec) != len(self.unknowns):
             raise ValueError(f"vector has {len(vec)} entries for {len(self.unknowns)} unknowns")
-        # one term list per derivative index, None collecting zeta
-        parts: dict[Index4 | None, list[ExpTerm]] = defaultdict(list)
-        for (delta, alpha), c in zip(self.unknowns, vec):
-            if complex(c) != 0:
-                parts[delta].append(ExpTerm(complex(c), alpha))
-        zeta = ExpPoly(parts.pop(None, []))
-        return SymmetryCandidate(LinDiffOp((d, ExpPoly(t)) for d, t in parts.items()), zeta)
+        values = np.asarray(vec, dtype=complex).tolist()
+        parts = [(delta, ExpPoly._raw(_kept([(values[j], alpha, ZERO_KAPPA) for alpha, j in pairs])))
+                 for delta, pairs in self._layout]
+        _, zeta = parts.pop()
+        return SymmetryCandidate(LinDiffOp._raw(tuple((d, c) for d, c in parts if c.terms)), zeta)
 
 
 @dataclass(frozen=True)
@@ -235,8 +255,9 @@ class _AdMap:
 
     each factor zero unless beta lies below its multi-index.  The map holds
     one pass per (term of L, nonzero beta <= max(gamma, a)); a call weighs
-    every entry in every pass at once from tables of binomial coefficients
-    and falling factorials.
+    every entry in every pass at once (:meth:`weights`), by one flat gather
+    from a table of binomial coefficients and one from a table of falling
+    factorials.
     """
 
     def __init__(self, L: LinDiffOp):
@@ -258,15 +279,22 @@ class _AdMap:
     def __call__(self, entries: Entries, n_cols: int) -> Entries:
         """The image of every entry, merged per (column, key) by _merge."""
         cols, keys, vals = entries
+        weight = self.weights(keys)
+        e, t = np.nonzero(weight)
+        return _merge((cols[e], keys[e] + self.shift[t], vals[e] * (self.coeff[t] * weight[e, t])), n_cols)
+
+    def weights(self, keys: np.ndarray) -> np.ndarray:
+        """weight[e, t]: the weight of pass t on the key (delta, alpha) of row e
+        of keys, in floats: exact up to 2**53, and rounded, not wrapped
+        around, beyond."""
         size, reach = int(keys.max(initial=0)) + 1, int(self.beta.max(initial=0)) + 1
         binom = np.array([[math.comb(n, b) for b in range(reach)] for n in range(size)], dtype=float)
         falling = np.array([[math.perm(n, b) for b in range(reach)] for n in range(size)], dtype=float)
-        # weight[e, t]: the weight of pass t on entry e, in floats: exact up to
-        # 2**53, and rounded, not wrapped around, beyond
-        weight = (self.on_alpha * falling[keys[:, None, 4:], self.beta].prod(axis=2)
-                  - self.on_a * binom[keys[:, None, :4], self.beta].prod(axis=2))
-        e, t = np.nonzero(weight)
-        return _merge((cols[e], keys[e] + self.shift[t], vals[e] * (self.coeff[t] * weight[e, t])), n_cols)
+        # f[a, e, t] and b[a, e, t]: the axis-a factors of pass t on key e,
+        # each gathered at (alpha_a or delta_a of e, beta_a of t) from the raveled table
+        f = np.take(falling, keys[:, 4:].T[:, :, None] * reach + self.beta.T[:, None, :])
+        b = np.take(binom, keys[:, :4].T[:, :, None] * reach + self.beta.T[:, None, :])
+        return self.on_alpha * (f[0] * f[1] * f[2] * f[3]) - self.on_a * (b[0] * b[1] * b[2] * b[3])
 
 
 def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSystem:
@@ -299,16 +327,45 @@ def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSyste
         for j, (_, alpha) in enumerate(unknowns[len(q_keys):], len(q_keys))
         for gamma, coeff in L.terms for t in coeff.terms
     ])
-    row_keys, matrix = _fill(tuple(map(np.concatenate, zip(q, zeta))), len(unknowns))
+    entries = tuple(map(np.concatenate, zip(q, zeta)))
+    rows = _rows(entries[1])
+    _check_dense_sizes(rows, len(unknowns))
+    row_keys, matrix = _fill(entries, rows, len(unknowns))
     return DeterminingSystem(matrix, unknowns, row_keys, L, spec)
 
 
-def _fill(entries: Entries, n_cols: int) -> tuple[tuple[Key, ...], np.ndarray]:
-    """The sorted keys that occur in entries with at most one entry per
-    (column, key), and the matrix of n_cols columns that holds them."""
-    cols, keys, vals = entries
+def _check_dense_sizes(rows: tuple[np.ndarray, int, np.ndarray], n_cols: int) -> None:
+    """Refuse a system whose dense arrays outgrow DENSE_BUDGET, before either
+    exists: the matrix over the row keys (given as their :func:`_rows`) and
+    n_cols unknowns, and the probe matrix P of the oracle, one row per
+    (derivative index, monomial) pair of the row keys and one column per
+    row key (:func:`probe_sample`).  ValueError names both sizes."""
+    codes, radix, _ = rows
+    deltas, alphas = np.divmod(codes, radix**4)  # the high and low four digits
+    item = np.dtype(complex).itemsize
+    matrix = len(codes) * n_cols * item
+    probes = len(np.unique(deltas)) * len(np.unique(alphas)) * len(codes) * item
+    if max(matrix, probes) > DENSE_BUDGET:
+        raise ValueError(
+            f"the determining matrix needs {matrix / 2**20:.1f} MiB and the probe matrix "
+            f"{probes / 2**20:.1f} MiB; each may take at most {DENSE_BUDGET / 2**20:.0f} MiB")
+
+
+def _rows(keys: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """The sorted distinct codes of keys (:func:`_pack`), their radix, and
+    the place of each key's code among them: its row."""
     codes, radix = _pack(keys)
     uniq, row = np.unique(codes, return_inverse=True)
+    return uniq, radix, row
+
+
+def _fill(entries: Entries, rows: tuple[np.ndarray, int, np.ndarray], n_cols: int
+          ) -> tuple[tuple[Key, ...], np.ndarray]:
+    """The sorted keys that occur in entries, given as their :func:`_rows`,
+    with at most one entry per (column, key), and the matrix of n_cols
+    columns that holds them."""
+    cols, _, vals = entries
+    uniq, radix, row = rows
     matrix = np.zeros((len(uniq), n_cols), dtype=complex)
     matrix[row, cols] += vals  # adding to +0.0 stores a signed zero part as +0.0
     row_keys = tuple((tuple(k[:4]), tuple(k[4:])) for k in _unpack(uniq, radix).tolist())
@@ -346,10 +403,11 @@ def _components(m: np.ndarray) -> list[tuple[list[int], list[int]]]:
 
 def _block_stacks(
     m: np.ndarray, blocks: Sequence[tuple[list[int], list[int]]]
-) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
     """The blocks m[rows, cols] grouped by shape, in order of first
     appearance: per (r, c) shape, the positions of its blocks in blocks,
-    their (k, r) row indices and the (k, r, c) stack of the blocks."""
+    their (k, r) row indices, their (k, c) column indices and the (k, r, c)
+    stack of the blocks."""
     by_shape: dict[tuple[int, int], list[int]] = defaultdict(list)
     for i, (rows, cols) in enumerate(blocks):
         by_shape[len(rows), len(cols)].append(i)
@@ -357,7 +415,7 @@ def _block_stacks(
     for members in by_shape.values():
         rows = np.array([blocks[i][0] for i in members])
         cols = np.array([blocks[i][1] for i in members])
-        out.append((members, rows, m[rows[:, :, None], cols[:, None, :]]))
+        out.append((members, rows, cols, m[rows[:, :, None], cols[:, None, :]]))
     return out
 
 
@@ -390,23 +448,25 @@ def solve_null_space(system: DeterminingSystem) -> GeneratorBasis:
     blocks = [(rows, cols) for rows, cols in components if rows]
     # one batched SVD per block shape; numpy runs the same LAPACK call on
     # each matrix of a stack, so each result is that of its own call
-    svds = {}  # block index -> (singular values, vh)
-    for members, _, stack in system.block_stacks:
-        _, s, vh = np.linalg.svd(stack, full_matrices=True)
-        svds.update(zip(members, zip(s, vh)))
-    # (columns, singular values, vh): the identity on the columns that touch
-    # no row, then each block in component order
-    free = [cols[0] for rows, cols in components if not rows]
-    parts = [(free, np.zeros(0), np.eye(len(free)))]
-    parts += [(cols, *svds[i]) for i, (_, cols) in enumerate(blocks)]
-    sigma = np.sort(np.concatenate([s for _, s, _ in parts]))[::-1]
+    svds = [(members, cols, *np.linalg.svd(stack, full_matrices=True)[1:])
+            for members, _, cols, stack in system.block_stacks]
+    sigma = np.sort(np.concatenate([np.zeros(0), *(s.ravel() for _, _, s, _ in svds)]))[::-1]
     cutoff = NULL_TOL * (sigma[0] if sigma.size else 0.0)
-    nulls = [(cols, vh[int(np.count_nonzero(s > cutoff)):]) for cols, s, vh in parts]
-    vectors = np.zeros((sum(len(null) for _, null in nulls), m.shape[1]), dtype=complex)
-    row = 0
-    for cols, null in nulls:
-        vectors[row : row + len(null), cols] = np.conj(null)
-        row += len(null)
+    # the rows of vh at and past a block's rank are its null rows; the null
+    # vectors are the unit vectors of the columns that touch no row, then
+    # each block's in component order, so block i starts at start[i]
+    free = [cols[0] for rows, cols in components if not rows]
+    ranks = [np.count_nonzero(s > cutoff, axis=1) for _, _, s, _ in svds]
+    nullity = np.zeros(len(blocks), dtype=np.int64)
+    for (members, cols, _, _), rank in zip(svds, ranks):
+        nullity[members] = cols.shape[1] - rank
+    start = len(free) + np.cumsum(nullity) - nullity
+    vectors = np.zeros((len(free) + int(nullity.sum()), m.shape[1]), dtype=complex)
+    vectors[np.arange(len(free)), free] = 1
+    for (members, cols, _, vh), rank in zip(svds, ranks):
+        null = np.arange(cols.shape[1]) >= rank[:, None]  # (blocks, rows of vh)
+        block, at = np.nonzero(null)
+        vectors[(start[members][block] + at - rank[block])[:, None], cols[block]] = np.conj(vh[null])
     shapes = tuple((len(rows), len(cols)) for rows, cols in blocks)
     return GeneratorBasis(vectors, sigma, _reverify(system, vectors), shapes)
 
@@ -457,10 +517,11 @@ def structure_constants(ops: Sequence[LinDiffOp]) -> tuple[np.ndarray, float]:
 
     pairs = list(itertools.combinations(range(n), 2))
     brackets = [commutator(ops[a], ops[b]) for a, b in pairs]
-    _, matrix = _fill(_entries([
+    entries = _entries([
         (j, (*delta, *t.alpha), t.coeff)
         for j, op in enumerate([*ops, *brackets]) for delta, coeff in op.terms for t in coeff.terms
-    ]), len(ops) + len(brackets))
+    ])
+    _, matrix = _fill(entries, _rows(entries[1]), len(ops) + len(brackets))
     basis, targets = matrix[:, :n], matrix[:, n:]
     if np.linalg.matrix_rank(basis, tol=_CLOSURE_TOL * np.abs(basis).max(initial=0.0)) < n:
         raise ValueError("generators are not linearly independent")
@@ -680,6 +741,6 @@ def apply_probe_null_dimension(system: DeterminingSystem, rng: np.random.Generat
     if not np.array_equal(row_block[i], col_block[j]):
         raise RuntimeError("the sparsity split leaves a nonzero of the matrix outside its diagonal blocks")
     # per block shape, the (blocks, samples, columns) stack of S[:, cols] = P[:, rows] @ M[rows, cols]
-    samples = [np.moveaxis(P[:, rows], 1, 0) @ stack for _, rows, stack in system.block_stacks]
+    samples = [np.moveaxis(P[:, rows], 1, 0) @ stack for _, rows, _, stack in system.block_stacks]
     tol = 1e-8 * (max((float(np.abs(s).max()) for s in samples), default=0.0) or 1.0)
     return m.shape[1] - sum(int(np.linalg.matrix_rank(s, tol=tol).sum()) for s in samples)

@@ -265,8 +265,20 @@ def residual_vs_multiple(
     magnitude is the pass metric for symmetry conditions of the form
     ad_L^p(Q) = zeta L.  zeta is caller-supplied: solving for it is a linear
     problem that lives in :mod:`commsym.detsolve`.
+
+    Only the multi-indices of L are touched, with the bits of
+    ``A - LinDiffOp((d, zeta * c) for d, c in L.terms)``: where A and L both
+    have a coefficient, A's terms and then those of -(zeta * c) pass one
+    gate; elsewhere A's coefficient is kept as it is, or -(zeta * c) is
+    taken alone, and a coefficient left without terms is dropped.
     """
-    residual = A - LinDiffOp((d, zeta * c) for d, c in L.terms)
+    terms = dict(A.terms)
+    for d, c in L.terms:
+        minus = -(zeta * c)
+        if minus.terms:
+            a = terms.get(d)
+            terms[d] = minus if a is None else ExpPoly(a.terms + minus.terms)
+    residual = LinDiffOp._raw(tuple((d, c) for d, c in sorted(terms.items()) if c.terms))
     return residual, residual.max_coeff()
 
 

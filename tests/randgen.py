@@ -7,11 +7,12 @@ test seeded the same way always sees the same inputs.
 
 import cmath
 import math
+from unittest import mock
 
 from hypothesis import strategies as st
 
 from commsym.expcore import MERGE_TOL, ExpPoly, ExpTerm, NonFinite
-from commsym.opalg import LinDiffOp
+from commsym.opalg import LinDiffOp, residual_vs_multiple
 
 
 def approx_eq(a, b, tol):
@@ -175,6 +176,39 @@ def bits(terms):
         return (type(z).__name__, float(z.real).hex(), float(z.imag).hex())
 
     return [(h(c), alpha, tuple(h(k) for k in kappa)) for c, alpha, kappa in terms]
+
+
+def op_bits(op):
+    """bits of each coefficient of an operator, by multi-index."""
+    return [(delta, bits(c.terms)) for delta, c in op.terms]
+
+
+def gate_inputs(fn, *args):
+    """fn(*args), and the bits of the term list that each ExpPoly(terms) call
+    made by it was given, in call order."""
+    seen = []
+    init = ExpPoly.__init__
+
+    def recording(self, terms=()):
+        terms = list(terms)
+        seen.append(bits(terms))
+        init(self, terms)
+
+    with mock.patch.object(ExpPoly, "__init__", recording):
+        out = fn(*args)
+    return out, seen
+
+
+def assert_residual_is_the_gate_route(A, L, zeta):
+    """residual_vs_multiple(A, L, zeta) against A - zeta L formed through
+    LinDiffOp's constructor and A + (-B): the same residual and largest
+    coefficient bit for bit, from gates given the same term lists in the
+    same order."""
+    expected, route = gate_inputs(lambda: A - LinDiffOp((d, zeta * c) for d, c in L.terms))
+    (residual, size), seen = gate_inputs(residual_vs_multiple, A, L, zeta)
+    assert op_bits(residual) == op_bits(expected)
+    assert size == expected.max_coeff()
+    assert seen == route
 
 
 # coefficients and covector components at the edges of the float range: signed

@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from randgen import approx_eq
+from randgen import approx_eq, assert_residual_is_the_gate_route, bits, op_bits
 
-from commsym import cli, detsolve
+from commsym import cli, detsolve, expcore
 from commsym.detsolve import (
+    DENSE_BUDGET,
     NULL_TOL,
     AffineMap,
     AnsatzSpec,
@@ -206,6 +207,30 @@ def test_ad_map_weights_beyond_int64_round_instead_of_wrapping():
     assert got.keys() == expected.keys()
     assert max(abs(got[k] - expected[k]) / abs(expected[k]) for k in got) <= 1e-12
     assert max(map(abs, got.values())) > 2.0**63
+
+
+@pytest.mark.parametrize("operator", ["box", "schrod", "poly"])
+def test_ad_map_weights_are_the_comb_and_perm_products(operator):
+    """Each weight binom(gamma, beta) alpha!/(alpha - beta)! - a!/(a - beta)!
+    binom(delta, beta), per (entry, pass), on the unit keys of a degree-3
+    ansatz and their images, against math.comb and math.perm; every weight
+    here is below 2**53, so the floats are the integers."""
+    L = OPERATORS[operator]()
+    ad = detsolve._AdMap(L)
+    units = [(*delta, *alpha) for delta in (*_UNIT, ZERO_ALPHA) for alpha in monomials_up_to(3)]
+    q = detsolve._entries([(j, key, 1) for j, key in enumerate(units)])
+    keys = np.concatenate([q[1], ad(q, len(units))[1]])
+    weight = ad.weights(keys)
+    assert weight.shape == (len(keys), len(ad.beta)) and np.count_nonzero(weight)
+    for t, (beta, shift) in enumerate(zip(ad.beta.tolist(), ad.shift.tolist())):
+        # a pass sends (delta, alpha) to (delta, alpha) + (gamma - beta, a - beta)
+        gamma = [s + b for s, b in zip(shift[:4], beta)]
+        a = [s + b for s, b in zip(shift[4:], beta)]
+        for e, key in enumerate(keys.tolist()):
+            delta, alpha = key[:4], key[4:]
+            exact = (math.prod(map(math.comb, gamma, beta)) * math.prod(map(math.perm, alpha, beta))
+                     - math.prod(map(math.perm, a, beta)) * math.prod(map(math.comb, delta, beta)))
+            assert weight[e, t] == exact, (key, gamma, a, beta)
 
 
 def test_key_codes_round_trip_and_sort_as_the_keys():
@@ -629,6 +654,57 @@ def test_decode_rejects_a_vector_of_the_wrong_length():
             system.decode(np.ones(n))
 
 
+def gate_decode(system, vec):
+    """(Q, zeta) of a vector through the gates: each nonzero entry an
+    ExpTerm, each derivative index's terms and zeta's through ExpPoly's
+    constructor, Q through LinDiffOp's; the reference of decode."""
+    parts = defaultdict(list)
+    for (delta, alpha), c in zip(system.unknowns, vec):
+        if complex(c) != 0:
+            parts[delta].append(ExpTerm(complex(c), alpha))
+    zeta = ExpPoly(parts.pop(None, []))
+    return LinDiffOp((d, ExpPoly(t)) for d, t in parts.items()), zeta
+
+
+@pytest.mark.parametrize("operator", ["box", "schrod"])
+@pytest.mark.parametrize("degree, p, zeta_degree", [(1, 2, 0), (2, 2, 2), (3, 1, 1)])
+def test_decode_and_residual_are_the_gate_routes_bit_for_bit(operator, degree, p, zeta_degree):
+    """decode and residual_vs_multiple of re-verification give the bits of
+    the gate routes: on the Freivalds combination, on every null vector,
+    and on generic vectors with exact zeros, signed zeros and zero parts,
+    whose candidates have a nonzero zeta."""
+    system, basis = system_and_basis(operator, degree, p, zeta_degree)
+    n = len(system.unknowns)
+    rng = np.random.default_rng(degree)
+    generic = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    generic[0, ::3] = 0.0
+    generic[1, ::2] = complex(-0.0, -0.0)
+    generic[1, 1::4] = complex(-0.0, 1.5)
+    generic[2, ::2] = complex(2.5, -0.0)
+    generic[2, 1::3] = complex(0.0, -0.0)
+    vectors = [_freivalds_combination(basis.vectors), *basis.vectors, *generic, np.zeros(n)]
+    for vec in vectors:
+        cand = system.decode(vec)
+        Q, zeta = gate_decode(system, vec)
+        assert op_bits(cand.Q) == op_bits(Q)
+        assert bits(cand.zeta.terms) == bits(zeta.terms)
+        assert_residual_is_the_gate_route(ad_power(system.L, cand.Q, p), system.L, cand.zeta)
+    assert not gate_decode(system, generic[0])[1].is_zero()
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(1.0, math.inf), complex(-math.inf, math.nan)])
+@pytest.mark.parametrize("key", [((1, 0, 0, 0), (0, 1, 0, 1)), ((0, 0, 0, 0), (0, 0, 0, 0)), (None, (0, 0, 2, 0))])
+def test_decode_names_a_non_finite_coefficient_as_the_gate_does(key, bad):
+    system, _ = system_and_basis("box", 2, 2, 2)
+    vec = np.random.default_rng(1).normal(size=len(system.unknowns)) + 0j
+    vec[system.unknowns.index(key)] = bad
+    with pytest.raises(NonFinite) as expected:
+        gate_decode(system, vec)
+    with pytest.raises(NonFinite) as got:
+        system.decode(vec)
+    assert str(got.value) == str(expected.value)
+
+
 @pytest.mark.parametrize("Q, zeta, witness", [
     # an exponential factor: kappa != 0
     (LinDiffOp.partial(0), ExpPoly.exponential(1.0, (1.0, 0, 0, 0)), "of zeta, alpha=(0, 0, 0, 0)"),
@@ -846,6 +922,70 @@ def test_reverification_names_witness_and_ignores_matrix():
         solve_null_space(dropped)
     assert f"delta={delta}" in str(err.value)
     assert f"alpha={alpha}" in str(err.value)
+
+
+@pytest.mark.parametrize("operator", ["box", "schrod"])
+@pytest.mark.parametrize("degree, expected", [(1, {"gate": 4}), (2, {"ExpPoly": 4, "gate": 8})])
+def test_reverification_outside_ad_power_builds_no_operator(monkeypatch, operator, degree, expected):
+    """Re-verification at p = 2, less its ad_power, calls LinDiffOp's
+    constructor never, and ExpPoly's only for the multi-indices that
+    ad_L^p(Q) and zeta L share (none at degree 1, where zeta is 0; four at
+    degree 2). The gate is counted too, at every entry: one call per product
+    zeta * c of L's four coefficients, and one per ExpPoly(terms)."""
+    L = SEARCH_OPERATORS[operator]()
+    system = build_determining_system(L, AnsatzSpec(degree, 2))
+    vectors = solve_null_space(system).vectors
+    calls, inside = defaultdict(int), []
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            if not inside:
+                calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    def uncounted(*args):
+        inside.append(1)
+        try:
+            return ad_power(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(LinDiffOp, "__init__", counted("LinDiffOp", LinDiffOp.__init__))
+    monkeypatch.setattr(ExpPoly, "__init__", counted("ExpPoly", ExpPoly.__init__))
+    monkeypatch.setattr(expcore, "_canonical", counted("gate", expcore._canonical))
+    monkeypatch.setattr(detsolve, "ad_power", uncounted)
+    detsolve._reverify(system, vectors)
+    assert dict(calls) == expected
+
+
+# -- dense size budget --------------------------------------------------------------
+
+
+def test_a_system_beyond_the_dense_budget_is_refused_before_its_arrays_exist(monkeypatch):
+    """The sizes named are those of the matrix and of the oracle's P, and the
+    matrix is never filled."""
+    system = build_determining_system(wave_operator(), AnsatzSpec(3, 2))
+    _, _, P = probe_sample(system, np.random.default_rng(0))
+    assert max(system.matrix.nbytes, P.nbytes) <= DENSE_BUDGET
+    monkeypatch.setattr(detsolve, "DENSE_BUDGET", P.nbytes - 1)
+    monkeypatch.setattr(detsolve, "_fill", lambda *args: pytest.fail("the matrix was filled"))
+    with pytest.raises(ValueError) as err:
+        build_determining_system(wave_operator(), AnsatzSpec(3, 2))
+    assert str(err.value) == (
+        f"the determining matrix needs {system.matrix.nbytes / 2**20:.1f} MiB and the probe "
+        f"matrix {P.nbytes / 2**20:.1f} MiB; each may take at most {(P.nbytes - 1) / 2**20:.0f} MiB")
+
+
+@pytest.mark.parametrize("operator", ["box", "schrod"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_degree_5_searches_fit_the_dense_budget(operator, p):
+    """The largest searches that CI runs are built, and their oracle's P
+    fits too."""
+    system = build_determining_system(SEARCH_OPERATORS[operator](), AnsatzSpec(5, p))
+    n_probes = len({delta for delta, _ in system.row_keys})
+    n_points = len({alpha for _, alpha in system.row_keys})
+    assert n_probes * n_points * len(system.row_keys) * 16 <= DENSE_BUDGET
 
 
 # -- structure constants ----------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from randgen import (
     approx_eq,
+    assert_residual_is_the_gate_route,
     assert_same_terms,
     bits,
     edge_complexes,
@@ -22,7 +23,7 @@ from randgen import (
 
 from commsym import expcore, opalg
 from commsym.detsolve import AnsatzSpec, _freivalds_combination, build_determining_system, solve_null_space
-from commsym.expcore import ExpPoly, ExpTerm, NonFinite, _add_products
+from commsym.expcore import _UNIT, ExpPoly, ExpTerm, NonFinite, _add_products
 from commsym.opalg import (
     LinDiffOp,
     MatrixDiffOp,
@@ -588,6 +589,50 @@ def test_residual_with_zero_zeta():
 def test_zero_operator_residual():
     _, res = residual_vs_multiple(LinDiffOp.zero(), wave_operator(), ExpPoly.zero())
     assert res == 0.0
+
+
+def _dilation():
+    return LinDiffOp([(_UNIT[a], ExpPoly.coordinate(a)) for a in range(4)])
+
+
+def _residual_cases():
+    """(A, L, zeta) for residual_vs_multiple, by name."""
+    box = wave_operator()
+    x1d1 = LinDiffOp([((0, 1, 0, 0), ExpPoly.coordinate(1))])
+    two_box = commutator(box, _dilation())  # 2 box, exactly
+    rng = np.random.default_rng(29)
+    return {
+        "zeta_zero": (commutator(box, x1d1), box, ExpPoly.zero()),
+        # every multi-index of L cancels exactly and is dropped
+        "all_cancel": (two_box, box, ExpPoly.constant(2)),
+        # the multi-indices of L cancel, x1 d1 is A's alone and kept as it is
+        "cancel_beside_a_kept_index": (two_box + x1d1, box, ExpPoly.constant(2)),
+        # A lacks three of box's four multi-indices: -zeta c alone there
+        "A_lacks_indices": (LinDiffOp([((2, 0, 0, 0), ExpPoly.coordinate(0)), ((0, 1, 0, 0), ExpPoly.constant(3))]),
+                            box, ExpPoly.linear_form([1, 0, 0.5j, 0], 1)),
+        # one term of a shared multi-index cancels, the other is kept
+        "one_term_cancels": (LinDiffOp([((2, 0, 0, 0), ExpPoly.linear_form([0, 0, 0, 1], -2))]),
+                             box, ExpPoly.constant(2)),
+        "zeta_times_zero_operator": (LinDiffOp.zero(), box, ExpPoly.coordinate(2)),
+        # exponential coefficients: sums with several covectors, merged by the gate
+        **{f"exponential_{k}": (rand_op(rng), rand_op(rng), rand_poly(rng)) for k in range(4)},
+        "exponential_shared_covectors": (rand_generator(rng), rand_generator(rng), rand_poly(rng)),
+    }
+
+
+@pytest.mark.parametrize("case", _residual_cases())
+def test_residual_is_the_gate_route_bit_for_bit(case):
+    A, L, zeta = _residual_cases()[case]
+    assert_residual_is_the_gate_route(A, L, zeta)
+
+
+def test_residual_drops_the_indices_that_cancel():
+    box = wave_operator()
+    x1d1 = LinDiffOp([((0, 1, 0, 0), ExpPoly.coordinate(1))])
+    residual, res = residual_vs_multiple(commutator(box, _dilation()) + x1d1, box, ExpPoly.constant(2))
+    assert residual.terms == x1d1.terms and res == 1.0
+    residual, res = residual_vs_multiple(commutator(box, _dilation()), box, ExpPoly.constant(2))
+    assert residual.terms == () and res == 0.0
 
 
 # -- symmetry candidate ------------------------------------------------------------
