@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
@@ -81,22 +82,42 @@ class DeterminingSystem:
 
     Each unknown, and so each column, is a key: (delta, alpha) for the
     coefficient of the term x^alpha d^delta of Q, and (None, alpha) for the
-    coefficient of the monomial x^alpha of zeta.  Only encode and decode
-    read this layout.
+    coefficient of the monomial x^alpha of zeta; the unknowns of one delta
+    are one run of columns.  Only encode and decode read this layout.
+
+    Each row is the key (delta, alpha) of one term x^alpha d^delta of the
+    residual operator, held as its int64 code (:func:`_pack`) in base
+    radix: row_codes is sorted, so the rows run in key order.  The tuples
+    row_keys are built from the codes on first read; the solver and the
+    oracle read the codes alone.
     """
 
     matrix: np.ndarray
     unknowns: tuple[tuple[Index4 | None, Index4], ...]
-    row_keys: tuple[tuple[Index4, Index4], ...]  # (derivative delta, monomial alpha)
+    row_codes: np.ndarray
+    radix: int
     L: LinDiffOp
     spec: AnsatzSpec
+
+    @functools.cached_property
+    def row_keys(self) -> tuple[tuple[Index4, Index4], ...]:
+        """The (derivative delta, monomial alpha) of each row."""
+        return tuple((tuple(k[:4]), tuple(k[4:])) for k in _unpack(self.row_codes, self.radix).tolist())
+
+    @functools.cached_property
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (rows, columns) of the nonzeros of the matrix, in row-major
+        order: the one scan of the matrix that the components and the
+        oracle's check of them both read.  It runs on the mask M != 0,
+        which numpy scans faster than a complex array."""
+        return np.nonzero(self.matrix != 0)
 
     @functools.cached_property
     def components(self) -> list[tuple[list[int], list[int]]]:
         """The (rows, columns) of each sparsity component of the matrix
         (:func:`_components`), found once per system; the solver and the
         probe oracle both read them."""
-        return _components(self.matrix)
+        return _components(self.matrix.shape[1], *self.nonzeros)
 
     @functools.cached_property
     def block_stacks(self) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
@@ -110,15 +131,29 @@ class DeterminingSystem:
         return {key: j for j, key in enumerate(self.unknowns)}  # the column of each unknown
 
     @functools.cached_property
-    def _layout(self) -> tuple[tuple[Index4 | None, tuple[tuple[Index4, int], ...]], ...]:
-        """The (alpha, column) pairs of each delta, in sorted delta order and
-        alpha order within a delta, and zeta's pairs (delta None) last: the
-        order in which decode reads a vector."""
-        parts: dict[Index4 | None, list[tuple[Index4, int]]] = defaultdict(list)
-        for j, (delta, alpha) in enumerate(self.unknowns):
-            parts[delta].append((alpha, j))
-        zeta = parts.pop(None, [])
-        return (*((d, tuple(sorted(pairs))) for d, pairs in sorted(parts.items())), (None, tuple(sorted(zeta))))
+    def _layout(self) -> tuple[tuple[Index4 | None, int, int, list[int], tuple[Index4, ...]], ...]:
+        """The order in which decode reads a vector: each delta in sorted
+        delta order, and zeta's (delta None) last, with its run of columns
+        [start, stop), the alpha order of the run and its alphas in that
+        order.  The deltas of Q share one monomial list, so it is sorted
+        once.  ValueError if the unknowns of a delta are not one run."""
+        runs: dict[Index4 | None, tuple[int, tuple[Index4, ...]]] = {}
+        start = 0
+        for delta, run in itertools.groupby(self.unknowns, operator.itemgetter(0)):
+            if delta in runs:
+                raise ValueError(f"the unknowns of delta={delta} are not one run of columns")
+            runs[delta] = start, tuple(map(operator.itemgetter(1), run))
+            start += len(runs[delta][1])
+        zeta = runs.pop(None, (start, ()))
+        orders: dict[tuple[Index4, ...], tuple[list[int], tuple[Index4, ...]]] = {}  # per distinct alpha list
+        layout = []
+        for delta, (start, alphas) in (*sorted(runs.items()), (None, zeta)):
+            order = orders.get(alphas)
+            if order is None:
+                at = sorted(range(len(alphas)), key=alphas.__getitem__)
+                order = orders[alphas] = at, tuple(map(alphas.__getitem__, at))
+            layout.append((delta, start, start + len(alphas), *order))
+        return tuple(layout)
 
     def encode(self, Q: LinDiffOp, zeta: ExpPoly = ExpPoly.zero()) -> np.ndarray:
         """The coefficient vector of (Q, zeta) over the unknowns, the inverse
@@ -142,8 +177,9 @@ class DeterminingSystem:
         if len(vec) != len(self.unknowns):
             raise ValueError(f"vector has {len(vec)} entries for {len(self.unknowns)} unknowns")
         values = np.asarray(vec, dtype=complex).tolist()
-        parts = [(delta, ExpPoly._raw(_kept([(values[j], alpha, ZERO_KAPPA) for alpha, j in pairs])))
-                 for delta, pairs in self._layout]
+        parts = [(delta, ExpPoly._raw(_kept(zip(map(values[start:stop].__getitem__, order), alphas,
+                                                itertools.repeat(ZERO_KAPPA)))))
+                 for delta, start, stop, order, alphas in self._layout]
         _, zeta = parts.pop()
         return SymmetryCandidate(LinDiffOp._raw(tuple((d, c) for d, c in parts if c.terms)), zeta)
 
@@ -180,62 +216,50 @@ class GeneratorBasis:
 
 def monomials_up_to(degree: int) -> list[Index4]:
     """All 4-variable monomial exponents of total degree <= degree, graded lex."""
-    out = []
-    for total in range(degree + 1):
-        for alpha in itertools.product(range(total + 1), repeat=4):
-            if sum(alpha) == total:
-                out.append(alpha)
-    return out
+    return [(a, b, c, total - a - b - c)
+            for total in range(degree + 1)
+            for a in range(total + 1) for b in range(total - a + 1) for c in range(total - a - b + 1)]
 
 
-Key = tuple[Index4, Index4]  # (derivative delta, monomial alpha) of x^alpha d^delta
-
-# Sparse columns travel as entry arrays (cols, keys, vals): entry e is the
-# term vals[e] x^alpha d^delta of column cols[e], with keys[e] = (delta, alpha)
-# as one row of an (n, 8) int64 array.
+# Sparse columns travel as entry arrays (cols, codes, vals): entry e is the
+# term vals[e] x^alpha d^delta of column cols[e], with codes[e] the int64
+# code of its key (delta, alpha) (:func:`_pack`).
 Entries = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# the derivative delta of each block of Q unknowns: xi^0 ... xi^3, then eta
+_Q_DELTAS = np.array([*_UNIT, ZERO_ALPHA], dtype=np.int64)
 
 
-def _entries(triples: Sequence[tuple[int, Sequence[int], complex]]) -> Entries:
-    """The entry arrays of (column, (*delta, *alpha), value) triples."""
+def _entries(triples: Sequence[tuple[int, Sequence[int], complex]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrays (cols, keys, vals) of (column, (*delta, *alpha), value)
+    triples, with keys as one (n, 8) int64 array."""
     cols, keys, vals = zip(*triples) if triples else ((), (), ())
     return (np.array(cols, dtype=np.int64), np.array(keys, dtype=np.int64).reshape(-1, 8),
             np.array(vals, dtype=complex))
 
 
-def _pack(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """One int64 code per (delta, alpha) row of keys, and the radix used.
+def _radix(top: int, n_cols: int) -> int:
+    """The base of the key codes of keys whose indices are at most top:
+    top + 1.  OverflowError unless code * n_cols + column fits in int64 for
+    every code and column."""
+    radix = top + 1
+    if radix**8 * n_cols > _INT64_MAX:
+        raise OverflowError(f"index {top} too large for an int64 key code over {n_cols} columns")
+    return radix
 
-    The eight indices are the digits of the code in base radix, one more
-    than the largest index present, most significant first; so the codes
-    sort as the key tuples do.  OverflowError if radix**8 exceeds int64.
-    """
-    radix = int(keys.max(initial=0)) + 1
-    if radix**8 > _INT64_MAX:
-        raise OverflowError(f"index {radix - 1} too large for an int64 key code")
-    return keys @ radix ** np.arange(7, -1, -1, dtype=np.int64), radix
+
+def _pack(keys: np.ndarray, radix: int) -> np.ndarray:
+    """One int64 code per (delta, alpha) row of keys: the eight indices are
+    its digits in base radix, most significant first, so the codes sort as
+    the key tuples do.  Packing is linear, so a shift of the digits by s
+    adds the code of s."""
+    return keys @ radix ** np.arange(7, -1, -1, dtype=np.int64)
 
 
 def _unpack(codes: np.ndarray, radix: int) -> np.ndarray:
     """The (n, 8) keys of codes packed in base radix: the inverse of _pack."""
     return codes[:, None] // radix ** np.arange(7, -1, -1, dtype=np.int64) % radix
-
-
-def _merge(entries: Entries, n_cols: int) -> Entries:
-    """Entries summed per (column, key) in their input order, exact zeros
-    dropped, sorted by key and then column."""
-    cols, keys, vals = entries
-    codes, radix = _pack(keys)
-    uniq, at = np.unique(codes, return_inverse=True)
-    pairs, group = np.unique(at * n_cols + cols, return_inverse=True)
-    sums = np.zeros(len(pairs), dtype=complex)
-    sums.real = np.bincount(group, vals.real, len(pairs))
-    sums.imag = np.bincount(group, vals.imag, len(pairs))
-    keep = sums != 0
-    pairs = pairs[keep]
-    return pairs % n_cols, _unpack(uniq[pairs // n_cols], radix), sums[keep]
 
 
 class _AdMap:
@@ -257,16 +281,19 @@ class _AdMap:
     one pass per (term of L, nonzero beta <= max(gamma, a)); a call weighs
     every entry in every pass at once (:meth:`weights`), by one flat gather
     from a table of binomial coefficients and one from a table of falling
-    factorials.
+    factorials.  A weighted pass never lowers an index and raises it by at
+    most max(gamma, a), and the codes are in base radix, fixed for the map:
+    every index of every key it is given or makes must lie below radix.
     """
 
-    def __init__(self, L: LinDiffOp):
+    def __init__(self, L: LinDiffOp, radix: int):
         passes = [
             (gamma, t.alpha, t.coeff, beta)
             for gamma, coeff in L.terms for t in coeff.terms
             for beta in itertools.product(*(range(max(g, e) + 1) for g, e in zip(gamma, t.alpha)))
             if any(beta)
         ]
+        self.radix = radix
         self.beta = np.array([beta for *_, beta in passes], dtype=np.int64).reshape(-1, 4)
         # binom(gamma, beta) and a!/(a - beta)!: math.comb and math.perm give 0 past the top
         self.on_alpha = np.array([math.prod(map(math.comb, gamma, beta)) for gamma, _, _, beta in passes],
@@ -274,26 +301,37 @@ class _AdMap:
         self.on_a = np.array([math.prod(map(math.perm, a, beta)) for _, a, _, beta in passes], dtype=float)
         self.shift = np.array([(*gamma, *a) for gamma, a, _, _ in passes], dtype=np.int64).reshape(-1, 8)
         self.shift -= np.hstack([self.beta, self.beta])
+        self.shift_code = _pack(self.shift, radix)
         self.coeff = np.array([c for _, _, c, _ in passes], dtype=complex)
+        self.reach = int(self.beta.max(initial=0)) + 1
+        self.binom = np.array([[math.comb(n, b) for b in range(self.reach)] for n in range(radix)], dtype=float)
+        self.falling = np.array([[math.perm(n, b) for b in range(self.reach)] for n in range(radix)], dtype=float)
 
     def __call__(self, entries: Entries, n_cols: int) -> Entries:
-        """The image of every entry, merged per (column, key) by _merge."""
-        cols, keys, vals = entries
-        weight = self.weights(keys)
+        """The image of every entry, summed per (column, key) in input order
+        (each entry in order, its passes in map order), exact zeros dropped,
+        sorted by key and then column: one ``np.unique`` over the pair codes
+        code * n_cols + column."""
+        cols, codes, vals = entries
+        weight = self.weights(_unpack(codes, self.radix))
         e, t = np.nonzero(weight)
-        return _merge((cols[e], keys[e] + self.shift[t], vals[e] * (self.coeff[t] * weight[e, t])), n_cols)
+        pairs, group = np.unique((codes[e] + self.shift_code[t]) * n_cols + cols[e], return_inverse=True)
+        terms = vals[e] * (self.coeff[t] * weight[e, t])
+        sums = np.zeros(len(pairs), dtype=complex)
+        sums.real = np.bincount(group, terms.real, len(pairs))
+        sums.imag = np.bincount(group, terms.imag, len(pairs))
+        keep = sums != 0
+        codes, cols = np.divmod(pairs[keep], n_cols)
+        return cols, codes, sums[keep]
 
     def weights(self, keys: np.ndarray) -> np.ndarray:
         """weight[e, t]: the weight of pass t on the key (delta, alpha) of row e
         of keys, in floats: exact up to 2**53, and rounded, not wrapped
         around, beyond."""
-        size, reach = int(keys.max(initial=0)) + 1, int(self.beta.max(initial=0)) + 1
-        binom = np.array([[math.comb(n, b) for b in range(reach)] for n in range(size)], dtype=float)
-        falling = np.array([[math.perm(n, b) for b in range(reach)] for n in range(size)], dtype=float)
         # f[a, e, t] and b[a, e, t]: the axis-a factors of pass t on key e,
         # each gathered at (alpha_a or delta_a of e, beta_a of t) from the raveled table
-        f = np.take(falling, keys[:, 4:].T[:, :, None] * reach + self.beta.T[:, None, :])
-        b = np.take(binom, keys[:, :4].T[:, :, None] * reach + self.beta.T[:, None, :])
+        f = np.take(self.falling, keys[:, 4:].T[:, :, None] * self.reach + self.beta.T[:, None, :])
+        b = np.take(self.binom, keys[:, :4].T[:, :, None] * self.reach + self.beta.T[:, None, :])
         return self.on_alpha * (f[0] * f[1] * f[2] * f[3]) - self.on_a * (b[0] * b[1] * b[2] * b[3])
 
 
@@ -308,8 +346,10 @@ def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSyste
     (delta, alpha) start as the unit terms x^alpha d^delta and are pushed
     together p times through the array map ad_L (:class:`_AdMap`); the
     column of a key (None, alpha) is -x^alpha L.  The keys travel as int64
-    codes (:func:`_pack`), so each merge and the row index are one
-    ``np.unique`` over a 1-D array.
+    codes (:func:`_pack`) in one radix, bounded from the ansatz and L: no
+    index exceeds max(1, degree, zeta_degree) plus p times L's largest.  So
+    each merge and the row index are one ``np.unique`` over a 1-D array,
+    and the rows stay codes.
     """
     if L.has_exponential_coefficients():
         raise UnsupportedCoefficient(
@@ -318,69 +358,69 @@ def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSyste
     monomials = monomials_up_to(spec.degree)
     q_keys = [(delta, m) for delta in (*_UNIT, ZERO_ALPHA) for m in monomials]
     unknowns = (*q_keys, *((None, m) for m in monomials_up_to(spec.zeta_degree)))
-    ad = _AdMap(L)
-    q = _entries([(j, (*delta, *alpha), 1) for j, (delta, alpha) in enumerate(q_keys)])
+    terms = [(gamma, t) for gamma, coeff in L.terms for t in coeff.terms]
+    top = max((i for gamma, t in terms for i in (*gamma, *t.alpha)), default=0)
+    radix = _radix(max(1, spec.degree, spec.zeta_degree) + spec.p * top, len(unknowns))
+    ad = _AdMap(L, radix)
+    mono = np.array(monomials, dtype=np.int64)
+    units = np.hstack([np.repeat(_Q_DELTAS, len(mono), axis=0), np.tile(mono, (len(_Q_DELTAS), 1))])
+    q = np.arange(len(units)), _pack(units, radix), np.ones(len(units), dtype=complex)
     for _ in range(spec.p):
         q = ad(q, len(unknowns))
-    zeta = _entries([
+    zeta_cols, zeta_keys, zeta_vals = _entries([
         (j, (*gamma, *(x + y for x, y in zip(t.alpha, alpha))), -t.coeff)
-        for j, (_, alpha) in enumerate(unknowns[len(q_keys):], len(q_keys))
-        for gamma, coeff in L.terms for t in coeff.terms
+        for j, (_, alpha) in enumerate(unknowns[len(q_keys):], len(q_keys)) for gamma, t in terms
     ])
-    entries = tuple(map(np.concatenate, zip(q, zeta)))
-    rows = _rows(entries[1])
-    _check_dense_sizes(rows, len(unknowns))
-    row_keys, matrix = _fill(entries, rows, len(unknowns))
-    return DeterminingSystem(matrix, unknowns, row_keys, L, spec)
+    cols, codes, vals = (np.concatenate(pair) for pair in zip(q, (zeta_cols, _pack(zeta_keys, radix), zeta_vals)))
+    row_codes, rows = np.unique(codes, return_inverse=True)
+    _check_dense_sizes(row_codes, radix, len(unknowns))
+    matrix = _fill(rows, cols, vals, (len(row_codes), len(unknowns)))
+    return DeterminingSystem(matrix, unknowns, row_codes, radix, L, spec)
 
 
-def _check_dense_sizes(rows: tuple[np.ndarray, int, np.ndarray], n_cols: int) -> None:
+def _probe_counts(codes: np.ndarray, radix: int) -> tuple[int, int]:
+    """The probes and points of the oracle's sample over rows with these
+    codes: the numbers of distinct derivative indices delta (the high four
+    digits) and of distinct monomials alpha (the low four)."""
+    deltas, alphas = np.divmod(codes, radix**4)
+    return len(np.unique(deltas)), len(np.unique(alphas))
+
+
+def _check_dense_sizes(row_codes: np.ndarray, radix: int, n_cols: int) -> None:
     """Refuse a system whose dense arrays outgrow DENSE_BUDGET, before either
-    exists: the matrix over the row keys (given as their :func:`_rows`) and
+    exists: the matrix over the rows (their sorted codes in base radix) and
     n_cols unknowns, and the probe matrix P of the oracle, one row per
-    (derivative index, monomial) pair of the row keys and one column per
-    row key (:func:`probe_sample`).  ValueError names both sizes."""
-    codes, radix, _ = rows
-    deltas, alphas = np.divmod(codes, radix**4)  # the high and low four digits
+    (derivative index, monomial) pair of the rows and one column per row
+    (:func:`probe_sample`).  ValueError names both sizes."""
+    n_probes, n_points = _probe_counts(row_codes, radix)
     item = np.dtype(complex).itemsize
-    matrix = len(codes) * n_cols * item
-    probes = len(np.unique(deltas)) * len(np.unique(alphas)) * len(codes) * item
+    matrix = len(row_codes) * n_cols * item
+    probes = n_probes * n_points * len(row_codes) * item
     if max(matrix, probes) > DENSE_BUDGET:
         raise ValueError(
             f"the determining matrix needs {matrix / 2**20:.1f} MiB and the probe matrix "
             f"{probes / 2**20:.1f} MiB; each may take at most {DENSE_BUDGET / 2**20:.0f} MiB")
 
 
-def _rows(keys: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """The sorted distinct codes of keys (:func:`_pack`), their radix, and
-    the place of each key's code among them: its row."""
-    codes, radix = _pack(keys)
-    uniq, row = np.unique(codes, return_inverse=True)
-    return uniq, radix, row
+def _fill(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The matrix of the given shape that holds vals at (rows, cols), each
+    position at most once."""
+    matrix = np.zeros(shape, dtype=complex)
+    matrix[rows, cols] += vals  # adding to +0.0 stores a signed zero part as +0.0
+    return matrix
 
 
-def _fill(entries: Entries, rows: tuple[np.ndarray, int, np.ndarray], n_cols: int
-          ) -> tuple[tuple[Key, ...], np.ndarray]:
-    """The sorted keys that occur in entries, given as their :func:`_rows`,
-    with at most one entry per (column, key), and the matrix of n_cols
-    columns that holds them."""
-    cols, _, vals = entries
-    uniq, radix, row = rows
-    matrix = np.zeros((len(uniq), n_cols), dtype=complex)
-    matrix[row, cols] += vals  # adding to +0.0 stores a signed zero part as +0.0
-    row_keys = tuple((tuple(k[:4]), tuple(k[4:])) for k in _unpack(uniq, radix).tolist())
-    return row_keys, matrix
-
-
-def _components(m: np.ndarray) -> list[tuple[list[int], list[int]]]:
+def _components(n_cols: int, nz_rows: np.ndarray, nz_cols: np.ndarray) -> list[tuple[list[int], list[int]]]:
     """(rows, columns) of each connected component of the graph that joins
-    row i to column j where m[i, j] != 0, in the order of their first column.
+    row i to column j for each nonzero (i, j) of a matrix of n_cols columns,
+    given in row-major order as ``np.nonzero`` lists them, in the order of
+    their first column.
 
     A column without nonzeros is a component without rows; a row without
-    nonzeros belongs to none.  Up to a permutation of rows and columns, m is
-    block-diagonal with one block per component.
+    nonzeros belongs to none.  Up to a permutation of rows and columns, the
+    matrix is block-diagonal with one block per component.
     """
-    parent = list(range(m.shape[1]))  # union-find forest over the columns
+    parent = list(range(n_cols))  # union-find forest over the columns
 
     def find(j: int) -> int:
         while parent[j] != j:
@@ -389,12 +429,12 @@ def _components(m: np.ndarray) -> list[tuple[list[int], list[int]]]:
         return j
 
     first: dict[int, int] = {}  # each nonzero row's first column
-    for i, j in zip(*(ix.tolist() for ix in np.nonzero(m != 0))):
+    for i, j in zip(nz_rows.tolist(), nz_cols.tolist()):
         k = first.setdefault(i, j)
         if k != j:
             parent[find(j)] = find(k)
     groups: dict[int, tuple[list[int], list[int]]] = {}
-    for j in range(m.shape[1]):
+    for j in range(n_cols):
         groups.setdefault(find(j), ([], []))[1].append(j)
     for i, j in first.items():
         groups[find(j)][0].append(i)
@@ -517,11 +557,12 @@ def structure_constants(ops: Sequence[LinDiffOp]) -> tuple[np.ndarray, float]:
 
     pairs = list(itertools.combinations(range(n), 2))
     brackets = [commutator(ops[a], ops[b]) for a, b in pairs]
-    entries = _entries([
+    cols, keys, vals = _entries([
         (j, (*delta, *t.alpha), t.coeff)
         for j, op in enumerate([*ops, *brackets]) for delta, coeff in op.terms for t in coeff.terms
     ])
-    _, matrix = _fill(entries, _rows(entries[1]), len(ops) + len(brackets))
+    row_codes, rows = np.unique(_pack(keys, _radix(int(keys.max(initial=0)), 1)), return_inverse=True)
+    matrix = _fill(rows, cols, vals, (len(row_codes), len(ops) + len(brackets)))
     basis, targets = matrix[:, :n], matrix[:, n:]
     if np.linalg.matrix_rank(basis, tol=_CLOSURE_TOL * np.abs(basis).max(initial=0.0)) < n:
         raise ValueError("generators are not linearly independent")
@@ -602,9 +643,12 @@ def flow(Q: LinDiffOp, theta: float) -> AffineMap:
 
     The affine vector field xi(x) = M x + v exponentiates through the 5x5
     augmented matrix [[M, v], [0, 0]]; flow(Q, 0) is the identity and
-    flow(Q, s).flow(Q, t) = flow(Q, s + t).  eta plays no role here.  A
-    non-finite theta raises ValueError; an exponential beyond the float range
-    raises NonFinite under any warning filter.
+    flow(Q, s).flow(Q, t) = flow(Q, s + t).  eta plays no role here.  The
+    coefficients of xi must be real: an imaginary part above 1e-12 times
+    the largest coefficient of xi raises UnsupportedDegree, so flow(s Q,
+    theta / s) accepts and refuses as flow(Q, theta) does.  A non-finite
+    theta raises ValueError; an exponential beyond the float range raises
+    NonFinite under any warning filter.
     """
     theta = float(theta)
     if not math.isfinite(theta):
@@ -613,22 +657,22 @@ def flow(Q: LinDiffOp, theta: float) -> AffineMap:
         raise UnsupportedDegree("flows are defined for first-order generators only")
     M = np.zeros((4, 4))
     v = np.zeros(4)
-    for delta, coeff in Q.terms:
-        if sum(delta) != 1:
-            continue
-        a = delta.index(1)
-        for t in coeff.terms:
-            if any(k != 0 for k in t.kappa) or sum(t.alpha) > 1:
-                raise UnsupportedDegree(
-                    "flows are implemented for affine generator coefficients only"
-                )
-            val = complex(t.coeff)
-            if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
-                raise UnsupportedDegree("flow generators must have real coefficients")
-            if sum(t.alpha) == 0:
-                v[a] += val.real
-            else:
-                M[a, t.alpha.index(1)] += val.real
+    xi = [(delta.index(1), t) for delta, coeff in Q.terms if sum(delta) == 1 for t in coeff.terms]
+    # the size of xi's largest coefficient, by the larger of its two parts:
+    # within a factor sqrt(2) of its modulus, which can overflow
+    scale = max((max(abs(t.coeff.real), abs(t.coeff.imag)) for _, t in xi), default=0.0)
+    for a, t in xi:
+        if any(k != 0 for k in t.kappa) or sum(t.alpha) > 1:
+            raise UnsupportedDegree(
+                "flows are implemented for affine generator coefficients only"
+            )
+        val = complex(t.coeff)
+        if abs(val.imag) > 1e-12 * scale:
+            raise UnsupportedDegree("flow generators must have real coefficients")
+        if sum(t.alpha) == 0:
+            v[a] += val.real
+        else:
+            M[a, t.alpha.index(1)] += val.real
     aug = np.zeros((5, 5))
     aug[:4, :4] = M
     aug[:4, 4] = v
@@ -689,9 +733,9 @@ def probe_sample(
     derivative index and one point per monomial in the row keys; a system
     without rows has neither, and P has no rows and no columns.
     """
-    keys = np.array(system.row_keys, dtype=np.int64).reshape(-1, 8)
-    n_probes = len({delta for delta, _ in system.row_keys})
-    points = rng.uniform(-1.0, 1.0, size=(len({alpha for _, alpha in system.row_keys}), 4))
+    keys = _unpack(system.row_codes, system.radix)
+    n_probes, n_points = _probe_counts(system.row_codes, system.radix)
+    points = rng.uniform(-1.0, 1.0, size=(n_points, 4))
     draws = rng.normal(0, 1, (n_probes, 2, 4))  # each probe's real part, then its imaginary part
     kappas = draws[:, 0] + 1j * draws[:, 1]
     derivs = _powers(kappas, keys[:, :4])  # kappa_i^delta
@@ -737,7 +781,7 @@ def apply_probe_null_dimension(system: DeterminingSystem, rng: np.random.Generat
     for marks, part in ((row_block, 0), (col_block, 1)):
         marks[[k for block in blocks for k in block[part]]] = [
             b for b, block in enumerate(blocks) for _ in block[part]]
-    i, j = np.nonzero(m)
+    i, j = system.nonzeros
     if not np.array_equal(row_block[i], col_block[j]):
         raise RuntimeError("the sparsity split leaves a nonzero of the matrix outside its diagonal blocks")
     # per block shape, the (blocks, samples, columns) stack of S[:, cols] = P[:, rows] @ M[rows, cols]

@@ -31,6 +31,7 @@ from commsym.detsolve import (
     _components,
     _freivalds_combination,
     _pack,
+    _radix,
     _unpack,
     apply_probe_null_dimension,
     build_determining_system,
@@ -197,12 +198,106 @@ def test_array_assembly_equals_the_dict_reference(operator, degree, p, zeta_degr
     assert system.unknowns == unknowns
 
 
+def non_dyadic_operator():
+    """polynomial_operator's shape with non-dyadic complex coefficients, whose
+    sums round."""
+    return LinDiffOp([
+        ((2, 0, 0, 0), ExpPoly([ExpTerm(1 / 3 + 0.1j, (0, 1, 0, 0))])),
+        ((0, 1, 0, 0), ExpPoly.constant(-math.pi)),
+        ((0, 0, 1, 0), ExpPoly.linear_form([0.7, 0, 0, 1 / 7], 2.0 + 1j / 3) * ExpPoly.coordinate(2)),
+        ((0, 0, 0, 0), ExpPoly([ExpTerm(math.e * 1j, (1, 0, 0, 1))])),
+    ])
+
+
+ROUNDING_OPERATORS = {
+    "box/3": lambda: wave_operator() * (1 / 3),
+    "box*pi": lambda: wave_operator() * math.pi,
+    "schrod/3": lambda: schrodinger_operator(SchrodingerParams()) * (1 / 3),
+    "schrod*pi": lambda: schrodinger_operator(SchrodingerParams()) * math.pi,
+    "non_dyadic": non_dyadic_operator,
+}
+
+
+def ordered_reference_matrix(L, spec):
+    """The determining matrix summed in the documented order.  Each pass of
+    ad_L visits the entries sorted by (key, column) and, for each entry, the
+    map's passes in order: the terms c x^a d^gamma of L in order, each with
+    its nonzero beta <= max(gamma, a) in itertools.product order.  A pass of
+    nonzero weight adds value * (c * weight) to the sum of its image; the
+    sums run part by part in floats from 0.0, and exact zero sums are
+    dropped.  The products are numpy's, formed as arrays in that order as
+    the assembly forms them: numpy may fuse a complex product's multiply
+    and add in its array loops, and not in its scalars."""
+    terms = [(gamma, t.alpha, t.coeff) for gamma, coeff in L.terms for t in coeff.terms]
+    passes = [(gamma, a, c, beta) for gamma, a, c in terms
+              for beta in itertools.product(*(range(max(g, e) + 1) for g, e in zip(gamma, a))) if any(beta)]
+
+    @functools.lru_cache(maxsize=None)
+    def images(delta, alpha):
+        out = []
+        for gamma, a, c, beta in passes:
+            weight = (math.prod(map(math.comb, gamma, beta)) * math.prod(map(math.perm, alpha, beta))
+                      - math.prod(map(math.perm, a, beta)) * math.prod(map(math.comb, delta, beta)))
+            if weight:
+                key = (tuple(d + g - b for d, g, b in zip(delta, gamma, beta)),
+                       tuple(x + y - b for x, y, b in zip(alpha, a, beta)))
+                out.append((key, c, weight))
+        return out
+
+    def pushed(entries):
+        targets, vals, coeffs, weights = [], [], [], []
+        for key, col in sorted(entries):
+            for image, c, weight in images(*key):
+                targets.append((image, col))
+                vals.append(entries[key, col])
+                coeffs.append(c)
+                weights.append(weight)
+        z = np.array(vals, dtype=complex) * (np.array(coeffs, dtype=complex) * np.array(weights, dtype=float))
+        sums = {}
+        for target, re, im in zip(targets, z.real.tolist(), z.imag.tolist()):
+            old_re, old_im = sums.get(target, (0.0, 0.0))
+            sums[target] = (old_re + re, old_im + im)
+        return {target: complex(re, im) for target, (re, im) in sums.items() if re or im}
+
+    unknowns = build_determining_system(L, spec).unknowns
+    entries = {((delta, alpha), j): 1 for j, (delta, alpha) in enumerate(unknowns) if delta is not None}
+    for _ in range(spec.p):
+        entries = pushed(entries)
+    entries.update({((gamma, tuple(x + y for x, y in zip(a, alpha))), j): -c
+                    for j, (delta, alpha) in enumerate(unknowns) if delta is None for gamma, a, c in terms})
+    row_keys = sorted({key for key, _ in entries})
+    index = {k: i for i, k in enumerate(row_keys)}
+    matrix = np.zeros((len(row_keys), len(unknowns)), dtype=complex)
+    for (key, j), v in entries.items():
+        matrix[index[key], j] += v
+    return matrix, tuple(row_keys)
+
+
+@pytest.mark.parametrize("degree, p, zeta_degree", [(2, 2, 0), (3, 2, 2), (3, 3, 0)])
+@pytest.mark.parametrize("operator", list(ROUNDING_OPERATORS))
+def test_assembly_sums_in_the_documented_order_bit_for_bit(operator, degree, p, zeta_degree):
+    """Against a reference that sums each (column, key) in the documented
+    order, on coefficients whose sums round, so that another order of
+    summation shows in the bits."""
+    L = ROUNDING_OPERATORS[operator]()
+    spec = AnsatzSpec(degree, p, zeta_degree)
+    system = build_determining_system(L, spec)
+    matrix, row_keys = ordered_reference_matrix(L, spec)
+    assert system.row_keys == row_keys
+    entries = [(v, (i, j), ()) for (i, j), v in np.ndenumerate(system.matrix)]
+    expected = [(v, (i, j), ()) for (i, j), v in np.ndenumerate(matrix)]
+    assert bits(entries) == bits(expected)
+
+
 def test_ad_map_weights_beyond_int64_round_instead_of_wrapping():
     # [x0^20 d0^20, x0^19 d0^20] has Leibniz weights up to about 1e24
     L = LinDiffOp([((20, 0, 0, 0), ExpPoly([ExpTerm(1, (20, 0, 0, 0))]))])
     Q = LinDiffOp([((20, 0, 0, 0), ExpPoly([ExpTerm(1, (19, 0, 0, 0))]))])
-    _, keys, vals = detsolve._AdMap(L)(detsolve._entries([(0, (20, 0, 0, 0, 19, 0, 0, 0), 1)]), 1)
-    got = {(tuple(k[:4]), tuple(k[4:])): v for k, v in zip(keys.tolist(), vals)}
+    radix = 41  # the image's indices reach 20 + 20
+    ad = detsolve._AdMap(L, radix)
+    _, codes, vals = ad((np.zeros(1, dtype=np.int64), _pack(np.array([[20, 0, 0, 0, 19, 0, 0, 0]]), radix),
+                        np.ones(1, dtype=complex)), 1)
+    got = {(tuple(k[:4]), tuple(k[4:])): v for k, v in zip(_unpack(codes, radix).tolist(), vals)}
     expected = {(delta, t.alpha): t.coeff for delta, c in commutator(L, Q).terms for t in c.terms}
     assert got.keys() == expected.keys()
     assert max(abs(got[k] - expected[k]) / abs(expected[k]) for k in got) <= 1e-12
@@ -216,10 +311,11 @@ def test_ad_map_weights_are_the_comb_and_perm_products(operator):
     ansatz and their images, against math.comb and math.perm; every weight
     here is below 2**53, so the floats are the integers."""
     L = OPERATORS[operator]()
-    ad = detsolve._AdMap(L)
-    units = [(*delta, *alpha) for delta in (*_UNIT, ZERO_ALPHA) for alpha in monomials_up_to(3)]
-    q = detsolve._entries([(j, key, 1) for j, key in enumerate(units)])
-    keys = np.concatenate([q[1], ad(q, len(units))[1]])
+    radix = 8  # the image's indices reach 3 + 2
+    ad = detsolve._AdMap(L, radix)
+    units = np.array([(*delta, *alpha) for delta in (*_UNIT, ZERO_ALPHA) for alpha in monomials_up_to(3)])
+    q = np.arange(len(units)), _pack(units, radix), np.ones(len(units), dtype=complex)
+    keys = np.concatenate([units, _unpack(ad(q, len(units))[1], radix)])
     weight = ad.weights(keys)
     assert weight.shape == (len(keys), len(ad.beta)) and np.count_nonzero(weight)
     for t, (beta, shift) in enumerate(zip(ad.beta.tolist(), ad.shift.tolist())):
@@ -235,18 +331,62 @@ def test_ad_map_weights_are_the_comb_and_perm_products(operator):
 
 def test_key_codes_round_trip_and_sort_as_the_keys():
     keys = np.random.default_rng(0).integers(0, 12, size=(300, 8))
-    codes, radix = _pack(keys)
+    radix = _radix(int(keys.max()), 1)
     assert radix == keys.max() + 1
+    codes = _pack(keys, radix)
     assert np.array_equal(_unpack(codes, radix), keys)
     by_code = keys[np.argsort(codes, kind="stable")].tolist()
     assert by_code == sorted(keys.tolist())
     # the radix is 1 + the largest index: 234**8 fits in int64, 235**8 does not
     top = np.array([[233] * 8, [0] * 8])
-    assert np.array_equal(_unpack(*_pack(top)), top)
+    assert np.array_equal(_unpack(_pack(top, _radix(233, 1)), 234), top)
     with pytest.raises(OverflowError):
-        _pack(np.array([[0] * 7 + [234]]))
-    codes, radix = _pack(np.zeros((0, 8), dtype=np.int64))
-    assert codes.shape == (0,) and _unpack(codes, radix).shape == (0, 8)
+        _radix(234, 1)
+    # a code times the column count, plus a column, must fit too
+    assert _radix(232, 1) == 233
+    with pytest.raises(OverflowError):
+        _radix(232, 2)
+    codes = _pack(np.zeros((0, 8), dtype=np.int64), 2)
+    assert codes.shape == (0,) and _unpack(codes, 2).shape == (0, 8)
+
+
+def test_an_operator_whose_keys_outgrow_int64_is_refused():
+    # d0^300 reaches the index 300 at p = 1, and 302**8 exceeds int64
+    with pytest.raises(OverflowError, match="too large for an int64 key code"):
+        build_determining_system(LinDiffOp.partial(0, 300), AnsatzSpec(0, 1))
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_monomials_run_in_graded_lex_order(degree):
+    expected = [alpha for total in range(degree + 1)
+                for alpha in itertools.product(range(total + 1), repeat=4) if sum(alpha) == total]
+    assert monomials_up_to(degree) == expected
+
+
+@pytest.mark.parametrize("operator", ["box", "schrod"])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_a_search_scans_its_matrix_once_and_builds_no_row_key(monkeypatch, operator, degree):
+    """The solver's components and the oracle's check of them read one
+    np.nonzero of the matrix, and the rows stay codes: a search builds no
+    row-key tuple."""
+    systems, scans = [], []
+    build, nonzero = detsolve.build_determining_system, np.nonzero
+
+    def built(*args):
+        systems.append(build(*args))
+        return systems[-1]
+
+    def counted(a):
+        scans.append(np.shape(a))
+        return nonzero(a)
+
+    monkeypatch.setattr(detsolve, "build_determining_system", built)
+    monkeypatch.setattr(np, "nonzero", counted)
+    report = run_generator_search(operator, degree, 2, 0, 0)
+    assert report.passed
+    (system,) = systems
+    assert scans.count(system.matrix.shape) == 1
+    assert "row_keys" not in vars(system)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -359,11 +499,11 @@ def _cut(mode):
     """A wrong split of the first multi-column component: its last column
     moved into a group of its own, with no rows or with the rows it touches,
     or the whole component left out."""
-    def split(m):
-        components = _components(m)
+    def split(n_cols, nz_rows, nz_cols):
+        components = _components(n_cols, nz_rows, nz_cols)
         k = next(k for k, (_, cols) in enumerate(components) if len(cols) > 1)
         rows, cols = components[k]
-        moved = [int(i) for i in np.flatnonzero(m[:, cols[-1]])] if mode == "its_rows" else []
+        moved = nz_rows[nz_cols == cols[-1]].tolist() if mode == "its_rows" else []
         cut = [] if mode == "dropped" else [(rows, cols[:-1]), (moved, cols[-1:])]
         return components[:k] + cut + components[k + 1:]
     return split
@@ -374,7 +514,7 @@ def test_probe_oracle_refuses_a_split_that_cuts_a_component(monkeypatch, mode):
     system, _ = system_and_basis("box", 2, 2, 0)
     monkeypatch.setattr(detsolve, "_components", _cut(mode))
     fresh = dataclasses.replace(system)  # the split is cached per system
-    assert fresh.components != _components(system.matrix)
+    assert fresh.components != system.components
     with pytest.raises(RuntimeError, match="outside its diagonal blocks"):
         apply_probe_null_dimension(fresh, np.random.default_rng(0))
 
@@ -409,7 +549,7 @@ def test_component_null_space_matches_whole_matrix(operator, degree, p, zeta_deg
     # the components block-diagonalize m, and each vector lives on one of them
     label = np.full(m.shape[1], -1)
     row_label = np.full(m.shape[0], -1)
-    for c, (rows, cols) in enumerate(_components(m)):
+    for c, (rows, cols) in enumerate(system.components):
         assert np.all(label[cols] == -1)
         label[cols], row_label[rows] = c, c
     i, j = np.nonzero(m)
@@ -417,14 +557,14 @@ def test_component_null_space_matches_whole_matrix(operator, degree, p, zeta_deg
     for v in V:
         assert len(set(label[np.abs(v) > 0])) == 1
     assert basis.components == tuple(
-        (len(rows), len(cols)) for rows, cols in _components(m) if rows
+        (len(rows), len(cols)) for rows, cols in system.components if rows
     )
 
 
 def per_component_null_space(m):
     """Null vectors and merged spectrum of m by one SVD call per component:
     the reference for the batched calls of solve_null_space."""
-    components = _components(m)
+    components = _components(m.shape[1], *np.nonzero(m))
     free = [cols[0] for rows, cols in components if not rows]
     parts = [(free, np.zeros(0), np.eye(len(free)))]
     for rows, cols in components:
@@ -508,7 +648,7 @@ def test_components_of_a_permuted_block_matrix():
     m = np.zeros((4, 5))
     m[2, 0] = m[2, 3] = m[0, 3] = 1.0  # rows {0, 2} x columns {0, 3}
     m[1, 4] = 2.0  # rows {1} x columns {4}; row 3 and columns 1, 2 are empty
-    assert _components(m) == [([0, 2], [0, 3]), ([], [1]), ([], [2]), ([1], [4])]
+    assert _components(m.shape[1], *np.nonzero(m)) == [([0, 2], [0, 3]), ([], [1]), ([], [2]), ([1], [4])]
 
 
 def exact_null_dimension(system):
@@ -747,7 +887,8 @@ def test_full_rank_system_empty_basis():
     dummy = DeterminingSystem(
         matrix=np.eye(3, dtype=complex),
         unknowns=tuple((_UNIT[a], ZERO_ALPHA) for a in range(3)),
-        row_keys=(),
+        row_codes=np.zeros(0, dtype=np.int64),
+        radix=2,
         L=wave_operator(),
         spec=AnsatzSpec(degree=0, p=1),
     )
@@ -846,7 +987,8 @@ def test_null_cutoff_is_relative_to_the_global_sigma_max():
     dummy = DeterminingSystem(
         matrix=np.diag([1.0, 1e-9]).astype(complex),
         unknowns=tuple((_UNIT[a], ZERO_ALPHA) for a in range(2)),
-        row_keys=(),
+        row_codes=np.zeros(0, dtype=np.int64),
+        radix=2,
         L=wave_operator(),
         spec=AnsatzSpec(degree=0, p=1),
     )
@@ -899,12 +1041,26 @@ def test_residual_operator_matches_ad_power_of_candidate(operator, degree, p, ze
         assert max(abs(old.get(k, 0) - new.get(k, 0)) for k in old.keys() | new.keys()) <= 1e-12 * scale
 
 
+def test_decode_refuses_unknowns_whose_delta_is_split_in_two_runs():
+    system = DeterminingSystem(
+        matrix=np.zeros((0, 3), dtype=complex),
+        unknowns=((_UNIT[0], ZERO_ALPHA), (_UNIT[1], ZERO_ALPHA), (_UNIT[0], (1, 0, 0, 0))),
+        row_codes=np.zeros(0, dtype=np.int64),
+        radix=2,
+        L=wave_operator(),
+        spec=AnsatzSpec(degree=1, p=1),
+    )
+    with pytest.raises(ValueError, match=re.escape(f"delta={_UNIT[0]} are not one run")):
+        system.decode(np.ones(3))
+
+
 def test_reverification_rejects_a_wrong_matrix():
     # the matrix admits x0 d0 for box at p = 1, but [box, x0 d0] = 2 d0^2
     wrong = DeterminingSystem(
         matrix=np.zeros((1, 1), dtype=complex),
         unknowns=(((1, 0, 0, 0), (1, 0, 0, 0)),),
-        row_keys=(((2, 0, 0, 0), (0, 0, 0, 0)),),
+        row_codes=_pack(np.array([[2, 0, 0, 0, 0, 0, 0, 0]]), 3),
+        radix=3,
         L=wave_operator(),
         spec=AnsatzSpec(degree=1, p=1),
     )
@@ -1144,6 +1300,50 @@ def test_flow_overflow_raises_under_any_warning_filter(action):
             with pytest.raises(NonFinite):
                 flow(boost_generator(), theta)
     assert not seen
+
+
+@pytest.mark.parametrize("coeff", [1e-13j, 1e-13 * (1 + 1j)])
+def test_flow_refuses_a_small_complex_coefficient(coeff):
+    # with a floor of 1 on the scale, 1e-13j d0 flowed as the identity and
+    # 1e-13 (1 + i) d0 as the real translation 1e-13 d0
+    q = LinDiffOp([((1, 0, 0, 0), ExpPoly.constant(coeff))])
+    with pytest.raises(UnsupportedDegree, match="real coefficients"):
+        flow(q, 1e13)
+
+
+def test_flow_takes_a_boost_with_a_rounding_residue():
+    residue = LinDiffOp([((1, 0, 0, 0), ExpPoly([ExpTerm(1e-17j, (0, 1, 0, 0))]))])
+    amap, exact = flow(boost_generator() + residue, 0.5), flow(boost_generator(), 0.5)
+    assert np.array_equal(amap.A, exact.A) and np.array_equal(amap.b, exact.b)
+
+
+FLOW_GENERATORS = {
+    "boost": boost_generator(),
+    "shear": op_x0d1(),
+    "translation": LinDiffOp.partial(0) + LinDiffOp.partial(3) * 2.5,
+    "dilation with eta": LinDiffOp([((0, 0, 0, 0), ExpPoly.constant(3.0)),
+                                    ((1, 0, 0, 0), ExpPoly.coordinate(0)),
+                                    ((0, 1, 0, 0), ExpPoly.coordinate(1) * 0.5)]),
+    "small residue": LinDiffOp.partial(1) + LinDiffOp.partial(0) * 1e-13j,
+    "complex": LinDiffOp.partial(0) * (1 + 1e-11j),
+    "imaginary": LinDiffOp.partial(0) * 1e-13j,
+    "quadratic": LinDiffOp([((1, 0, 0, 0), ExpPoly([ExpTerm(1.0, (0, 2, 0, 0))]))]),
+}
+
+
+@pytest.mark.parametrize("s", [1e-20, 1e-8, 1e8, 1e20])
+@pytest.mark.parametrize("name", list(FLOW_GENERATORS))
+def test_flow_does_not_depend_on_the_scale_of_the_generator(name, s):
+    q, theta = FLOW_GENERATORS[name], 0.7
+    try:
+        expected = flow(q, theta)
+    except UnsupportedDegree:
+        with pytest.raises(UnsupportedDegree):
+            flow(q * s, theta / s)
+        return
+    amap = flow(q * s, theta / s)
+    for got, want in ((amap.A, expected.A), (amap.b, expected.b)):
+        assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
 
 def test_flow_rejects_quadratic_coefficients():
