@@ -18,11 +18,11 @@ import math
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .expcore import ZERO_ALPHA, ZERO_KAPPA, ExpPoly, Index4, NonFinite, _kept, _UNIT
+from .expcore import ZERO_ALPHA, ZERO_KAPPA, CVec4, ExpPoly, Index4, NonFinite, _kept, _UNIT
 from .opalg import LinDiffOp, SymmetryCandidate, ad_power, commutator, residual_vs_multiple
 
 
@@ -83,7 +83,8 @@ class DeterminingSystem:
     Each unknown, and so each column, is a key: (delta, alpha) for the
     coefficient of the term x^alpha d^delta of Q, and (None, alpha) for the
     coefficient of the monomial x^alpha of zeta; the unknowns of one delta
-    are one run of columns.  Only encode and decode read this layout.
+    are one run of columns.  Only encode, encode_units and decode read
+    this layout.
 
     Each row is the key (delta, alpha) of one term x^alpha d^delta of the
     residual operator, held as its int64 code (:func:`_pack`) in base
@@ -161,12 +162,26 @@ class DeterminingSystem:
         vec = np.zeros(len(self.unknowns), dtype=complex)
         for delta, f in [*Q.terms, (None, zeta)]:
             for t in f.terms:
-                j = None if any(t.kappa) else self._index.get((delta, t.alpha))
-                if j is None:
-                    where = "of zeta" if delta is None else f"of Q at delta={delta}"
-                    raise ValueError(f"no unknown holds the term {where}, alpha={t.alpha}, kappa={t.kappa}")
-                vec[j] = t.coeff
+                vec[self._column(delta, t.alpha, t.kappa)] = t.coeff
         return vec
+
+    def encode_units(self, keys: Iterable[tuple[Index4 | None, Index4]]) -> np.ndarray:
+        """One row per (delta, alpha) key: the vector encode gives the unit
+        term x^alpha d^delta (of zeta for delta None), bit for bit, written
+        into one array; encode's ValueError for a key that no unknown holds."""
+        cols = [self._column(delta, alpha) for delta, alpha in keys]
+        units = np.zeros((len(cols), len(self.unknowns)), dtype=complex)
+        units[np.arange(len(cols)), cols] = 1
+        return units
+
+    def _column(self, delta: Index4 | None, alpha: Index4, kappa: CVec4 = ZERO_KAPPA) -> int:
+        """The column of the unknown that holds x^alpha exp(kappa . x) d^delta;
+        ValueError names the term if no unknown holds it."""
+        j = None if any(kappa) else self._index.get((delta, alpha))
+        if j is None:
+            where = "of zeta" if delta is None else f"of Q at delta={delta}"
+            raise ValueError(f"no unknown holds the term {where}, alpha={alpha}, kappa={kappa}")
+        return j
 
     def decode(self, vec: Sequence[complex]) -> SymmetryCandidate:
         """Turn a coefficient vector back into a symmetry candidate.
@@ -766,25 +781,51 @@ def apply_probe_null_dimension(system: DeterminingSystem, rng: np.random.Generat
     refused, not counted.  Then M is block-diagonal, S[:, cols] is
     P[:, rows] @ M[rows, cols] for each block, and, P being injective, the
     ranks of these column blocks add up to the rank of S.  They are sampled
-    and ranked as one stack per block shape; singular values count above
-    1e-8 times the largest entry of S.  The count catches a wrong SVD cutoff
-    and a wrong split, not a wrong assembly; re-verification in
-    :func:`solve_null_space` checks the assembly.
+    as one stack per block shape, and a block's rank is the count of its
+    sample's singular values above the cutoff 1e-8 max|S| (:func:`_sample_ranks`):
+    - A block of one row or one column has a sample of rank at most one,
+      p m^T or P_b m, whose one singular value is its norm; no SVD runs.  A
+      float outer product holds each p_i m_j to within sqrt(5) u relative
+      (u = eps / 2), so its trailing singular values are at most about
+      eps sigma_1 <= eps sqrt(N c) max|S| for N samples and c columns:
+      below the cutoff while N c < 1e15.
+    - Any other block is ranked by the singular values of its sample's R
+      factor, which are the sample's own (R-SVD, Chan 1982): the SVD runs
+      on c x c matrices, not on N x c ones.
+    The count catches a wrong SVD cutoff and a wrong split, not a wrong
+    assembly; re-verification in :func:`solve_null_space` checks the
+    assembly.
     """
     _, _, P = probe_sample(system, rng)
     m = system.matrix
-    blocks = [(rows, cols) for rows, cols in system.components if rows]
+    stacks = system.block_stacks
     # rows and columns outside every block keep different marks, so that a
     # nonzero there fails the check too
     row_block = np.full(m.shape[0], -1)
     col_block = np.full(m.shape[1], -2)
-    for marks, part in ((row_block, 0), (col_block, 1)):
-        marks[[k for block in blocks for k in block[part]]] = [
-            b for b, block in enumerate(blocks) for _ in block[part]]
+    for members, rows, cols, _ in stacks:
+        row_block[rows] = col_block[cols] = np.array(members)[:, None]
     i, j = system.nonzeros
     if not np.array_equal(row_block[i], col_block[j]):
         raise RuntimeError("the sparsity split leaves a nonzero of the matrix outside its diagonal blocks")
-    # per block shape, the (blocks, samples, columns) stack of S[:, cols] = P[:, rows] @ M[rows, cols]
+    samples, tol = _block_samples(system, P)
+    return m.shape[1] - sum(int(_sample_ranks(s, rows.shape[1], tol).sum())
+                            for s, (_, rows, _, _) in zip(samples, stacks))
+
+
+def _block_samples(system: DeterminingSystem, P: np.ndarray) -> tuple[list[np.ndarray], float]:
+    """Per stack of ``system.block_stacks``, the (blocks, samples, columns)
+    stack of S[:, cols] = P[:, rows] @ M[rows, cols], and the oracle's rank
+    cutoff: 1e-8 times the largest entry of S, or 1e-8 if S is zero."""
     samples = [np.moveaxis(P[:, rows], 1, 0) @ stack for _, rows, _, stack in system.block_stacks]
-    tol = 1e-8 * (max((float(np.abs(s).max()) for s in samples), default=0.0) or 1.0)
-    return m.shape[1] - sum(int(np.linalg.matrix_rank(s, tol=tol).sum()) for s in samples)
+    return samples, 1e-8 * (max((float(np.abs(s).max()) for s in samples), default=0.0) or 1.0)
+
+
+def _sample_ranks(sample: np.ndarray, n_rows: int, tol: float) -> np.ndarray:
+    """The rank of each (N, c) sample of a stack of blocks with n_rows rows,
+    its singular values above tol: the norm of a sample of rank at most one
+    (one row or one column), else the spectrum of its R factor, by the rule
+    of :func:`apply_probe_null_dimension`."""
+    if n_rows == 1 or sample.shape[2] == 1:
+        return (np.linalg.norm(sample, axis=(1, 2)) > tol).astype(np.int64)
+    return np.count_nonzero(np.linalg.svd(np.linalg.qr(sample, mode="r"), compute_uv=False) > tol, axis=1)

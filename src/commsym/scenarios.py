@@ -930,12 +930,12 @@ def run_generator_search(
     oracle_dim = detsolve.apply_probe_null_dimension(system, np.random.default_rng(seed))
     # the null dimension read from the same spectrum at cutoffs x10 and /10
     dims = [basis.dimension_at(detsolve.NULL_TOL * factor) for factor in (10.0, 0.1)]
-    # all 20 linear-group generators pass at p = 2, so only there must they
-    # lie in the span
+    # all 20 linear-group generators x^alpha d^delta have ad_L^2 g = 0, so
+    # ad_L^p g = 0 at every p >= 2: from there on they must lie in the span
     in_span = (
         (_check("detsolve_igl_generators_in_span", "eq31,sec4",
-                basis.projection_residual([system.encode(g) for g in IGL_OPERATORS]), 1e-8),)
-        if degree >= 1 and p == 2 else ()
+                basis.projection_residual(system.encode_units(IGL_GENERATORS.values())), 1e-8),)
+        if degree >= 1 and p >= 2 else ()
     )
 
     checks = (

@@ -429,6 +429,12 @@ CHECK_TABLES = {
         ("detsolve_candidates_reverify", "eq5,eq6", 1e-8),
         ("detsolve_dim_stable_under_tol", "sec2", 0.5),
     ],
+    ("detsolve", "--p", "3"): [
+        ("detsolve_nullspace_dim_matches_oracle", "sec2", 0.5),
+        ("detsolve_igl_generators_in_span", "eq31,sec4", 1e-8),
+        ("detsolve_candidates_reverify", "eq5,eq6", 1e-8),
+        ("detsolve_dim_stable_under_tol", "sec2", 0.5),
+    ],
     ("detsolve", "--p", "1"): [
         ("detsolve_nullspace_dim_matches_oracle", "sec2", 0.5),
         ("detsolve_candidates_reverify", "eq5,eq6", 1e-8),

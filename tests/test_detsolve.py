@@ -495,6 +495,62 @@ def test_block_ranks_add_up_to_the_whole_sample_rank(operator, degree, p, zeta_d
         assert blocks == whole == basis.dimension, seed
 
 
+@pytest.mark.parametrize("operator, degree, p", [
+    (op, degree, p) for op in ("box", "schrod") for degree in (1, 2, 3, 4) for p in (1, 2, 3)
+])
+def test_block_rank_rule_matches_matrix_rank_at_the_oracle_cutoff(operator, degree, p):
+    # each block's count, from its norm or its R factor, against a direct SVD of its sample
+    system, _ = system_and_basis(operator, degree, p, 0)
+    for seed in range(5):
+        _, _, P = probe_sample(system, np.random.default_rng(seed))
+        samples, tol = detsolve._block_samples(system, P)
+        for sample, (_, rows, _, _) in zip(samples, system.block_stacks):
+            expected = np.linalg.matrix_rank(sample, tol=tol)
+            assert np.array_equal(detsolve._sample_ranks(sample, rows.shape[1], tol), expected), seed
+
+
+def _rank_one_blocks_system(scale_row, scale_col):
+    """A 5 x 5 system of three blocks: a dense 2 x 2 block of entries of size
+    one, a single-row block of two columns scaled by scale_row and a
+    single-column block of two rows scaled by scale_col."""
+    rng = np.random.default_rng(7)
+    m = np.zeros((5, 5), dtype=complex)
+    m[:2, :2] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    m[2, 2:4] = scale_row * (rng.normal(size=2) + 1j * rng.normal(size=2))
+    m[3:, 4] = scale_col * (rng.normal(size=2) + 1j * rng.normal(size=2))
+    keys = np.array(sorted([(*delta, *alpha) for delta in _UNIT[:3] for alpha in (ZERO_ALPHA, _UNIT[0])])[:5])
+    return DeterminingSystem(
+        matrix=m,
+        unknowns=tuple((_UNIT[0], alpha) for alpha in monomials_up_to(1)),
+        row_codes=_pack(keys, 2),
+        radix=2,
+        L=wave_operator(),
+        spec=AnsatzSpec(degree=1, p=1),
+    )
+
+
+@pytest.mark.parametrize("ratio, rank", [(0.999, 0), (1.001, 1)])
+def test_rank_one_blocks_next_to_the_cutoff_count_as_matrix_rank_does(ratio, rank):
+    """A single-row and a single-column block whose sample's sigma_1 sits just
+    below (or above) the oracle's cutoff: the norm route and a direct SVD of
+    the sample both count 0 (or 1), and so does the oracle."""
+    unit = _rank_one_blocks_system(1.0, 1.0)
+    _, _, P = probe_sample(unit, np.random.default_rng(0))
+    samples, _ = detsolve._block_samples(unit, P)
+    shapes = [(rows.shape[1], cols.shape[1]) for _, rows, cols, _ in unit.block_stacks]
+    assert shapes == [(2, 2), (1, 2), (2, 1)]
+    tol = 1e-8 * np.abs(samples[0]).max()  # the cutoff once the dense block holds the largest entry
+    sigma = [np.linalg.svd(s[0], compute_uv=False)[0] for s in samples[1:]]
+    system = _rank_one_blocks_system(ratio * tol / sigma[0], ratio * tol / sigma[1])
+    samples, scaled_tol = detsolve._block_samples(system, P)
+    assert scaled_tol == tol
+    ranks = [detsolve._sample_ranks(s, rows.shape[1], tol)
+             for s, (_, rows, _, _) in zip(samples, system.block_stacks)]
+    assert [r.tolist() for r in ranks] == [[2], [rank], [rank]]
+    assert [np.linalg.matrix_rank(s, tol=tol).tolist() for s in samples] == [[2], [rank], [rank]]
+    assert apply_probe_null_dimension(system, np.random.default_rng(0)) == 5 - 2 - 2 * rank
+
+
 def _cut(mode):
     """A wrong split of the first multi-column component: its last column
     moved into a group of its own, with no rows or with the rows it touches,
@@ -860,6 +916,30 @@ def test_encode_names_a_term_no_unknown_holds(Q, zeta, witness):
     system, _ = system_and_basis("box", 1, 2, 0)
     with pytest.raises(ValueError, match=re.escape("no unknown holds the term " + witness)):
         system.encode(Q, zeta)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_encode_units_are_the_rows_encode_gives_bit_for_bit(degree):
+    system, _ = system_and_basis("box", degree, 2, 1)
+    keys = [*IGL_GENERATORS.values(), (None, ZERO_ALPHA), (None, _UNIT[2])]
+    ops = [(g, ExpPoly.zero()) for g in IGL_OPERATORS]
+    ops += [(LinDiffOp(), ExpPoly.constant(1.0 + 0j)), (LinDiffOp(), ExpPoly([ExpTerm(1 + 0j, _UNIT[2])]))]
+    units = system.encode_units(keys)
+    assert units.tobytes() == np.array([system.encode(Q, zeta) for Q, zeta in ops]).tobytes()
+    assert system.encode_units([]).shape == (0, len(system.unknowns))
+
+
+def test_encode_units_raise_what_encode_raises():
+    system, _ = system_and_basis("box", 1, 2, 0)
+    for delta, alpha in [(_UNIT[1], (2, 0, 0, 0)), (None, _UNIT[1]), ((2, 0, 0, 0), ZERO_ALPHA)]:
+        with pytest.raises(ValueError) as expected:
+            if delta is None:
+                system.encode(LinDiffOp(), ExpPoly([ExpTerm(1 + 0j, alpha)]))
+            else:
+                system.encode(LinDiffOp([(delta, ExpPoly([ExpTerm(1 + 0j, alpha)]))]))
+        with pytest.raises(ValueError) as got:
+            system.encode_units([(_UNIT[0], ZERO_ALPHA), (delta, alpha)])
+        assert str(got.value) == str(expected.value)
 
 
 # the abstract's ladder at ansatz degree 1: the Lorentz boost M01 lies in the
