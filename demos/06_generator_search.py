@@ -21,7 +21,7 @@ box = wave_operator()
 # affine ansatz, two-fold bracket: the full 20-parameter linear group appears
 spec = AnsatzSpec(degree=1, p=2, zeta_degree=0)
 system = build_determining_system(box, spec)
-print("unknowns:", len(system.unknowns), " equations:", system.matrix.shape[0])
+print("unknowns:", len(system.unknowns), " equations:", len(system.row_codes))
 
 basis = solve_null_space(system)
 print("null-space dimension:", basis.dimension)

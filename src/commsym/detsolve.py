@@ -48,12 +48,9 @@ NULL_TOL = 1e-8
 REVERIFY_TOL = 1e-8
 # structure constants: rank cutoff and largest closure residual, both relative
 _CLOSURE_TOL = 1e-8
-# bytes that each of a determining system's two dense complex arrays, the
-# matrix and the probe oracle's P, may take; a larger system is refused
-# before either is allocated.  At degree 5, the largest search in the
-# tests, they take at most 10.7 and 20.8 MiB; degree 7 fits at every
-# p <= 3 (at most 107.4 and 318.9 MiB), degree 12 at p = 1 needs 2793 and
-# 6283 MiB
+# bytes that the probe oracle's P, a search's one dense complex array, may
+# take; a larger system is refused before P exists.  P takes at most 20.8 MiB
+# at degree 5, 318.9 MiB at degree 7 and p <= 3, and 6283 MiB at degree 12
 DENSE_BUDGET = 2**29
 
 
@@ -88,12 +85,15 @@ class DeterminingSystem:
 
     Each row is the key (delta, alpha) of one term x^alpha d^delta of the
     residual operator, held as its int64 code (:func:`_pack`) in base
-    radix: row_codes is sorted, so the rows run in key order.  The tuples
-    row_keys are built from the codes on first read; the solver and the
-    oracle read the codes alone.
+    radix: row_codes is sorted, so the rows run in key order.
+
+    The system's data are its entries (rows, cols, vals), M's nonzeros in
+    row-major order, each position once, a signed zero part stored as +0.0,
+    and its row codes.  No search builds the dense ``matrix`` or the tuples
+    ``row_keys``; both are built on first read.
     """
 
-    matrix: np.ndarray
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
     unknowns: tuple[tuple[Index4 | None, Index4], ...]
     row_codes: np.ndarray
     radix: int
@@ -106,26 +106,24 @@ class DeterminingSystem:
         return tuple((tuple(k[:4]), tuple(k[4:])) for k in _unpack(self.row_codes, self.radix).tolist())
 
     @functools.cached_property
-    def nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (rows, columns) of the nonzeros of the matrix, in row-major
-        order: the one scan of the matrix that the components and the
-        oracle's check of them both read.  It runs on the mask M != 0,
-        which numpy scans faster than a complex array."""
-        return np.nonzero(self.matrix != 0)
+    def matrix(self) -> np.ndarray:
+        """The dense matrix M of the entries, built on first read."""
+        return _fill(*self.entries, (len(self.row_codes), len(self.unknowns)))
 
     @functools.cached_property
     def components(self) -> list[tuple[list[int], list[int]]]:
         """The (rows, columns) of each sparsity component of the matrix
-        (:func:`_components`), found once per system; the solver and the
-        probe oracle both read them."""
-        return _components(self.matrix.shape[1], *self.nonzeros)
+        (:func:`_components` of the entries), found once per system; the
+        solver and the probe oracle both read them."""
+        return _components(len(self.unknowns), *self.entries[:2])
 
     @functools.cached_property
     def block_stacks(self) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
         """The blocks of the components with rows, stacked by shape
-        (:func:`_block_stacks`), gathered once per system; the solver and the
-        probe oracle both read them."""
-        return _block_stacks(self.matrix, [(rows, cols) for rows, cols in self.components if rows])
+        (:func:`_block_stacks`), filled once per system from the entries;
+        the solver and the probe oracle both read them."""
+        return _block_stacks(self.entries, (len(self.row_codes), len(self.unknowns)),
+                             [(rows, cols) for rows, cols in self.components if rows])
 
     @functools.cached_property
     def _index(self) -> dict[tuple[Index4 | None, Index4], int]:
@@ -363,8 +361,8 @@ def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSyste
     column of a key (None, alpha) is -x^alpha L.  The keys travel as int64
     codes (:func:`_pack`) in one radix, bounded from the ansatz and L: no
     index exceeds max(1, degree, zeta_degree) plus p times L's largest.  So
-    each merge and the row index are one ``np.unique`` over a 1-D array,
-    and the rows stay codes.
+    each merge is one ``np.unique`` and the row-major order one sort, over
+    1-D arrays of codes, and the rows stay codes.
     """
     if L.has_exponential_coefficients():
         raise UnsupportedCoefficient(
@@ -387,10 +385,12 @@ def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSyste
         for j, (_, alpha) in enumerate(unknowns[len(q_keys):], len(q_keys)) for gamma, t in terms
     ])
     cols, codes, vals = (np.concatenate(pair) for pair in zip(q, (zeta_cols, _pack(zeta_keys, radix), zeta_vals)))
-    row_codes, rows = np.unique(codes, return_inverse=True)
-    _check_dense_sizes(row_codes, radix, len(unknowns))
-    matrix = _fill(rows, cols, vals, (len(row_codes), len(unknowns)))
-    return DeterminingSystem(matrix, unknowns, row_codes, radix, L, spec)
+    order = np.argsort(codes * len(unknowns) + cols)  # each (key, column) occurs once
+    codes, cols, vals = codes[order], cols[order], vals[order] + 0.0  # +0.0 as _fill stores it
+    first = np.diff(codes, prepend=-1) != 0  # the first entry of each row
+    row_codes = codes[first]
+    _check_probe_size(row_codes, radix)
+    return DeterminingSystem((np.cumsum(first) - 1, cols, vals), unknowns, row_codes, radix, L, spec)
 
 
 def _probe_counts(codes: np.ndarray, radix: int) -> tuple[int, int]:
@@ -401,20 +401,14 @@ def _probe_counts(codes: np.ndarray, radix: int) -> tuple[int, int]:
     return len(np.unique(deltas)), len(np.unique(alphas))
 
 
-def _check_dense_sizes(row_codes: np.ndarray, radix: int, n_cols: int) -> None:
-    """Refuse a system whose dense arrays outgrow DENSE_BUDGET, before either
-    exists: the matrix over the rows (their sorted codes in base radix) and
-    n_cols unknowns, and the probe matrix P of the oracle, one row per
-    (derivative index, monomial) pair of the rows and one column per row
-    (:func:`probe_sample`).  ValueError names both sizes."""
+def _check_probe_size(row_codes: np.ndarray, radix: int) -> None:
+    """Refuse a system whose probe matrix P (:func:`probe_sample`) outgrows
+    DENSE_BUDGET, before P exists; ValueError names its size."""
     n_probes, n_points = _probe_counts(row_codes, radix)
-    item = np.dtype(complex).itemsize
-    matrix = len(row_codes) * n_cols * item
-    probes = n_probes * n_points * len(row_codes) * item
-    if max(matrix, probes) > DENSE_BUDGET:
-        raise ValueError(
-            f"the determining matrix needs {matrix / 2**20:.1f} MiB and the probe matrix "
-            f"{probes / 2**20:.1f} MiB; each may take at most {DENSE_BUDGET / 2**20:.0f} MiB")
+    probes = n_probes * n_points * len(row_codes) * np.dtype(complex).itemsize
+    if probes > DENSE_BUDGET:
+        raise ValueError(f"the probe matrix needs {probes / 2**20:.1f} MiB; "
+                         f"it may take at most {DENSE_BUDGET / 2**20:.0f} MiB")
 
 
 def _fill(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -457,20 +451,35 @@ def _components(n_cols: int, nz_rows: np.ndarray, nz_cols: np.ndarray) -> list[t
 
 
 def _block_stacks(
-    m: np.ndarray, blocks: Sequence[tuple[list[int], list[int]]]
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray], shape: tuple[int, int],
+    blocks: Sequence[tuple[list[int], list[int]]],
 ) -> list[tuple[list[int], np.ndarray, np.ndarray, np.ndarray]]:
-    """The blocks m[rows, cols] grouped by shape, in order of first
+    """The blocks M[rows, cols] of the matrix M of the given shape whose
+    entries are (rows, cols, vals), grouped by shape, in order of first
     appearance: per (r, c) shape, the positions of its blocks in blocks,
     their (k, r) row indices, their (k, c) column indices and the (k, r, c)
-    stack of the blocks."""
+    stack of the blocks, a view of one array filled by one scatter.
+    RuntimeError if an entry lies outside every diagonal block."""
     by_shape: dict[tuple[int, int], list[int]] = defaultdict(list)
     for i, (rows, cols) in enumerate(blocks):
         by_shape[len(rows), len(cols)].append(i)
-    out = []
-    for members in by_shape.values():
+    # the block of each row and column (-1 and -2 outside all) and its offset in flat
+    row_block, col_block = np.full(shape[0], -1), np.full(shape[1], -2)
+    row_at, col_at = np.zeros(shape[0], dtype=np.int64), np.zeros(shape[1], dtype=np.int64)
+    flat = np.zeros(sum(len(rows) * len(cols) for rows, cols in blocks), dtype=complex)
+    out, start = [], 0
+    for (r, c), members in by_shape.items():
         rows = np.array([blocks[i][0] for i in members])
         cols = np.array([blocks[i][1] for i in members])
-        out.append((members, rows, cols, m[rows[:, :, None], cols[:, None, :]]))
+        row_block[rows] = col_block[cols] = np.array(members)[:, None]
+        row_at[rows] = start + c * np.arange(rows.size).reshape(rows.shape)
+        col_at[cols] = np.arange(c)
+        out.append((members, rows, cols, flat[start:start + rows.size * c].reshape(-1, r, c)))
+        start += rows.size * c
+    i, j, vals = entries
+    if not np.array_equal(row_block[i], col_block[j]):
+        raise RuntimeError("the sparsity split leaves a nonzero of the matrix outside its diagonal blocks")
+    flat[row_at[i] + col_at[j]] = vals
     return out
 
 
@@ -496,8 +505,7 @@ def solve_null_space(system: DeterminingSystem) -> GeneratorBasis:
     at most REVERIFY_TOL; otherwise RuntimeError names the residual's
     largest term.
     """
-    m = system.matrix
-    if not np.all(np.isfinite(m)):
+    if not np.all(np.isfinite(system.entries[2])):
         raise ValueError("determining system contains non-finite entries")
     components = system.components
     blocks = [(rows, cols) for rows, cols in components if rows]
@@ -516,7 +524,7 @@ def solve_null_space(system: DeterminingSystem) -> GeneratorBasis:
     for (members, cols, _, _), rank in zip(svds, ranks):
         nullity[members] = cols.shape[1] - rank
     start = len(free) + np.cumsum(nullity) - nullity
-    vectors = np.zeros((len(free) + int(nullity.sum()), m.shape[1]), dtype=complex)
+    vectors = np.zeros((len(free) + int(nullity.sum()), len(system.unknowns)), dtype=complex)
     vectors[np.arange(len(free)), free] = 1
     for (members, cols, _, vh), rank in zip(svds, ranks):
         null = np.arange(cols.shape[1]) >= rank[:, None]  # (blocks, rows of vh)
@@ -776,13 +784,16 @@ def apply_probe_null_dimension(system: DeterminingSystem, rng: np.random.Generat
     the sample S = P @ M has the rank of the map.
 
     The rank is taken per sparsity block, the ``system.components`` the
-    solver splits M by.  First every nonzero of M must lie in a diagonal
-    block, or RuntimeError is raised: a split that cuts a component is
-    refused, not counted.  Then M is block-diagonal, S[:, cols] is
-    P[:, rows] @ M[rows, cols] for each block, and, P being injective, the
-    ranks of these column blocks add up to the rank of S.  They are sampled
-    as one stack per block shape, and a block's rank is the count of its
-    sample's singular values above the cutoff 1e-8 max|S| (:func:`_sample_ranks`):
+    solver splits M by.  Every entry of M must lie in a diagonal block, or
+    ``system.block_stacks`` raises RuntimeError: a split that cuts a
+    component is refused, not counted.  So M is block-diagonal, S[:, cols]
+    is P[:, rows] @ M[rows, cols] for each block, and, P being injective,
+    the ranks of these column blocks add up to the rank of S in exact
+    arithmetic; at a float cutoff, where the blocks' samples are not
+    orthogonal in S, one rank of all of S can count otherwise (two rank-one
+    blocks just below it count 0, all of S 1).  They are sampled as one
+    stack per block shape, and a block's rank is the count of its sample's
+    singular values above the cutoff 1e-8 max|S| (:func:`_sample_ranks`):
     - A block of one row or one column has a sample of rank at most one,
       p m^T or P_b m, whose one singular value is its norm; no SVD runs.  A
       float outer product holds each p_i m_j to within sqrt(5) u relative
@@ -797,20 +808,9 @@ def apply_probe_null_dimension(system: DeterminingSystem, rng: np.random.Generat
     assembly.
     """
     _, _, P = probe_sample(system, rng)
-    m = system.matrix
-    stacks = system.block_stacks
-    # rows and columns outside every block keep different marks, so that a
-    # nonzero there fails the check too
-    row_block = np.full(m.shape[0], -1)
-    col_block = np.full(m.shape[1], -2)
-    for members, rows, cols, _ in stacks:
-        row_block[rows] = col_block[cols] = np.array(members)[:, None]
-    i, j = system.nonzeros
-    if not np.array_equal(row_block[i], col_block[j]):
-        raise RuntimeError("the sparsity split leaves a nonzero of the matrix outside its diagonal blocks")
     samples, tol = _block_samples(system, P)
-    return m.shape[1] - sum(int(_sample_ranks(s, rows.shape[1], tol).sum())
-                            for s, (_, rows, _, _) in zip(samples, stacks))
+    return len(system.unknowns) - sum(int(_sample_ranks(s, rows.shape[1], tol).sum())
+                                      for s, (_, rows, _, _) in zip(samples, system.block_stacks))
 
 
 def _block_samples(system: DeterminingSystem, P: np.ndarray) -> tuple[list[np.ndarray], float]:

@@ -291,17 +291,16 @@ def test_python_m_commsym_runs_the_cli(capsys):
 
 
 def test_a_search_beyond_the_dense_budget_exits_2_before_allocating():
-    """detsolve at degree 12 would need 2793 MiB for its matrix and 6283 MiB
-    for the oracle's P: under a 3 GB address-space limit it is refused in
-    one line, before either exists."""
+    """detsolve at degree 12 would need 6283 MiB for the oracle's P, the one
+    dense array of a search: under a 3 GB address-space limit it is refused
+    in one line, before P exists."""
     src = str(pathlib.Path(commsym.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     command = f"ulimit -v 3000000 && exec {sys.executable} -m commsym detsolve --degree 12 --p 1"
     proc = subprocess.run(["/bin/sh", "-c", command], capture_output=True, env=env, timeout=60)
     assert proc.returncode == cli.EXIT_CONFIG and proc.stdout == b""
     assert proc.stderr.decode() == (
-        "error: ValueError: the determining matrix needs 2792.8 MiB and the probe matrix "
-        "6283.2 MiB; each may take at most 512 MiB\n")
+        "error: ValueError: the probe matrix needs 6283.2 MiB; it may take at most 512 MiB\n")
 
 
 # -- JSON schema / determinism -----------------------------------------------------

@@ -117,6 +117,14 @@ def system_and_basis(operator, degree, p, zeta_degree):
     return system, solve_null_space(system)
 
 
+def matrix_system(m, **fields):
+    """The determining system whose matrix is m, with the other fields given:
+    its entries are the nonzeros of m in row-major order, as np.nonzero lists
+    them, and its row codes default to 0, 1, ... for the rows of m."""
+    rows, cols = np.nonzero(m)
+    return DeterminingSystem(entries=(rows, cols, m[rows, cols]), **{"row_codes": np.arange(len(m)), **fields})
+
+
 # -- the dict-based ad_L map as the reference of the array assembly -------------------
 
 
@@ -365,28 +373,23 @@ def test_monomials_run_in_graded_lex_order(degree):
 
 @pytest.mark.parametrize("operator", ["box", "schrod"])
 @pytest.mark.parametrize("degree", [1, 2, 3])
-def test_a_search_scans_its_matrix_once_and_builds_no_row_key(monkeypatch, operator, degree):
-    """The solver's components and the oracle's check of them read one
-    np.nonzero of the matrix, and the rows stay codes: a search builds no
-    row-key tuple."""
-    systems, scans = [], []
-    build, nonzero = detsolve.build_determining_system, np.nonzero
+def test_a_search_builds_no_dense_matrix_and_no_row_key(monkeypatch, operator, degree):
+    """The solver and the oracle read the system's entries, its components
+    and its block stacks: a search never fills the dense matrix, and the
+    rows stay codes, so it builds no row-key tuple."""
+    systems = []
+    build = detsolve.build_determining_system
 
     def built(*args):
         systems.append(build(*args))
         return systems[-1]
 
-    def counted(a):
-        scans.append(np.shape(a))
-        return nonzero(a)
-
     monkeypatch.setattr(detsolve, "build_determining_system", built)
-    monkeypatch.setattr(np, "nonzero", counted)
+    monkeypatch.setattr(detsolve, "_fill", lambda *args: pytest.fail("the dense matrix was filled"))
     report = run_generator_search(operator, degree, 2, 0, 0)
     assert report.passed
     (system,) = systems
-    assert scans.count(system.matrix.shape) == 1
-    assert "row_keys" not in vars(system)
+    assert "matrix" not in vars(system) and "row_keys" not in vars(system)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -519,8 +522,8 @@ def _rank_one_blocks_system(scale_row, scale_col):
     m[2, 2:4] = scale_row * (rng.normal(size=2) + 1j * rng.normal(size=2))
     m[3:, 4] = scale_col * (rng.normal(size=2) + 1j * rng.normal(size=2))
     keys = np.array(sorted([(*delta, *alpha) for delta in _UNIT[:3] for alpha in (ZERO_ALPHA, _UNIT[0])])[:5])
-    return DeterminingSystem(
-        matrix=m,
+    return matrix_system(
+        m,
         unknowns=tuple((_UNIT[0], alpha) for alpha in monomials_up_to(1)),
         row_codes=_pack(keys, 2),
         radix=2,
@@ -573,6 +576,9 @@ def test_probe_oracle_refuses_a_split_that_cuts_a_component(monkeypatch, mode):
     assert fresh.components != system.components
     with pytest.raises(RuntimeError, match="outside its diagonal blocks"):
         apply_probe_null_dimension(fresh, np.random.default_rng(0))
+    # the blocks are cut from the entries, so the solver refuses the split too
+    with pytest.raises(RuntimeError, match="outside its diagonal blocks"):
+        solve_null_space(dataclasses.replace(system))
 
 
 def test_probe_oracle_counts_a_system_without_rows():
@@ -687,7 +693,7 @@ def test_one_search_gathers_the_block_stacks_once(monkeypatch, operator, degree)
     dim_alone = apply_probe_null_dimension(build_determining_system(L, spec), np.random.default_rng(5))
     calls = []
     gather = detsolve._block_stacks
-    monkeypatch.setattr(detsolve, "_block_stacks", lambda m, blocks: calls.append(1) or gather(m, blocks))
+    monkeypatch.setattr(detsolve, "_block_stacks", lambda *args: calls.append(1) or gather(*args))
     system = build_determining_system(L, spec)
     basis = solve_null_space(system)
     assert apply_probe_null_dimension(system, np.random.default_rng(5)) == dim_alone
@@ -698,6 +704,32 @@ def test_one_search_gathers_the_block_stacks_once(monkeypatch, operator, degree)
     assert basis.components == basis_alone.components
     run_generator_search(operator, degree, 2, 0, 5)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("operator, degree, p, zeta_degree", [
+    (op, degree, p, zeta_degree)
+    for op in ("box", "schrod") for degree in range(1, 6) for p in (1, 2, 3) for zeta_degree in range(3)
+] + [
+    (op, *spec) for op in ROUNDING_OPERATORS for spec in ((2, 2, 0), (3, 2, 2), (3, 3, 0))
+])
+def test_the_entries_give_the_components_and_blocks_of_the_dense_matrix_bit_for_bit(
+    operator, degree, p, zeta_degree
+):
+    """The entries are the nonzeros of M in row-major order; the components
+    are those of M's nonzeros, and each block stack holds the bytes of the
+    gather M[rows, cols], signed zeros included."""
+    L = {**OPERATORS, **ROUNDING_OPERATORS}[operator]()
+    system = build_determining_system(L, AnsatzSpec(degree, p, zeta_degree))
+    m = system.matrix
+    rows, cols = np.nonzero(m)
+    entry_rows, entry_cols, vals = system.entries
+    assert np.array_equal(entry_rows, rows) and np.array_equal(entry_cols, cols)
+    assert vals.view(float).tobytes() == m[rows, cols].view(float).tobytes()
+    assert system.components == _components(m.shape[1], rows, cols)
+    for _, block_rows, block_cols, stack in system.block_stacks:
+        gathered = m[block_rows[:, :, None], block_cols[:, None, :]]
+        assert stack.shape == gathered.shape
+        assert stack.view(float).tobytes() == gathered.view(float).tobytes()
 
 
 def test_components_of_a_permuted_block_matrix():
@@ -964,10 +996,9 @@ def test_named_generators_climb_the_commutator_ladder(operator, p, holds, misses
 
 
 def test_full_rank_system_empty_basis():
-    dummy = DeterminingSystem(
-        matrix=np.eye(3, dtype=complex),
+    dummy = matrix_system(
+        np.eye(3, dtype=complex),
         unknowns=tuple((_UNIT[a], ZERO_ALPHA) for a in range(3)),
-        row_codes=np.zeros(0, dtype=np.int64),
         radix=2,
         L=wave_operator(),
         spec=AnsatzSpec(degree=0, p=1),
@@ -1048,7 +1079,8 @@ def test_ambiguous_null_cutoff_fails_the_stability_row(monkeypatch):
         free = [j for j in range(m.shape[1]) if not m[:, j].any()]
         extra = np.zeros((2, m.shape[1]), dtype=complex)
         extra[0, free[0]], extra[1, free[1]] = 3e-8, 5e-9
-        return solve(dataclasses.replace(system, matrix=np.vstack([m, extra])))
+        return solve(matrix_system(np.vstack([m, extra]), unknowns=system.unknowns, radix=system.radix,
+                                   L=system.L, spec=system.spec))
 
     monkeypatch.setattr(detsolve, "solve_null_space", solve_ambiguous)
     status, payload = cli.run(cli.parse_config(["detsolve", "--degree", "1", "--format", "json"]))
@@ -1064,10 +1096,9 @@ def test_ambiguous_null_cutoff_fails_the_stability_row(monkeypatch):
 
 def test_null_cutoff_is_relative_to_the_global_sigma_max():
     # two 1 x 1 components: 1e-9 is the whole of its own but below NULL_TOL * 1
-    dummy = DeterminingSystem(
-        matrix=np.diag([1.0, 1e-9]).astype(complex),
+    dummy = matrix_system(
+        np.diag([1.0, 1e-9]).astype(complex),
         unknowns=tuple((_UNIT[a], ZERO_ALPHA) for a in range(2)),
-        row_codes=np.zeros(0, dtype=np.int64),
         radix=2,
         L=wave_operator(),
         spec=AnsatzSpec(degree=0, p=1),
@@ -1122,10 +1153,9 @@ def test_residual_operator_matches_ad_power_of_candidate(operator, degree, p, ze
 
 
 def test_decode_refuses_unknowns_whose_delta_is_split_in_two_runs():
-    system = DeterminingSystem(
-        matrix=np.zeros((0, 3), dtype=complex),
+    system = matrix_system(
+        np.zeros((0, 3), dtype=complex),
         unknowns=((_UNIT[0], ZERO_ALPHA), (_UNIT[1], ZERO_ALPHA), (_UNIT[0], (1, 0, 0, 0))),
-        row_codes=np.zeros(0, dtype=np.int64),
         radix=2,
         L=wave_operator(),
         spec=AnsatzSpec(degree=1, p=1),
@@ -1136,8 +1166,8 @@ def test_decode_refuses_unknowns_whose_delta_is_split_in_two_runs():
 
 def test_reverification_rejects_a_wrong_matrix():
     # the matrix admits x0 d0 for box at p = 1, but [box, x0 d0] = 2 d0^2
-    wrong = DeterminingSystem(
-        matrix=np.zeros((1, 1), dtype=complex),
+    wrong = matrix_system(
+        np.zeros((1, 1), dtype=complex),
         unknowns=(((1, 0, 0, 0), (1, 0, 0, 0)),),
         row_codes=_pack(np.array([[2, 0, 0, 0, 0, 0, 0, 0]]), 3),
         radix=3,
@@ -1153,7 +1183,8 @@ def test_reverification_names_witness_and_ignores_matrix():
     system, _ = system_and_basis("box", 2, 2, 0)
     delta, alpha = system.row_keys[-1]
     # one equation fewer: the null vectors leave its coefficient in the residual
-    dropped = dataclasses.replace(system, matrix=system.matrix[:-1])
+    dropped = matrix_system(system.matrix[:-1], unknowns=system.unknowns, row_codes=system.row_codes[:-1],
+                            radix=system.radix, L=system.L, spec=system.spec)
     with pytest.raises(RuntimeError, match="fails re-verification") as err:
         solve_null_space(dropped)
     assert f"delta={delta}" in str(err.value)
@@ -1199,18 +1230,20 @@ def test_reverification_outside_ad_power_builds_no_operator(monkeypatch, operato
 
 
 def test_a_system_beyond_the_dense_budget_is_refused_before_its_arrays_exist(monkeypatch):
-    """The sizes named are those of the matrix and of the oracle's P, and the
-    matrix is never filled."""
+    """The size named is that of the oracle's P, the one dense array of a
+    search; a P of exactly the budget is built, and the matrix is never
+    filled."""
     system = build_determining_system(wave_operator(), AnsatzSpec(3, 2))
     _, _, P = probe_sample(system, np.random.default_rng(0))
-    assert max(system.matrix.nbytes, P.nbytes) <= DENSE_BUDGET
-    monkeypatch.setattr(detsolve, "DENSE_BUDGET", P.nbytes - 1)
+    assert P.nbytes <= DENSE_BUDGET
     monkeypatch.setattr(detsolve, "_fill", lambda *args: pytest.fail("the matrix was filled"))
+    monkeypatch.setattr(detsolve, "DENSE_BUDGET", P.nbytes)
+    build_determining_system(wave_operator(), AnsatzSpec(3, 2))
+    monkeypatch.setattr(detsolve, "DENSE_BUDGET", P.nbytes - 1)
     with pytest.raises(ValueError) as err:
         build_determining_system(wave_operator(), AnsatzSpec(3, 2))
     assert str(err.value) == (
-        f"the determining matrix needs {system.matrix.nbytes / 2**20:.1f} MiB and the probe "
-        f"matrix {P.nbytes / 2**20:.1f} MiB; each may take at most {(P.nbytes - 1) / 2**20:.0f} MiB")
+        f"the probe matrix needs {P.nbytes / 2**20:.1f} MiB; it may take at most {(P.nbytes - 1) / 2**20:.0f} MiB")
 
 
 @pytest.mark.parametrize("operator", ["box", "schrod"])
