@@ -84,8 +84,9 @@ class DeterminingSystem:
     this layout.
 
     Each row is the key (delta, alpha) of one term x^alpha d^delta of the
-    residual operator, held as its int64 code (:func:`_pack`) in base
-    radix: row_codes is sorted, so the rows run in key order.
+    residual operator, held as its int64 code in base radix: row_codes is
+    sorted, so the rows run in key order.  Only _pack, _unpack and
+    _probe_counts read the codes' layout; all else uses delta and alpha.
 
     The system's data are its entries (rows, cols, vals), M's nonzeros in
     row-major order, each position once, a signed zero part stored as +0.0,
@@ -103,7 +104,7 @@ class DeterminingSystem:
     @functools.cached_property
     def row_keys(self) -> tuple[tuple[Index4, Index4], ...]:
         """The (derivative delta, monomial alpha) of each row."""
-        return tuple((tuple(k[:4]), tuple(k[4:])) for k in _unpack(self.row_codes, self.radix).tolist())
+        return tuple(zip(*(map(tuple, half.tolist()) for half in _unpack(self.row_codes, self.radix))))
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -244,14 +245,6 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _Q_DELTAS = np.array([*_UNIT, ZERO_ALPHA], dtype=np.int64)
 
 
-def _entries(triples: Sequence[tuple[int, Sequence[int], complex]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arrays (cols, keys, vals) of (column, (*delta, *alpha), value)
-    triples, with keys as one (n, 8) int64 array."""
-    cols, keys, vals = zip(*triples) if triples else ((), (), ())
-    return (np.array(cols, dtype=np.int64), np.array(keys, dtype=np.int64).reshape(-1, 8),
-            np.array(vals, dtype=complex))
-
-
 def _radix(top: int, n_cols: int) -> int:
     """The base of the key codes of keys whose indices are at most top:
     top + 1.  OverflowError unless code * n_cols + column fits in int64 for
@@ -262,17 +255,29 @@ def _radix(top: int, n_cols: int) -> int:
     return radix
 
 
-def _pack(keys: np.ndarray, radix: int) -> np.ndarray:
-    """One int64 code per (delta, alpha) row of keys: the eight indices are
-    its digits in base radix, most significant first, so the codes sort as
-    the key tuples do.  Packing is linear, so a shift of the digits by s
-    adds the code of s."""
-    return keys @ radix ** np.arange(7, -1, -1, dtype=np.int64)
+def _pack(delta: np.ndarray, alpha: np.ndarray, radix: int) -> np.ndarray:
+    """The int64 codes of keys whose halves delta and alpha are int arrays of
+    shape (..., 4) that broadcast: delta's, then alpha's indices are the
+    digits in base radix, most significant first, so the codes sort as the
+    key tuples do.  Only _pack, _unpack and _probe_counts know this layout.
+    Packing is linear, so a shift of the digits by s adds the code of s."""
+    place = radix ** np.arange(3, -1, -1, dtype=np.int64)
+    return (delta @ place) * radix**4 + alpha @ place
 
 
-def _unpack(codes: np.ndarray, radix: int) -> np.ndarray:
-    """The (n, 8) keys of codes packed in base radix: the inverse of _pack."""
-    return codes[:, None] // radix ** np.arange(7, -1, -1, dtype=np.int64) % radix
+def _unpack(codes: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """The halves (delta, alpha), each (n, 4), of the n codes packed in base
+    radix: the inverse of _pack."""
+    place = radix ** np.arange(3, -1, -1, dtype=np.int64)
+    return tuple(half[:, None] // place % radix for half in np.divmod(codes, radix**4))
+
+
+def _probe_counts(codes: np.ndarray, radix: int) -> tuple[int, int]:
+    """The probes and points of the oracle's sample over rows with these
+    codes: the numbers of distinct derivative indices delta (the high four
+    digits) and of distinct monomials alpha (the low four)."""
+    deltas, alphas = np.divmod(codes, radix**4)
+    return len(np.unique(deltas)), len(np.unique(alphas))
 
 
 class _AdMap:
@@ -288,15 +293,17 @@ class _AdMap:
     (delta, alpha) to (delta, alpha) + (gamma - beta, a - beta), with the
     integer weight
 
-        binom(gamma, beta) alpha!/(alpha - beta)! - a!/(a - beta)! binom(delta, beta),
+        binom(gamma, beta) alpha!/(alpha - beta)! - binom(a, beta) delta!/(delta - beta)!
 
-    each factor zero unless beta lies below its multi-index.  The map holds
-    one pass per (term of L, nonzero beta <= max(gamma, a)); a call weighs
-    every entry in every pass at once (:meth:`weights`), by one flat gather
-    from a table of binomial coefficients and one from a table of falling
-    factorials.  A weighted pass never lowers an index and raises it by at
-    most max(gamma, a), and the codes are in base radix, fixed for the map:
-    every index of every key it is given or makes must lie below radix.
+    (the second term is binom(delta, beta) a!/(a - beta)!, regrouped), each
+    factor zero unless beta lies below its multi-index.  The map holds one
+    pass per (term of L, nonzero beta <= max(gamma, a)); a call weighs every
+    entry in every pass at once (:meth:`weights`), both halves read from one
+    table of falling factorials.  It reads and shifts codes only through
+    _unpack and _pack, the layout's owners.  A weighted pass never lowers an
+    index and raises it by at most max(gamma, a), and the codes are in base
+    radix, fixed for the map: every index of every key it is given or makes
+    must lie below radix.
     """
 
     def __init__(self, L: LinDiffOp, radix: int):
@@ -307,17 +314,13 @@ class _AdMap:
             if any(beta)
         ]
         self.radix = radix
-        self.beta = np.array([beta for *_, beta in passes], dtype=np.int64).reshape(-1, 4)
-        # binom(gamma, beta) and a!/(a - beta)!: math.comb and math.perm give 0 past the top
-        self.on_alpha = np.array([math.prod(map(math.comb, gamma, beta)) for gamma, _, _, beta in passes],
-                                 dtype=float)
-        self.on_a = np.array([math.prod(map(math.perm, a, beta)) for _, a, _, beta in passes], dtype=float)
-        self.shift = np.array([(*gamma, *a) for gamma, a, _, _ in passes], dtype=np.int64).reshape(-1, 8)
-        self.shift -= np.hstack([self.beta, self.beta])
-        self.shift_code = _pack(self.shift, radix)
+        gamma, a, self.beta = (np.array([p[i] for p in passes], dtype=np.int64).reshape(-1, 4) for i in (0, 1, 3))
+        # binom(gamma, beta), binom(a, beta) and n!/(n - b)!: math.comb and math.perm give 0 past the top
+        self.on_alpha = np.array([math.prod(map(math.comb, g, b)) for g, _, _, b in passes], dtype=float)
+        self.on_delta = np.array([math.prod(map(math.comb, e, b)) for _, e, _, b in passes], dtype=float)
+        self.shift_code = _pack(gamma - self.beta, a - self.beta, radix)
         self.coeff = np.array([c for _, _, c, _ in passes], dtype=complex)
         self.reach = int(self.beta.max(initial=0)) + 1
-        self.binom = np.array([[math.comb(n, b) for b in range(self.reach)] for n in range(radix)], dtype=float)
         self.falling = np.array([[math.perm(n, b) for b in range(self.reach)] for n in range(radix)], dtype=float)
 
     def __call__(self, entries: Entries, n_cols: int) -> Entries:
@@ -326,7 +329,7 @@ class _AdMap:
         sorted by key and then column: one ``np.unique`` over the pair codes
         code * n_cols + column."""
         cols, codes, vals = entries
-        weight = self.weights(_unpack(codes, self.radix))
+        weight = self.weights(*_unpack(codes, self.radix))
         e, t = np.nonzero(weight)
         pairs, group = np.unique((codes[e] + self.shift_code[t]) * n_cols + cols[e], return_inverse=True)
         terms = vals[e] * (self.coeff[t] * weight[e, t])
@@ -337,15 +340,14 @@ class _AdMap:
         codes, cols = np.divmod(pairs[keep], n_cols)
         return cols, codes, sums[keep]
 
-    def weights(self, keys: np.ndarray) -> np.ndarray:
-        """weight[e, t]: the weight of pass t on the key (delta, alpha) of row e
-        of keys, in floats: exact up to 2**53, and rounded, not wrapped
-        around, beyond."""
-        # f[a, e, t] and b[a, e, t]: the axis-a factors of pass t on key e,
-        # each gathered at (alpha_a or delta_a of e, beta_a of t) from the raveled table
-        f = np.take(self.falling, keys[:, 4:].T[:, :, None] * self.reach + self.beta.T[:, None, :])
-        b = np.take(self.binom, keys[:, :4].T[:, :, None] * self.reach + self.beta.T[:, None, :])
-        return self.on_alpha * (f[0] * f[1] * f[2] * f[3]) - self.on_a * (b[0] * b[1] * b[2] * b[3])
+    def weights(self, delta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """weight[e, t]: the weight of pass t on the key (delta[e], alpha[e]),
+        in floats: exact up to 2**53, and rounded, not wrapped around, beyond."""
+        # f[i, e, t] and d[i, e, t]: the axis-i factors alpha_i!/(alpha_i - beta_i)!
+        # and delta_i!/(delta_i - beta_i)! of pass t on key e, from the raveled table
+        f = np.take(self.falling, alpha.T[:, :, None] * self.reach + self.beta.T[:, None, :])
+        d = np.take(self.falling, delta.T[:, :, None] * self.reach + self.beta.T[:, None, :])
+        return self.on_alpha * (f[0] * f[1] * f[2] * f[3]) - self.on_delta * (d[0] * d[1] * d[2] * d[3])
 
 
 def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSystem:
@@ -370,35 +372,28 @@ def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSyste
         )
     monomials = monomials_up_to(spec.degree)
     q_keys = [(delta, m) for delta in (*_UNIT, ZERO_ALPHA) for m in monomials]
-    unknowns = (*q_keys, *((None, m) for m in monomials_up_to(spec.zeta_degree)))
+    zeta = monomials_up_to(spec.zeta_degree)
+    unknowns = (*q_keys, *((None, m) for m in zeta))
     terms = [(gamma, t) for gamma, coeff in L.terms for t in coeff.terms]
-    top = max((i for gamma, t in terms for i in (*gamma, *t.alpha)), default=0)
+    gamma = np.array([g for g, _ in terms], dtype=np.int64).reshape(-1, 4)
+    a = np.array([t.alpha for _, t in terms], dtype=np.int64).reshape(-1, 4)
+    top = int(np.max([gamma, a], initial=0))
     radix = _radix(max(1, spec.degree, spec.zeta_degree) + spec.p * top, len(unknowns))
     ad = _AdMap(L, radix)
-    mono = np.array(monomials, dtype=np.int64)
-    units = np.hstack([np.repeat(_Q_DELTAS, len(mono), axis=0), np.tile(mono, (len(_Q_DELTAS), 1))])
-    q = np.arange(len(units)), _pack(units, radix), np.ones(len(units), dtype=complex)
+    unit_codes = _pack(_Q_DELTAS[:, None], np.array(monomials, dtype=np.int64), radix).ravel()
+    q = np.arange(len(q_keys)), unit_codes, np.ones(len(q_keys), dtype=complex)
     for _ in range(spec.p):
         q = ad(q, len(unknowns))
-    zeta_cols, zeta_keys, zeta_vals = _entries([
-        (j, (*gamma, *(x + y for x, y in zip(t.alpha, alpha))), -t.coeff)
-        for j, (_, alpha) in enumerate(unknowns[len(q_keys):], len(q_keys)) for gamma, t in terms
-    ])
-    cols, codes, vals = (np.concatenate(pair) for pair in zip(q, (zeta_cols, _pack(zeta_keys, radix), zeta_vals)))
+    zeta_cols = np.repeat(np.arange(len(q_keys), len(unknowns)), len(terms))
+    zeta_codes = _pack(gamma, np.array(zeta, dtype=np.int64)[:, None] + a, radix).ravel()
+    zeta_vals = np.tile(np.array([-t.coeff for _, t in terms], dtype=complex), len(zeta))
+    cols, codes, vals = (np.concatenate(pair) for pair in zip(q, (zeta_cols, zeta_codes, zeta_vals)))
     order = np.argsort(codes * len(unknowns) + cols)  # each (key, column) occurs once
     codes, cols, vals = codes[order], cols[order], vals[order] + 0.0  # +0.0 as _fill stores it
     first = np.diff(codes, prepend=-1) != 0  # the first entry of each row
     row_codes = codes[first]
     _check_probe_size(row_codes, radix)
     return DeterminingSystem((np.cumsum(first) - 1, cols, vals), unknowns, row_codes, radix, L, spec)
-
-
-def _probe_counts(codes: np.ndarray, radix: int) -> tuple[int, int]:
-    """The probes and points of the oracle's sample over rows with these
-    codes: the numbers of distinct derivative indices delta (the high four
-    digits) and of distinct monomials alpha (the low four)."""
-    deltas, alphas = np.divmod(codes, radix**4)
-    return len(np.unique(deltas)), len(np.unique(alphas))
 
 
 def _check_probe_size(row_codes: np.ndarray, radix: int) -> None:
@@ -580,11 +575,14 @@ def structure_constants(ops: Sequence[LinDiffOp]) -> tuple[np.ndarray, float]:
 
     pairs = list(itertools.combinations(range(n), 2))
     brackets = [commutator(ops[a], ops[b]) for a, b in pairs]
-    cols, keys, vals = _entries([
-        (j, (*delta, *t.alpha), t.coeff)
-        for j, op in enumerate([*ops, *brackets]) for delta, coeff in op.terms for t in coeff.terms
-    ])
-    row_codes, rows = np.unique(_pack(keys, _radix(int(keys.max(initial=0)), 1)), return_inverse=True)
+    terms = [(j, delta, t)
+             for j, op in enumerate([*ops, *brackets]) for delta, coeff in op.terms for t in coeff.terms]
+    cols = np.array([j for j, _, _ in terms], dtype=np.int64)
+    delta = np.array([delta for _, delta, _ in terms], dtype=np.int64).reshape(-1, 4)
+    alpha = np.array([t.alpha for _, _, t in terms], dtype=np.int64).reshape(-1, 4)
+    vals = np.array([t.coeff for _, _, t in terms], dtype=complex)
+    row_codes, rows = np.unique(_pack(delta, alpha, _radix(int(np.max([delta, alpha], initial=0)), 1)),
+                                return_inverse=True)
     matrix = _fill(rows, cols, vals, (len(row_codes), len(ops) + len(brackets)))
     basis, targets = matrix[:, :n], matrix[:, n:]
     if np.linalg.matrix_rank(basis, tol=_CLOSURE_TOL * np.abs(basis).max(initial=0.0)) < n:
@@ -756,18 +754,18 @@ def probe_sample(
     derivative index and one point per monomial in the row keys; a system
     without rows has neither, and P has no rows and no columns.
     """
-    keys = _unpack(system.row_codes, system.radix)
+    delta, alpha = _unpack(system.row_codes, system.radix)
     n_probes, n_points = _probe_counts(system.row_codes, system.radix)
     points = rng.uniform(-1.0, 1.0, size=(n_points, 4))
     draws = rng.normal(0, 1, (n_probes, 2, 4))  # each probe's real part, then its imaginary part
     kappas = draws[:, 0] + 1j * draws[:, 1]
-    derivs = _powers(kappas, keys[:, :4])  # kappa_i^delta
-    monos = _powers(points, keys[:, 4:])  # x_k^alpha
+    derivs = _powers(kappas, delta)  # kappa_i^delta
+    monos = _powers(points, alpha)  # x_k^alpha
     waves = np.exp(kappas @ points.T)  # f_i(x_k)
     # the product in the order of waves * derivs * monos, in one array
     P = np.multiply(waves[:, :, None], derivs[:, None, :])
     P *= monos
-    return kappas, points, P.reshape(n_probes * len(points), len(keys))
+    return kappas, points, P.reshape(n_probes * len(points), len(system.row_codes))
 
 
 def apply_probe_null_dimension(system: DeterminingSystem, rng: np.random.Generator) -> int:
@@ -828,4 +826,6 @@ def _sample_ranks(sample: np.ndarray, n_rows: int, tol: float) -> np.ndarray:
     of :func:`apply_probe_null_dimension`."""
     if n_rows == 1 or sample.shape[2] == 1:
         return (np.linalg.norm(sample, axis=(1, 2)) > tol).astype(np.int64)
+    # a direct SVD of the samples is faster on degree 2's one short stack (box 14 vs 25 us a search) but
+    # slower on degree 3's (box 630 vs 340-380 us, schrod 646 vs 420 us): timeit, 1 BLAS thread, 2 vCPUs
     return np.count_nonzero(np.linalg.svd(np.linalg.qr(sample, mode="r"), compute_uv=False) > tol, axis=1)

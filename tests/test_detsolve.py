@@ -303,9 +303,10 @@ def test_ad_map_weights_beyond_int64_round_instead_of_wrapping():
     Q = LinDiffOp([((20, 0, 0, 0), ExpPoly([ExpTerm(1, (19, 0, 0, 0))]))])
     radix = 41  # the image's indices reach 20 + 20
     ad = detsolve._AdMap(L, radix)
-    _, codes, vals = ad((np.zeros(1, dtype=np.int64), _pack(np.array([[20, 0, 0, 0, 19, 0, 0, 0]]), radix),
-                        np.ones(1, dtype=complex)), 1)
-    got = {(tuple(k[:4]), tuple(k[4:])): v for k, v in zip(_unpack(codes, radix).tolist(), vals)}
+    key = _pack(np.array([[20, 0, 0, 0]]), np.array([[19, 0, 0, 0]]), radix)
+    _, codes, vals = ad((np.zeros(1, dtype=np.int64), key, np.ones(1, dtype=complex)), 1)
+    delta, alpha = _unpack(codes, radix)
+    got = {(tuple(d), tuple(a)): v for d, a, v in zip(delta.tolist(), alpha.tolist(), vals)}
     expected = {(delta, t.alpha): t.coeff for delta, c in commutator(L, Q).terms for t in c.terms}
     assert got.keys() == expected.keys()
     assert max(abs(got[k] - expected[k]) / abs(expected[k]) for k in got) <= 1e-12
@@ -321,41 +322,54 @@ def test_ad_map_weights_are_the_comb_and_perm_products(operator):
     L = OPERATORS[operator]()
     radix = 8  # the image's indices reach 3 + 2
     ad = detsolve._AdMap(L, radix)
-    units = np.array([(*delta, *alpha) for delta in (*_UNIT, ZERO_ALPHA) for alpha in monomials_up_to(3)])
-    q = np.arange(len(units)), _pack(units, radix), np.ones(len(units), dtype=complex)
-    keys = np.concatenate([units, _unpack(ad(q, len(units))[1], radix)])
-    weight = ad.weights(keys)
-    assert weight.shape == (len(keys), len(ad.beta)) and np.count_nonzero(weight)
-    for t, (beta, shift) in enumerate(zip(ad.beta.tolist(), ad.shift.tolist())):
+    # one pass per (term c x^a d^gamma of L, nonzero beta <= max(gamma, a)), in that order
+    passes = [(gamma, t.alpha, beta) for gamma, coeff in L.terms for t in coeff.terms
+              for beta in itertools.product(*(range(max(g, e) + 1) for g, e in zip(gamma, t.alpha))) if any(beta)]
+    assert [beta for _, _, beta in passes] == list(map(tuple, ad.beta.tolist()))
+    units = [(delta, alpha) for delta in (*_UNIT, ZERO_ALPHA) for alpha in monomials_up_to(3)]
+    unit_delta, unit_alpha = (np.array(half) for half in zip(*units))
+    q = np.arange(len(units)), _pack(unit_delta, unit_alpha, radix), np.ones(len(units), dtype=complex)
+    image_delta, image_alpha = _unpack(ad(q, len(units))[1], radix)
+    deltas, alphas = np.concatenate([unit_delta, image_delta]), np.concatenate([unit_alpha, image_alpha])
+    weight = ad.weights(deltas, alphas)
+    assert weight.shape == (len(deltas), len(ad.beta)) and np.count_nonzero(weight)
+    for t, (gamma, a, beta) in enumerate(passes):
         # a pass sends (delta, alpha) to (delta, alpha) + (gamma - beta, a - beta)
-        gamma = [s + b for s, b in zip(shift[:4], beta)]
-        a = [s + b for s, b in zip(shift[4:], beta)]
-        for e, key in enumerate(keys.tolist()):
-            delta, alpha = key[:4], key[4:]
+        assert ad.shift_code[t] == _pack(np.subtract(gamma, beta), np.subtract(a, beta), radix)
+        for e, (delta, alpha) in enumerate(zip(deltas.tolist(), alphas.tolist())):
             exact = (math.prod(map(math.comb, gamma, beta)) * math.prod(map(math.perm, alpha, beta))
                      - math.prod(map(math.perm, a, beta)) * math.prod(map(math.comb, delta, beta)))
-            assert weight[e, t] == exact, (key, gamma, a, beta)
+            assert weight[e, t] == exact, (delta, alpha, gamma, a, beta)
 
 
 def test_key_codes_round_trip_and_sort_as_the_keys():
     keys = np.random.default_rng(0).integers(0, 12, size=(300, 8))
+    delta, alpha = keys[:, :4], keys[:, 4:]
     radix = _radix(int(keys.max()), 1)
     assert radix == keys.max() + 1
-    codes = _pack(keys, radix)
-    assert np.array_equal(_unpack(codes, radix), keys)
+    codes = _pack(delta, alpha, radix)
+    back = _unpack(codes, radix)
+    assert np.array_equal(back[0], delta) and np.array_equal(back[1], alpha)
     by_code = keys[np.argsort(codes, kind="stable")].tolist()
     assert by_code == sorted(keys.tolist())
+    # the halves broadcast: entry (i, j) is the code of the pair (delta_i, alpha_j)
+    grid = _pack(delta[:30, None], alpha[None, :40], radix)
+    assert grid.shape == (30, 40)
+    for i, j in itertools.product(range(30), range(40)):
+        assert grid[i, j] == functools.reduce(lambda code, digit: code * radix + digit, (*delta[i], *alpha[j]))
     # the radix is 1 + the largest index: 234**8 fits in int64, 235**8 does not
-    top = np.array([[233] * 8, [0] * 8])
-    assert np.array_equal(_unpack(_pack(top, _radix(233, 1)), 234), top)
+    top = np.array([[233] * 4, [0] * 4])
+    back = _unpack(_pack(top, top[::-1], _radix(233, 1)), 234)
+    assert np.array_equal(back[0], top) and np.array_equal(back[1], top[::-1])
     with pytest.raises(OverflowError):
         _radix(234, 1)
     # a code times the column count, plus a column, must fit too
     assert _radix(232, 1) == 233
     with pytest.raises(OverflowError):
         _radix(232, 2)
-    codes = _pack(np.zeros((0, 8), dtype=np.int64), 2)
-    assert codes.shape == (0,) and _unpack(codes, 2).shape == (0, 8)
+    empty = np.zeros((0, 4), dtype=np.int64)
+    codes = _pack(empty, empty, 2)
+    assert codes.shape == (0,) and [half.shape for half in _unpack(codes, 2)] == [(0, 4), (0, 4)]
 
 
 def test_an_operator_whose_keys_outgrow_int64_is_refused():
@@ -521,11 +535,11 @@ def _rank_one_blocks_system(scale_row, scale_col):
     m[:2, :2] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     m[2, 2:4] = scale_row * (rng.normal(size=2) + 1j * rng.normal(size=2))
     m[3:, 4] = scale_col * (rng.normal(size=2) + 1j * rng.normal(size=2))
-    keys = np.array(sorted([(*delta, *alpha) for delta in _UNIT[:3] for alpha in (ZERO_ALPHA, _UNIT[0])])[:5])
+    keys = sorted((delta, alpha) for delta in _UNIT[:3] for alpha in (ZERO_ALPHA, _UNIT[0]))[:5]
     return matrix_system(
         m,
         unknowns=tuple((_UNIT[0], alpha) for alpha in monomials_up_to(1)),
-        row_codes=_pack(keys, 2),
+        row_codes=_pack(*map(np.array, zip(*keys)), 2),
         radix=2,
         L=wave_operator(),
         spec=AnsatzSpec(degree=1, p=1),
@@ -1169,7 +1183,7 @@ def test_reverification_rejects_a_wrong_matrix():
     wrong = matrix_system(
         np.zeros((1, 1), dtype=complex),
         unknowns=(((1, 0, 0, 0), (1, 0, 0, 0)),),
-        row_codes=_pack(np.array([[2, 0, 0, 0, 0, 0, 0, 0]]), 3),
+        row_codes=_pack(np.array([[2, 0, 0, 0]]), np.array([ZERO_ALPHA]), 3),
         radix=3,
         L=wave_operator(),
         spec=AnsatzSpec(degree=1, p=1),
@@ -1334,6 +1348,9 @@ def test_structure_constants_do_not_depend_on_the_scale_of_the_operators(basis):
 def test_structure_constants_rejects_dependent_basis():
     with pytest.raises(ValueError):
         structure_constants([LinDiffOp.partial(0), 2 * LinDiffOp.partial(0)])
+    # zero operators have no terms: no key, and a zero basis
+    with pytest.raises(ValueError, match="generators are not linearly independent"):
+        structure_constants([LinDiffOp(), LinDiffOp()])
 
 
 # -- flows ---------------------------------------------------------------------
