@@ -84,9 +84,9 @@ class DeterminingSystem:
     this layout.
 
     Each row is the key (delta, alpha) of one term x^alpha d^delta of the
-    residual operator, held as its int64 code in base radix: row_codes is
-    sorted, so the rows run in key order.  Only _pack, _unpack and
-    _probe_counts read the codes' layout; all else uses delta and alpha.
+    residual operator, held as its int64 code in base radix, which only
+    _pack, _unpack and _probe_counts lay out or read: row_codes is sorted,
+    so the rows run in key order.
 
     The system's data are its entries (rows, cols, vals), M's nonzeros in
     row-major order, each position once, a signed zero part stored as +0.0,
@@ -104,7 +104,8 @@ class DeterminingSystem:
     @functools.cached_property
     def row_keys(self) -> tuple[tuple[Index4, Index4], ...]:
         """The (derivative delta, monomial alpha) of each row."""
-        return tuple(zip(*(map(tuple, half.tolist()) for half in _unpack(self.row_codes, self.radix))))
+        delta, alpha = _unpack(self.row_codes, self.radix)
+        return tuple(zip(map(tuple, delta.tolist()), map(tuple, alpha.tolist())))
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
@@ -273,11 +274,18 @@ def _unpack(codes: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _probe_counts(codes: np.ndarray, radix: int) -> tuple[int, int]:
-    """The probes and points of the oracle's sample over rows with these
-    codes: the numbers of distinct derivative indices delta (the high four
-    digits) and of distinct monomials alpha (the low four)."""
+    """The probes and points of the oracle's sample over rows with these codes: the
+    numbers of distinct delta (the high four digits) and alpha (the low four)."""
     deltas, alphas = np.divmod(codes, radix**4)
     return len(np.unique(deltas)), len(np.unique(alphas))
+
+
+def _term_arrays(op: LinDiffOp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The halves delta, alpha ((n, 4) each) and coefficients c of op's n terms c x^alpha d^delta."""
+    terms = [(delta, t) for delta, coeff in op.terms for t in coeff.terms]
+    delta = np.array([d for d, _ in terms], dtype=np.int64).reshape(-1, 4)
+    alpha = np.array([t.alpha for _, t in terms], dtype=np.int64).reshape(-1, 4)
+    return delta, alpha, np.array([t.coeff for _, t in terms], dtype=complex)
 
 
 class _AdMap:
@@ -295,31 +303,28 @@ class _AdMap:
 
         binom(gamma, beta) alpha!/(alpha - beta)! - binom(a, beta) delta!/(delta - beta)!
 
-    (the second term is binom(delta, beta) a!/(a - beta)!, regrouped), each
+    (the second sum's binom(delta, beta) a!/(a - beta)!, regrouped), each
     factor zero unless beta lies below its multi-index.  The map holds one
     pass per (term of L, nonzero beta <= max(gamma, a)); a call weighs every
-    entry in every pass at once (:meth:`weights`), both halves read from one
-    table of falling factorials.  It reads and shifts codes only through
-    _unpack and _pack, the layout's owners.  A weighted pass never lowers an
-    index and raises it by at most max(gamma, a), and the codes are in base
-    radix, fixed for the map: every index of every key it is given or makes
-    must lie below radix.
+    entry in every pass at once (:meth:`weights`), both halves from one
+    table of falling factorials, and reads and shifts codes only through
+    _unpack and _pack.  A pass never lowers an index and raises it by at
+    most max(gamma, a); the codes are in one base radix, so every index of
+    every key the map is given or makes must lie below radix.
     """
 
     def __init__(self, L: LinDiffOp, radix: int):
-        passes = [
-            (gamma, t.alpha, t.coeff, beta)
-            for gamma, coeff in L.terms for t in coeff.terms
-            for beta in itertools.product(*(range(max(g, e) + 1) for g, e in zip(gamma, t.alpha)))
-            if any(beta)
-        ]
+        gamma, a, coeff = _term_arrays(L)
+        passes = [(term, beta) for term, top in enumerate(np.maximum(gamma, a).tolist())
+                  for beta in itertools.product(*(range(n + 1) for n in top)) if any(beta)]
+        term, beta = [t for t, _ in passes], [b for _, b in passes]
         self.radix = radix
-        gamma, a, self.beta = (np.array([p[i] for p in passes], dtype=np.int64).reshape(-1, 4) for i in (0, 1, 3))
+        self.beta = np.array(beta, dtype=np.int64).reshape(-1, 4)
+        gamma, a, self.coeff = gamma[term], a[term], coeff[term]
         # binom(gamma, beta), binom(a, beta) and n!/(n - b)!: math.comb and math.perm give 0 past the top
-        self.on_alpha = np.array([math.prod(map(math.comb, g, b)) for g, _, _, b in passes], dtype=float)
-        self.on_delta = np.array([math.prod(map(math.comb, e, b)) for _, e, _, b in passes], dtype=float)
+        self.on_alpha = np.array([math.prod(map(math.comb, g, b)) for g, b in zip(gamma.tolist(), beta)], dtype=float)
+        self.on_delta = np.array([math.prod(map(math.comb, e, b)) for e, b in zip(a.tolist(), beta)], dtype=float)
         self.shift_code = _pack(gamma - self.beta, a - self.beta, radix)
-        self.coeff = np.array([c for _, _, c, _ in passes], dtype=complex)
         self.reach = int(self.beta.max(initial=0)) + 1
         self.falling = np.array([[math.perm(n, b) for b in range(self.reach)] for n in range(radix)], dtype=float)
 
@@ -374,9 +379,7 @@ def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSyste
     q_keys = [(delta, m) for delta in (*_UNIT, ZERO_ALPHA) for m in monomials]
     zeta = monomials_up_to(spec.zeta_degree)
     unknowns = (*q_keys, *((None, m) for m in zeta))
-    terms = [(gamma, t) for gamma, coeff in L.terms for t in coeff.terms]
-    gamma = np.array([g for g, _ in terms], dtype=np.int64).reshape(-1, 4)
-    a = np.array([t.alpha for _, t in terms], dtype=np.int64).reshape(-1, 4)
+    gamma, a, coeff = _term_arrays(L)
     top = int(np.max([gamma, a], initial=0))
     radix = _radix(max(1, spec.degree, spec.zeta_degree) + spec.p * top, len(unknowns))
     ad = _AdMap(L, radix)
@@ -384,9 +387,9 @@ def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSyste
     q = np.arange(len(q_keys)), unit_codes, np.ones(len(q_keys), dtype=complex)
     for _ in range(spec.p):
         q = ad(q, len(unknowns))
-    zeta_cols = np.repeat(np.arange(len(q_keys), len(unknowns)), len(terms))
+    zeta_cols = np.repeat(np.arange(len(q_keys), len(unknowns)), len(coeff))
     zeta_codes = _pack(gamma, np.array(zeta, dtype=np.int64)[:, None] + a, radix).ravel()
-    zeta_vals = np.tile(np.array([-t.coeff for _, t in terms], dtype=complex), len(zeta))
+    zeta_vals = np.tile(-coeff, len(zeta))
     cols, codes, vals = (np.concatenate(pair) for pair in zip(q, (zeta_cols, zeta_codes, zeta_vals)))
     order = np.argsort(codes * len(unknowns) + cols)  # each (key, column) occurs once
     codes, cols, vals = codes[order], cols[order], vals[order] + 0.0  # +0.0 as _fill stores it
@@ -575,12 +578,9 @@ def structure_constants(ops: Sequence[LinDiffOp]) -> tuple[np.ndarray, float]:
 
     pairs = list(itertools.combinations(range(n), 2))
     brackets = [commutator(ops[a], ops[b]) for a, b in pairs]
-    terms = [(j, delta, t)
-             for j, op in enumerate([*ops, *brackets]) for delta, coeff in op.terms for t in coeff.terms]
-    cols = np.array([j for j, _, _ in terms], dtype=np.int64)
-    delta = np.array([delta for _, delta, _ in terms], dtype=np.int64).reshape(-1, 4)
-    alpha = np.array([t.alpha for _, _, t in terms], dtype=np.int64).reshape(-1, 4)
-    vals = np.array([t.coeff for _, _, t in terms], dtype=complex)
+    arrays = [_term_arrays(op) for op in [*ops, *brackets]]
+    cols = np.repeat(np.arange(len(arrays)), [len(vals) for _, _, vals in arrays])
+    delta, alpha, vals = (np.concatenate(column) for column in zip(*arrays))
     row_codes, rows = np.unique(_pack(delta, alpha, _radix(int(np.max([delta, alpha], initial=0)), 1)),
                                 return_inverse=True)
     matrix = _fill(rows, cols, vals, (len(row_codes), len(ops) + len(brackets)))

@@ -359,7 +359,11 @@ def test_key_codes_round_trip_and_sort_as_the_keys():
         assert grid[i, j] == functools.reduce(lambda code, digit: code * radix + digit, (*delta[i], *alpha[j]))
     # the radix is 1 + the largest index: 234**8 fits in int64, 235**8 does not
     top = np.array([[233] * 4, [0] * 4])
-    back = _unpack(_pack(top, top[::-1], _radix(233, 1)), 234)
+    codes = _pack(top, top, _radix(233, 1))
+    assert codes.tolist() == [234**8 - 1, 0]
+    back = _unpack(codes, 234)
+    assert np.array_equal(back[0], top) and np.array_equal(back[1], top)
+    back = _unpack(_pack(top, top[::-1], 234), 234)
     assert np.array_equal(back[0], top) and np.array_equal(back[1], top[::-1])
     with pytest.raises(OverflowError):
         _radix(234, 1)
