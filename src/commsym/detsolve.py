@@ -48,9 +48,9 @@ NULL_TOL = 1e-8
 REVERIFY_TOL = 1e-8
 # structure constants: rank cutoff and largest closure residual, both relative
 _CLOSURE_TOL = 1e-8
-# bytes that the probe oracle's P, a search's one dense complex array, may
-# take; a larger system is refused before P exists.  P takes at most 20.8 MiB
-# at degree 5, 318.9 MiB at degree 7 and p <= 3, and 6283 MiB at degree 12
+# bytes that probe_sample's P, a search's one dense complex array, may take;
+# a larger P is refused before it exists.  P takes at most 20.8 MiB at
+# degree 5, 318.9 MiB at degree 7 and p <= 3, and 6283 MiB at degree 12
 DENSE_BUDGET = 2**29
 
 
@@ -369,19 +369,21 @@ def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSyste
     codes (:func:`_pack`) in one radix, bounded from the ansatz and L: no
     index exceeds max(1, degree, zeta_degree) plus p times L's largest.  So
     each merge is one ``np.unique`` and the row-major order one sort, over
-    1-D arrays of codes, and the rows stay codes.
+    1-D arrays of codes, and the rows stay codes.  The build's one size
+    bound is _radix's OverflowError, raised before the ansatz is enumerated.
     """
     if L.has_exponential_coefficients():
         raise UnsupportedCoefficient(
             "determining systems require polynomial operator coefficients"
         )
+    gamma, a, coeff = _term_arrays(L)
+    top = int(np.max([gamma, a], initial=0))
+    n_cols = 5 * math.comb(spec.degree + 4, 4) + math.comb(spec.zeta_degree + 4, 4)  # len(unknowns)
+    radix = _radix(max(1, spec.degree, spec.zeta_degree) + spec.p * top, n_cols)
     monomials = monomials_up_to(spec.degree)
     q_keys = [(delta, m) for delta in (*_UNIT, ZERO_ALPHA) for m in monomials]
     zeta = monomials_up_to(spec.zeta_degree)
     unknowns = (*q_keys, *((None, m) for m in zeta))
-    gamma, a, coeff = _term_arrays(L)
-    top = int(np.max([gamma, a], initial=0))
-    radix = _radix(max(1, spec.degree, spec.zeta_degree) + spec.p * top, len(unknowns))
     ad = _AdMap(L, radix)
     unit_codes = _pack(_Q_DELTAS[:, None], np.array(monomials, dtype=np.int64), radix).ravel()
     q = np.arange(len(q_keys)), unit_codes, np.ones(len(q_keys), dtype=complex)
@@ -394,19 +396,7 @@ def build_determining_system(L: LinDiffOp, spec: AnsatzSpec) -> DeterminingSyste
     order = np.argsort(codes * len(unknowns) + cols)  # each (key, column) occurs once
     codes, cols, vals = codes[order], cols[order], vals[order] + 0.0  # +0.0 as _fill stores it
     first = np.diff(codes, prepend=-1) != 0  # the first entry of each row
-    row_codes = codes[first]
-    _check_probe_size(row_codes, radix)
-    return DeterminingSystem((np.cumsum(first) - 1, cols, vals), unknowns, row_codes, radix, L, spec)
-
-
-def _check_probe_size(row_codes: np.ndarray, radix: int) -> None:
-    """Refuse a system whose probe matrix P (:func:`probe_sample`) outgrows
-    DENSE_BUDGET, before P exists; ValueError names its size."""
-    n_probes, n_points = _probe_counts(row_codes, radix)
-    probes = n_probes * n_points * len(row_codes) * np.dtype(complex).itemsize
-    if probes > DENSE_BUDGET:
-        raise ValueError(f"the probe matrix needs {probes / 2**20:.1f} MiB; "
-                         f"it may take at most {DENSE_BUDGET / 2**20:.0f} MiB")
+    return DeterminingSystem((np.cumsum(first) - 1, cols, vals), unknowns, codes[first], radix, L, spec)
 
 
 def _fill(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -752,10 +742,16 @@ def probe_sample(
     the sample S[(i, k), j] = (R_j f_i)(x_k) of the residual operator R_j of
     unknown j, the column j of the matrix M.  There is one probe per
     derivative index and one point per monomial in the row keys; a system
-    without rows has neither, and P has no rows and no columns.
+    without rows has neither, and P has no rows and no columns.  P, the one
+    dense array of a search, is refused beyond DENSE_BUDGET bytes with a
+    ValueError naming its size, before it or any draw exists.
     """
-    delta, alpha = _unpack(system.row_codes, system.radix)
     n_probes, n_points = _probe_counts(system.row_codes, system.radix)
+    size = n_probes * n_points * len(system.row_codes) * np.dtype(complex).itemsize
+    if size > DENSE_BUDGET:
+        raise ValueError(f"the probe matrix needs {size / 2**20:.1f} MiB; "
+                         f"it may take at most {DENSE_BUDGET / 2**20:.0f} MiB")
+    delta, alpha = _unpack(system.row_codes, system.radix)
     points = rng.uniform(-1.0, 1.0, size=(n_points, 4))
     draws = rng.normal(0, 1, (n_probes, 2, 4))  # each probe's real part, then its imaginary part
     kappas = draws[:, 0] + 1j * draws[:, 1]
@@ -803,7 +799,7 @@ def apply_probe_null_dimension(system: DeterminingSystem, rng: np.random.Generat
       on c x c matrices, not on N x c ones.
     The count catches a wrong SVD cutoff and a wrong split, not a wrong
     assembly; re-verification in :func:`solve_null_space` checks the
-    assembly.
+    assembly.  A P beyond DENSE_BUDGET is refused before the split is read.
     """
     _, _, P = probe_sample(system, rng)
     samples, tol = _block_samples(system, P)

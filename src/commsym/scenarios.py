@@ -918,7 +918,9 @@ def run_generator_search(
     seed: int = 0,
 ) -> ScenarioReport:
     """Rediscover symmetry generators from the determining system and verify
-    the result against independent observables."""
+    the result against independent observables.  The probe oracle runs before
+    the solver, so a probe matrix beyond detsolve.DENSE_BUDGET is refused
+    straight after the build, before any SVD."""
     build = SEARCH_OPERATORS.get(operator)
     if build is None:
         names = " or ".join(repr(name) for name in SEARCH_OPERATORS)
@@ -926,8 +928,8 @@ def run_generator_search(
     L = build()
     spec = detsolve.AnsatzSpec(degree=degree, p=p, zeta_degree=zeta_degree)
     system = detsolve.build_determining_system(L, spec)
-    basis = detsolve.solve_null_space(system)
     oracle_dim = detsolve.apply_probe_null_dimension(system, np.random.default_rng(seed))
+    basis = detsolve.solve_null_space(system)
     # the null dimension read from the same spectrum at cutoffs x10 and /10
     dims = [basis.dimension_at(detsolve.NULL_TOL * factor) for factor in (10.0, 0.1)]
     # all 20 linear-group generators x^alpha d^delta have ad_L^2 g = 0, so

@@ -303,6 +303,22 @@ def test_a_search_beyond_the_dense_budget_exits_2_before_allocating():
         "error: ValueError: the probe matrix needs 6283.2 MiB; it may take at most 512 MiB\n")
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--degree 240", "index 244 too large for an int64 key code over 720422506 columns"),
+    ("--zeta-degree 500", "index 504 too large for an int64 key code over 2656615651 columns"),
+])
+def test_an_ansatz_beyond_the_key_codes_exits_2_before_it_is_enumerated(flag, message):
+    """Degree 240 has C(244, 4), about 1.4e8, monomials: under a 3 GB
+    address-space limit the search is refused in one line, from the column
+    count alone, before the ansatz is enumerated."""
+    src = str(pathlib.Path(commsym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = f"ulimit -v 3000000 && exec {sys.executable} -m commsym detsolve {flag}"
+    proc = subprocess.run(["/bin/sh", "-c", command], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == cli.EXIT_CONFIG and proc.stdout == b""
+    assert proc.stderr.decode() == f"error: OverflowError: {message}\n"
+
+
 # -- JSON schema / determinism -----------------------------------------------------
 
 

@@ -382,6 +382,19 @@ def test_an_operator_whose_keys_outgrow_int64_is_refused():
         build_determining_system(LinDiffOp.partial(0, 300), AnsatzSpec(0, 1))
 
 
+@pytest.mark.parametrize("spec, message", [
+    (AnsatzSpec(100, 1), "index 102 too large for an int64 key code over 22990631 columns"),
+    (AnsatzSpec(240, 2), "index 244 too large for an int64 key code over 720422506 columns"),
+    (AnsatzSpec(1, 2, 500), "index 504 too large for an int64 key code over 2656615651 columns"),
+])
+def test_an_ansatz_whose_keys_outgrow_int64_is_refused_before_it_is_enumerated(monkeypatch, spec, message):
+    # the column count 5 C(degree + 4, 4) + C(zeta_degree + 4, 4) is counted, not enumerated
+    monkeypatch.setattr(detsolve, "monomials_up_to", lambda degree: pytest.fail("the ansatz was enumerated"))
+    with pytest.raises(OverflowError) as err:
+        build_determining_system(wave_operator(), spec)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("degree", range(9))
 def test_monomials_run_in_graded_lex_order(degree):
     expected = [alpha for total in range(degree + 1)
@@ -1249,19 +1262,47 @@ def test_reverification_outside_ad_power_builds_no_operator(monkeypatch, operato
 
 def test_a_system_beyond_the_dense_budget_is_refused_before_its_arrays_exist(monkeypatch):
     """The size named is that of the oracle's P, the one dense array of a
-    search; a P of exactly the budget is built, and the matrix is never
-    filled."""
+    search, and only probe_sample holds it to the budget: a P of exactly
+    the budget is built, one byte more is refused before any draw, and the
+    build takes the system at either budget without filling the matrix."""
+    monkeypatch.setattr(detsolve, "_fill", lambda *args: pytest.fail("the matrix was filled"))
     system = build_determining_system(wave_operator(), AnsatzSpec(3, 2))
     _, _, P = probe_sample(system, np.random.default_rng(0))
     assert P.nbytes <= DENSE_BUDGET
-    monkeypatch.setattr(detsolve, "_fill", lambda *args: pytest.fail("the matrix was filled"))
     monkeypatch.setattr(detsolve, "DENSE_BUDGET", P.nbytes)
-    build_determining_system(wave_operator(), AnsatzSpec(3, 2))
+    _, _, again = probe_sample(build_determining_system(wave_operator(), AnsatzSpec(3, 2)), np.random.default_rng(0))
+    assert np.array_equal(again, P)
     monkeypatch.setattr(detsolve, "DENSE_BUDGET", P.nbytes - 1)
+    system = build_determining_system(wave_operator(), AnsatzSpec(3, 2))
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError) as err:
-        build_determining_system(wave_operator(), AnsatzSpec(3, 2))
+        probe_sample(system, rng)
     assert str(err.value) == (
         f"the probe matrix needs {P.nbytes / 2**20:.1f} MiB; it may take at most {(P.nbytes - 1) / 2**20:.0f} MiB")
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_a_search_beyond_the_dense_budget_is_refused_before_any_svd(monkeypatch):
+    """At degree 12 the oracle's P would take 6283 MiB: the search is
+    refused by the oracle straight after the build, before the split is
+    made and before the solver runs."""
+    monkeypatch.setattr(detsolve, "_components", lambda *args: pytest.fail("the split was made"))
+    monkeypatch.setattr(detsolve, "solve_null_space", lambda system: pytest.fail("the solver ran"))
+    with pytest.raises(ValueError) as err:
+        run_generator_search(degree=12, p=1)
+    assert str(err.value) == "the probe matrix needs 6283.2 MiB; it may take at most 512 MiB"
+
+
+@pytest.mark.parametrize("operator, zeta_degree, expected", [("box", 0, 46), ("box", 7, 46), ("schrod", 7, 47)])
+def test_degree_8_systems_beyond_the_dense_budget_solve(operator, zeta_degree, expected):
+    """The build and the solver take a system whose oracle's P outgrows the
+    budget (771 to 1296 MiB at degree 8 and p = 2): solve_null_space finds
+    the known dimension and re-verifies it; only the oracle refuses."""
+    system = build_determining_system(SEARCH_OPERATORS[operator](), AnsatzSpec(8, 2, zeta_degree))
+    basis = solve_null_space(system)
+    assert basis.dimension == expected and basis.reverify_residual <= detsolve.REVERIFY_TOL
+    with pytest.raises(ValueError, match="^the probe matrix needs "):
+        probe_sample(system, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("operator", ["box", "schrod"])
